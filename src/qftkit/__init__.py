@@ -30,10 +30,8 @@ from .phasest import (
     basis_probs,
     bernoulli_bound,
     failure_bound,
-    measurement_probs,
     reconstruct_batch,
     reconstruct_x,
-    sample_and_mode,
 )
 from .qft_moduli import (
     CrtBasis,

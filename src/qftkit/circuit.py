@@ -49,12 +49,8 @@ class DyadicAngle:
     def __float__(self) -> float:
         return self.numerator / (1 << self.log_denominator)
 
-    @property
-    def turns(self) -> float:
-        return float(self)
-
     def phase(self) -> complex:
-        """The unit complex number exp(2*pi*i * turns)."""
+        """The unit complex number exp(2*pi*i * float(self))."""
         return complex(math.cos(math.tau * float(self)), math.sin(math.tau * float(self)))
 
     def __str__(self) -> str:
@@ -72,7 +68,19 @@ def dyadic(numerator: int, log_denominator: int) -> DyadicAngle:
 
 @dataclass(frozen=True, slots=True)
 class Gate:
+    """A row of the gate table, read by every consumer in place of the gate's type.
+
+    ``name``: the netlist token.  ``wires``: the quantum wire fields, in
+    constructor and ``qubits()`` order.  ``angled``: a dyadic ``theta`` follows
+    the wires.  ``family``: ``"h"``, ``"phase"`` (multiply the all-ones state
+    of the wires by exp(2*pi*i*theta)), ``"flip"`` (X on the last wire,
+    controlled by the others) or ``"measure"``.
+    """
+
     name = "gate"
+    wires = ()
+    angled = False
+    family = ""
 
     def qubits(self) -> tuple[int, ...]:
         raise NotImplementedError
@@ -81,19 +89,23 @@ class Gate:
         return ()
 
     def inverse(self) -> Gate:
-        raise NotImplementedError
+        """Phase gates negate theta, H and flips are self-inverse."""
+        if self.family == "phase":
+            return type(self)(*self.qubits(), -self.theta)
+        if self.family == "measure":
+            raise NonInvertibleError("measurement has no inverse")
+        return self
 
 
 @dataclass(frozen=True, slots=True)
 class H(Gate):
     target: int
     name = "h"
+    wires = ("target",)
+    family = "h"
 
     def qubits(self):
         return (self.target,)
-
-    def inverse(self):
-        return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,12 +115,12 @@ class P(Gate):
     target: int
     theta: DyadicAngle
     name = "p"
+    wires = ("target",)
+    angled = True
+    family = "phase"
 
     def qubits(self):
         return (self.target,)
-
-    def inverse(self):
-        return P(self.target, -self.theta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,6 +131,9 @@ class CP(Gate):
     b: int
     theta: DyadicAngle
     name = "cp"
+    wires = ("a", "b")
+    angled = True
+    family = "phase"
 
     def __post_init__(self):
         if self.a == self.b:
@@ -131,20 +146,16 @@ class CP(Gate):
     def qubits(self):
         return (self.a, self.b)
 
-    def inverse(self):
-        return CP(self.a, self.b, -self.theta)
-
 
 @dataclass(frozen=True, slots=True)
 class X(Gate):
     target: int
     name = "x"
+    wires = ("target",)
+    family = "flip"
 
     def qubits(self):
         return (self.target,)
-
-    def inverse(self):
-        return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,6 +163,8 @@ class CNOT(Gate):
     control: int
     target: int
     name = "cnot"
+    wires = ("control", "target")
+    family = "flip"
 
     def __post_init__(self):
         if self.control == self.target:
@@ -160,9 +173,6 @@ class CNOT(Gate):
     def qubits(self):
         return (self.control, self.target)
 
-    def inverse(self):
-        return self
-
 
 @dataclass(frozen=True, slots=True)
 class Toffoli(Gate):
@@ -170,6 +180,8 @@ class Toffoli(Gate):
     c2: int
     target: int
     name = "ccx"
+    wires = ("c1", "c2", "target")
+    family = "flip"
 
     def __post_init__(self):
         if len({self.c1, self.c2, self.target}) != 3:
@@ -181,9 +193,6 @@ class Toffoli(Gate):
 
     def qubits(self):
         return (self.c1, self.c2, self.target)
-
-    def inverse(self):
-        return self
 
 
 MEASURE_BASES = ("x", "y", "z")
@@ -201,6 +210,8 @@ class MeasureBasis(Gate):
     basis: str
     out: int
     name = "meas"
+    wires = ("target",)
+    family = "measure"
 
     def __post_init__(self):
         if self.basis not in MEASURE_BASES:
@@ -212,8 +223,8 @@ class MeasureBasis(Gate):
     def clbits(self):
         return (self.out,)
 
-    def inverse(self):
-        raise NonInvertibleError("measurement has no inverse")
+
+GATES: dict[str, type[Gate]] = {g.name: g for g in (H, P, CP, X, CNOT, Toffoli, MeasureBasis)}
 
 
 # --- circuit --------------------------------------------------------------
@@ -315,7 +326,7 @@ class Circuit:
             yield from layer
 
     def has_measurement(self) -> bool:
-        return any(isinstance(g, MeasureBasis) for g in self.all_gates())
+        return any(g.family == "measure" for g in self.all_gates())
 
     # structure
 
@@ -358,24 +369,17 @@ _QUARTER = DyadicAngle(1, 2)
 
 
 def _lower_gate(g: Gate) -> list[Gate]:
-    if isinstance(g, X):
-        t = g.target
+    if g.family != "flip":
+        return [g]
+    *ctrls, t = g.qubits()
+    if not ctrls:
         return [H(t), P(t, _HALF), H(t)]
-    if isinstance(g, CNOT):
-        c, t = g.control, g.target
-        return [H(t), CP(c, t, _HALF), H(t)]
-    if isinstance(g, Toffoli):
-        a, b, t = g.c1, g.c2, g.target
-        cv = lambda c: [H(t), CP(c, t, _QUARTER), H(t)]
-        cvdg = lambda c: [H(t), CP(c, t, -_QUARTER), H(t)]
-        seq: list[Gate] = []
-        seq += cv(b)
-        seq += _lower_gate(CNOT(a, b))
-        seq += cvdg(b)
-        seq += _lower_gate(CNOT(a, b))
-        seq += cv(a)
-        return seq
-    return [g]
+    if len(ctrls) == 1:
+        return [H(t), CP(ctrls[0], t, _HALF), H(t)]
+    a, b = ctrls
+    cv = lambda c, theta: [H(t), CP(c, t, theta), H(t)]
+    cx = _lower_gate(CNOT(a, b))
+    return cv(b, _QUARTER) + cx + cv(b, -_QUARTER) + cx + cv(a, _QUARTER)
 
 
 def lower(circuit: Circuit) -> Circuit:
@@ -466,9 +470,6 @@ class CircuitBuilder:
         for g in reversed(list(gates)):
             self.add(g.inverse())
 
-    def uncompute_since(self, mark: int) -> None:
-        self.emit_inverse(self._gates[mark:])
-
     def inline(
         self,
         sub: Circuit,
@@ -506,20 +507,14 @@ class CircuitBuilder:
 
 
 def _remap_gate(g: Gate, qm: Mapping[int, int], cm: dict[int, int], builder: CircuitBuilder) -> Gate:
-    if isinstance(g, H):
-        return H(qm[g.target])
-    if isinstance(g, P):
-        return P(qm[g.target], g.theta)
-    if isinstance(g, CP):
-        return CP(qm[g.a], qm[g.b], g.theta)
-    if isinstance(g, X):
-        return X(qm[g.target])
-    if isinstance(g, CNOT):
-        return CNOT(qm[g.control], qm[g.target])
-    if isinstance(g, Toffoli):
-        return Toffoli(qm[g.c1], qm[g.c2], qm[g.target])
-    if isinstance(g, MeasureBasis):
+    # a loop rather than a comprehension: this runs once per inlined gate
+    wires = []
+    for w in g.qubits():
+        wires.append(qm[w])
+    if g.family == "measure":
         if g.out not in cm:
             cm[g.out] = builder.new_classical()
-        return MeasureBasis(qm[g.target], g.basis, cm[g.out])
-    raise StructuralError(f"cannot remap gate {g!r}")
+        return type(g)(*wires, g.basis, cm[g.out])
+    if g.angled:
+        return type(g)(*wires, g.theta)
+    return type(g)(*wires)

@@ -19,6 +19,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import acceptance, netlist, shor
+from .acceptance import MINMAX_PROB, OPERATOR_TOL, TRACE_BOUND
 from .circuit import Circuit
 from .errors import CapacityError, QftkitError
 from .qft_pow2 import (
@@ -188,7 +189,7 @@ def _suite_unitary(cap: int) -> list[acceptance.CriterionResult]:
         worst = max(worst, float(np.linalg.norm(u - dft_reference(1 << n), 2)))
     results.append(
         acceptance.CriterionResult(
-            "standard-qft-unitary", worst <= 1e-9, f"operator distance <= {worst:.2e} for n <= {cap}"
+            "standard-qft-unitary", worst <= OPERATOR_TOL, f"operator distance <= {worst:.2e} for n <= {cap}"
         )
     )
     worst = 0.0
@@ -197,7 +198,9 @@ def _suite_unitary(cap: int) -> list[acceptance.CriterionResult]:
         worst = max(worst, float(np.linalg.norm(u - dft_reference(1 << n), 2)))
     results.append(
         acceptance.CriterionResult(
-            "split-qft-unitary", worst <= 1e-9, f"operator distance <= {worst:.2e} for n <= {min(cap, 6)}"
+            "split-qft-unitary",
+            worst <= OPERATOR_TOL,
+            f"operator distance <= {worst:.2e} for n <= {min(cap, 6)}",
         )
     )
     n = min(cap, 8)
@@ -233,14 +236,16 @@ def _suite_bounds() -> list[acceptance.CriterionResult]:
             worst = max(worst, overlap_witness(n, r)["trace_distance"])
     results.append(
         acceptance.CriterionResult(
-            "trace-distance", worst < 0.7712, f"max {worst:.6f} < 0.7712 over 1 <= r < n <= 20"
+            "trace-distance", worst < TRACE_BOUND, f"max {worst:.6f} < {TRACE_BOUND} over 1 <= r < n <= 20"
         )
     )
     grid = np.arange(100000) / 100000.0
     minmax = float(basis_probs(grid).max(axis=-1).min())
     results.append(
         acceptance.CriterionResult(
-            "min-max-prob", minmax >= 0.853553, f"{minmax:.9f} >= 0.853553 over a 1e5-point grid"
+            "min-max-prob",
+            minmax >= MINMAX_PROB - 1e-9,
+            f"{minmax:.9f} >= {MINMAX_PROB:.6f} over a 1e5-point grid",
         )
     )
     return results

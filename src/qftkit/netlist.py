@@ -9,6 +9,8 @@ Grammar (one gate per line, layers separated by ``---``)::
     p 1/2^3 4
     meas x 5 -> c2
 
+A unitary gate is ``<token> [<angle>] <wire>...``, as declared in the gate
+table of ``qftkit.circuit``; a measurement is ``meas <basis> <wire> -> c<j>``.
 Angles are dyadic fractions of a turn, written ``a/2^b`` (or ``0``).
 Comment lines start with ``#``; builder metadata rides along in a single
 ``# meta {...}`` pragma after the header so netlists keep their recorded
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import re
 
-from .circuit import CNOT, CP, Circuit, DyadicAngle, Gate, H, MeasureBasis, P, Toffoli, X
+from .circuit import GATES, MAX_LOG_DENOMINATOR, MEASURE_BASES, Circuit, DyadicAngle, Gate
 from .errors import NetlistError, StructuralError
 
 _ANGLE_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
@@ -32,10 +34,6 @@ SEPARATOR = "---"
 META_PRAGMA = "# meta "
 
 
-def _format_angle(theta: DyadicAngle) -> str:
-    return str(theta)
-
-
 def _parse_angle(token: str, line: int) -> DyadicAngle:
     if token == "0":
         return DyadicAngle(0, 0)
@@ -43,7 +41,7 @@ def _parse_angle(token: str, line: int) -> DyadicAngle:
     if not m:
         raise NetlistError(f"bad angle {token!r}, expected a/2^b", line)
     num, ld = int(m.group(1)), int(m.group(2))
-    if ld > 64:
+    if ld > MAX_LOG_DENOMINATOR:
         raise NetlistError(f"angle denominator 2^{ld} too large", line)
     angle = DyadicAngle(num, ld)
     if str(angle) != token:
@@ -51,22 +49,22 @@ def _parse_angle(token: str, line: int) -> DyadicAngle:
     return angle
 
 
+# derived from the gate table: per gate type, its token then a "%s" for the angle
+# (if any) and each wire; per unitary token, its class, token count and first wire
+_LINE_FORMATS = {cls: cls.name + " %s" * (cls.angled + len(cls.wires)) for cls in GATES.values()}
+_UNITARY_SHAPES = {
+    cls.name: (cls, 1 + cls.angled + len(cls.wires), 1 + cls.angled)
+    for cls in GATES.values()
+    if cls.family != "measure"
+}
+
+
 def _format_gate(g: Gate) -> str:
-    if isinstance(g, H):
-        return f"h {g.target}"
-    if isinstance(g, P):
-        return f"p {_format_angle(g.theta)} {g.target}"
-    if isinstance(g, CP):
-        return f"cp {_format_angle(g.theta)} {g.a} {g.b}"
-    if isinstance(g, X):
-        return f"x {g.target}"
-    if isinstance(g, CNOT):
-        return f"cnot {g.control} {g.target}"
-    if isinstance(g, Toffoli):
-        return f"ccx {g.c1} {g.c2} {g.target}"
-    if isinstance(g, MeasureBasis):
-        return f"meas {g.basis} {g.target} -> c{g.out}"
-    raise NetlistError(f"gate {g!r} has no netlist form")
+    if g.family == "measure":
+        return f"{g.name} {g.basis} {g.qubits()[0]} -> c{g.out}"
+    if g.angled:
+        return _LINE_FORMATS[type(g)] % (g.theta, *g.qubits())
+    return _LINE_FORMATS[type(g)] % g.qubits()
 
 
 def encode(circuit: Circuit) -> str:
@@ -146,10 +144,8 @@ def decode(text: str) -> Circuit:
         tok = raw.split()
         if not tok:
             raise NetlistError("blank line", lineno)
-        op = tok[0]
-        gate: Gate
         try:
-            gate = _parse_gate(op, tok, raw, lineno, qwire, seen_c, n_classical)
+            gate = _parse_gate(tok, raw, lineno, qwire, seen_c, n_classical)
         except StructuralError as exc:
             raise NetlistError(str(exc), lineno) from None
         seen_q.update(gate.qubits())
@@ -163,24 +159,19 @@ def decode(text: str) -> Circuit:
     return Circuit.from_layers(layers, n_qubits, n_ancilla, n_classical, metadata)
 
 
-def _parse_gate(op, tok, raw, lineno, qwire, seen_c, n_classical) -> Gate:
-    if op == "h" and len(tok) == 2:
-        return H(qwire(tok[1], lineno))
-    if op == "p" and len(tok) == 3:
-        theta = _parse_angle(tok[1], lineno)
-        return P(qwire(tok[2], lineno), theta)
-    if op == "cp" and len(tok) == 4:
-        theta = _parse_angle(tok[1], lineno)
-        return CP(qwire(tok[2], lineno), qwire(tok[3], lineno), theta)
-    if op == "x" and len(tok) == 2:
-        return X(qwire(tok[1], lineno))
-    if op == "cnot" and len(tok) == 3:
-        return CNOT(qwire(tok[1], lineno), qwire(tok[2], lineno))
-    if op == "ccx" and len(tok) == 4:
-        return Toffoli(qwire(tok[1], lineno), qwire(tok[2], lineno), qwire(tok[3], lineno))
-    if op == "meas" and len(tok) == 5 and tok[3] == "->":
+def _parse_gate(tok, raw, lineno, qwire, seen_c, n_classical) -> Gate:
+    shape = _UNITARY_SHAPES.get(tok[0])
+    if shape is not None and len(tok) == shape[1]:
+        cls, _, first = shape
+        theta = _parse_angle(tok[1], lineno) if cls.angled else None
+        wires = []
+        for t in tok[first:]:  # a loop rather than a comprehension: once per line
+            wires.append(qwire(t, lineno))
+        return cls(*wires, theta) if cls.angled else cls(*wires)
+    cls = GATES.get(tok[0])
+    if cls is not None and cls.family == "measure" and len(tok) == 5 and tok[3] == "->":
         basis = tok[1]
-        if basis not in ("x", "y", "z"):
+        if basis not in MEASURE_BASES:
             raise NetlistError(f"unknown measurement basis {basis!r}", lineno)
         target = qwire(tok[2], lineno)
         m = _CLBIT_RE.match(tok[4])
@@ -192,5 +183,5 @@ def _parse_gate(op, tok, raw, lineno, qwire, seen_c, n_classical) -> Gate:
         if out in seen_c:
             raise NetlistError(f"classical wire {out} used twice in one layer", lineno)
         seen_c.add(out)
-        return MeasureBasis(target, basis, out)
+        return cls(target, basis, out)
     raise NetlistError(f"unrecognized gate line {raw!r}", lineno)

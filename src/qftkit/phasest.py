@@ -12,18 +12,14 @@ into the bits of x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "OutcomeTally",
     "TRANSFER_MATRICES",
     "transfer_matrix",
     "transfer_product_index",
-    "measurement_probs",
-    "sample_and_mode",
     "reconstruct_x",
     "reconstruct_batch",
     "failure_bound",
@@ -56,7 +52,7 @@ def _build_product_table() -> np.ndarray:
 
 _PRODUCT_TABLE = _build_product_table()
 # bit read off a prefix product: entry (row 2, column 1) in 1-based terms
-_STATE_BIT = np.array([int(m[1][0]) for m in TRANSFER_MATRICES], dtype=np.int64)
+_STATE_BIT = np.array([int(m[1][0]) for m in TRANSFER_MATRICES], dtype=np.uint64)
 
 
 def transfer_matrix(l: int) -> np.ndarray:
@@ -71,38 +67,6 @@ def transfer_product_index(l: int, state: int) -> int:
     return int(_PRODUCT_TABLE[l, state])
 
 
-@dataclass(frozen=True)
-class OutcomeTally:
-    """Outcome counts per position; counts[j-1][l] is the count of l at position j."""
-
-    counts: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.counts)
-
-    def position(self, j: int) -> tuple[int, int, int, int]:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"position must be in 1..{self.n}, got {j}")
-        return self.counts[j - 1]
-
-
-def measurement_probs(x: int, j: int, n: int) -> tuple[float, float, float, float]:
-    """Outcome probabilities (p0, p1, p2, p3) for position j of phase parameter x.
-
-    p_l = cos^2(pi*(x/2^j - l/4)); outcomes 0/2 exhaust one basis and 1/3 the
-    other, so p0 + p2 = p1 + p3 = 1.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= j <= n:
-        raise ValueError(f"position must be in 1..{n}, got {j}")
-    if not 0 <= x < (1 << n):
-        raise ValueError(f"phase parameter must be in 0..{(1 << n) - 1}, got {x}")
-    theta = (x % (1 << j)) / (1 << j)
-    return tuple(math.cos(math.pi * (theta - l / 4.0)) ** 2 for l in range(4))
-
-
 def basis_probs(theta) -> np.ndarray:
     """cos^2(pi*(theta - l/4)) for l = 0..3, vectorized over a phase array.
 
@@ -111,39 +75,6 @@ def basis_probs(theta) -> np.ndarray:
     """
     t = np.asarray(theta, dtype=float)[..., None] - np.arange(4) / 4.0
     return np.cos(np.pi * t) ** 2
-
-
-def _mode(counts: Sequence[int]) -> int:
-    # ties go to the smallest outcome index, for reproducibility
-    best = 0
-    for l in (1, 2, 3):
-        if counts[l] > counts[best]:
-            best = l
-    return best
-
-
-def sample_and_mode(
-    x: int, n: int, k: int, seed: int | None = None
-) -> tuple[tuple[int, ...], OutcomeTally]:
-    """Simulate k measurements per position and return the per-position modes.
-
-    k/2 samples land in the 0/2 basis and k/2 in the 1/3 basis.  Returns the
-    winning outcome per position together with the full tally.
-    """
-    if k < 2 or k % 2:
-        raise ValueError(f"sample count must be even and >= 2, got {k}")
-    rng = np.random.default_rng(seed)
-    half = k // 2
-    modes: list[int] = []
-    tally: list[tuple[int, int, int, int]] = []
-    for j in range(1, n + 1):
-        p = measurement_probs(x, j, n)
-        c0 = int(rng.binomial(half, p[0]))
-        c1 = int(rng.binomial(half, p[1]))
-        counts = (c0, c1, half - c0, half - c1)
-        modes.append(_mode(counts))
-        tally.append(counts)
-    return tuple(modes), OutcomeTally(tuple(tally))
 
 
 def reconstruct_x(ls: Sequence[int]) -> int:
@@ -164,17 +95,19 @@ def reconstruct_x(ls: Sequence[int]) -> int:
 
 
 def reconstruct_batch(ls: np.ndarray) -> np.ndarray:
-    """Vectorised reconstruct_x over rows of an (m, n) outcome array."""
+    """Vectorised reconstruct_x over rows of an (m, n <= 64) outcome array, as uint64."""
     ls = np.asarray(ls, dtype=np.int64)
     if ls.ndim != 2:
         raise ValueError("expected a 2-d outcome array")
+    if ls.shape[1] > 64:
+        raise ValueError(f"at most 64 positions fit a uint64, got {ls.shape[1]}")
     if ls.size and (ls.min() < 0 or ls.max() > 3):
         raise ValueError("outcomes must be in 0..3")
     state = np.zeros(ls.shape[0], dtype=np.int64)
-    x = np.zeros(ls.shape[0], dtype=np.int64)
+    x = np.zeros(ls.shape[0], dtype=np.uint64)
     for j in range(ls.shape[1]):
         state = _PRODUCT_TABLE[ls[:, j], state]
-        x |= _STATE_BIT[state] << j
+        x |= _STATE_BIT[state] << np.uint64(j)
     return x
 
 

@@ -76,7 +76,6 @@ class QftPlan:
     n: int
     b: int | None = None
     k: int | None = None
-    multiplier: str = "wallace"
 
     def __post_init__(self):
         if self.kind not in PLAN_KINDS:
@@ -90,8 +89,6 @@ class QftPlan:
                 raise ValueError("logdepth plan needs a copy count k")
             if self.k < 2 or self.k % 2:
                 raise ValueError(f"copy count must be even and >= 2, got {self.k}")
-        if self.multiplier != "wallace":
-            raise ValueError(f"unknown multiplier backend {self.multiplier!r}")
 
 
 def bit_reversed_indices(n: int) -> np.ndarray:

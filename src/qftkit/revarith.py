@@ -350,36 +350,6 @@ def build_four_two(n: int) -> Circuit:
 # --- register prefix networks --------------------------------------------------
 
 
-def build_prefix_combine(k: int, n: int, op_block: Circuit) -> Circuit:
-    """All prefixes of an associative in-place op over k n-bit registers.
-
-    ``op_block`` must act on 2n data wires as (src, dst) -> (src, dst op src).
-    Register j ends holding regs[j] op ... op regs[0].  Uses about 2k inlined
-    op instances in 2*ceil(log2 k) block levels; each instance gets fresh
-    ancillas.
-    """
-    if op_block.n_qubits != 2 * n:
-        raise StructuralError("op block must act on 2n data wires")
-    b = CircuitBuilder(k * n)
-    regs = [list(range(j * n, (j + 1) * n)) for j in range(k)]
-
-    def op(src: list[int], dst: list[int]) -> None:
-        b.inline(op_block, src + dst)
-
-    def recurse(active: list[list[int]]) -> None:
-        m = len(active)
-        if m <= 1:
-            return
-        for i in range(m // 2):
-            op(active[2 * i], active[2 * i + 1])
-        recurse([active[2 * i + 1] for i in range(m // 2)])
-        for i in range(1, (m + 1) // 2):
-            op(active[2 * i - 1], active[2 * i])
-
-    recurse(regs)
-    return b.build(metadata={"kind": "prefix_combine", "k": k, "n": n})
-
-
 def build_prefix_add(k: int, n: int) -> Circuit:
     """In-place prefix sums mod 2^n over k registers, in logarithmic depth.
 

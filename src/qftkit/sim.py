@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CNOT, CP, Circuit, H, MeasureBasis, P, Toffoli, X
+from .circuit import Circuit
 from .errors import CapacityError, SimulationError
 
 DEFAULT_SEED = 1729
@@ -116,20 +116,16 @@ def _measure_dense(psi: np.ndarray, ax: int, basis: str, rng: np.random.Generato
 
 
 def _dense_apply_gate(psi, gate, nq, rng, classical) -> None:
-    if isinstance(gate, H):
-        _apply_h_dense(psi, _axis(nq, gate.target))
-    elif isinstance(gate, P):
-        _apply_phase_dense(psi, [_axis(nq, gate.target)], gate.theta.phase())
-    elif isinstance(gate, CP):
-        _apply_phase_dense(psi, [_axis(nq, gate.a), _axis(nq, gate.b)], gate.theta.phase())
-    elif isinstance(gate, X):
-        _apply_flip_dense(psi, [], _axis(nq, gate.target))
-    elif isinstance(gate, CNOT):
-        _apply_flip_dense(psi, [_axis(nq, gate.control)], _axis(nq, gate.target))
-    elif isinstance(gate, Toffoli):
-        _apply_flip_dense(psi, [_axis(nq, gate.c1), _axis(nq, gate.c2)], _axis(nq, gate.target))
-    elif isinstance(gate, MeasureBasis):
-        classical[gate.out] = _measure_dense(psi, _axis(nq, gate.target), gate.basis, rng)
+    family = gate.family
+    axes = [_axis(nq, w) for w in gate.qubits()]
+    if family == "h":
+        _apply_h_dense(psi, axes[0])
+    elif family == "phase":
+        _apply_phase_dense(psi, axes, gate.theta.phase())
+    elif family == "flip":
+        _apply_flip_dense(psi, axes[:-1], axes[-1])
+    elif family == "measure":
+        classical[gate.out] = _measure_dense(psi, axes[0], gate.basis, rng)
     else:
         raise SimulationError(f"dense simulator cannot apply {gate!r}")
 
@@ -155,7 +151,7 @@ def run_dense(
     psi = state.reshape([2] * nq) if nq else state
     classical: list = [None] * circuit.n_classical
     for gate in circuit.all_gates():
-        if isinstance(gate, MeasureBasis) and rng is None:
+        if gate.family == "measure" and rng is None:
             rng = np.random.default_rng(DEFAULT_SEED)
         _dense_apply_gate(psi, gate, nq, rng, classical)
     return RunResult(classical=classical, state=state.reshape(-1))
@@ -229,22 +225,18 @@ def run_sparse(
         amps = {x: 1.0 + 0.0j}
     classical: list = [None] * circuit.n_classical
     for gate in circuit.all_gates():
-        if isinstance(gate, H):
-            amps = _sparse_h(amps, gate.target)
-        elif isinstance(gate, P):
-            amps = _sparse_phase(amps, (gate.target,), gate.theta.phase())
-        elif isinstance(gate, CP):
-            amps = _sparse_phase(amps, (gate.a, gate.b), gate.theta.phase())
-        elif isinstance(gate, X):
-            amps = _sparse_flip(amps, (), gate.target)
-        elif isinstance(gate, CNOT):
-            amps = _sparse_flip(amps, (gate.control,), gate.target)
-        elif isinstance(gate, Toffoli):
-            amps = _sparse_flip(amps, (gate.c1, gate.c2), gate.target)
-        elif isinstance(gate, MeasureBasis):
+        family = gate.family
+        if family == "h":
+            amps = _sparse_h(amps, gate.qubits()[0])
+        elif family == "phase":
+            amps = _sparse_phase(amps, gate.qubits(), gate.theta.phase())
+        elif family == "flip":
+            *ctrls, target = gate.qubits()
+            amps = _sparse_flip(amps, ctrls, target)
+        elif family == "measure":
             if rng is None:
                 rng = np.random.default_rng(DEFAULT_SEED)
-            amps, classical[gate.out] = _sparse_measure(amps, gate.target, gate.basis, rng)
+            amps, classical[gate.out] = _sparse_measure(amps, gate.qubits()[0], gate.basis, rng)
         else:
             raise SimulationError(f"sparse simulator cannot apply {gate!r}")
         if len(amps) > support_cap:
@@ -277,7 +269,7 @@ def sparse_marginal(amps: dict[int, complex], wires: list[int]) -> np.ndarray:
 
 
 def run_classical_bits(circuit: Circuit, x: int) -> int:
-    """Evolve a basis state through an X/CNOT/Toffoli-only circuit.
+    """Evolve a basis state through a circuit of flip gates (X, CNOT, Toffoli) only.
 
     Returns the final bit pattern over all quantum wires.  Orders of
     magnitude faster than either quantum simulator; used to test reversible
@@ -287,16 +279,14 @@ def run_classical_bits(circuit: Circuit, x: int) -> int:
         raise SimulationError(f"input {x} too wide for {circuit.n_qubits} data wires")
     bits = x
     for gate in circuit.all_gates():
-        if isinstance(gate, X):
-            bits ^= 1 << gate.target
-        elif isinstance(gate, CNOT):
-            if bits & (1 << gate.control):
-                bits ^= 1 << gate.target
-        elif isinstance(gate, Toffoli):
-            if bits & (1 << gate.c1) and bits & (1 << gate.c2):
-                bits ^= 1 << gate.target
-        else:
+        if gate.family != "flip":
             raise SimulationError(f"not a classical gate: {gate!r}")
+        *ctrls, target = gate.qubits()
+        for c in ctrls:
+            if not bits >> c & 1:
+                break
+        else:
+            bits ^= 1 << target
     return bits
 
 

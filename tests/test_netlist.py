@@ -1,9 +1,24 @@
+import hashlib
+
 import pytest
 
-from qftkit.circuit import CP, CircuitBuilder, H, dyadic
+from qftkit.circuit import CP, CircuitBuilder, H, dyadic, lower
 from qftkit.errors import NetlistError
 from qftkit.netlist import decode, encode
-from qftkit.qft_pow2 import QftPlan, banded_qft, logdepth_qft, standard_qft
+from qftkit.qft_pow2 import QftPlan, banded_qft, logdepth_qft, split_qft, standard_qft
+from qftkit.revarith import build_telescoping_subtract
+from qftkit.shor import build_order_circuit
+
+# first 16 hex digits of sha256(encode(circuit)), pinned so the codec stays byte-identical
+PINNED_NETLISTS = [
+    pytest.param(lambda: standard_qft(5), "270ac160f4e615ef", id="standard_qft(5)"),
+    pytest.param(lambda: banded_qft(6, 2), "b6767a9134503abd", id="banded_qft(6,2)"),
+    pytest.param(lambda: split_qft(6), "c55a590914f6418a", id="split_qft(6)"),
+    pytest.param(lambda: lower(split_qft(4)), "8140421f7ebef7df", id="lower(split_qft(4))"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "97456722beb936f5", id="logdepth(3,4)"),
+    pytest.param(lambda: build_telescoping_subtract(3, 4), "06d2ecbc2420b95c", id="telescoping_subtract(3,4)"),
+    pytest.param(lambda: build_order_circuit(15, 7), "20364f46156fd7b7", id="order_circuit(15,7)"),
+]
 
 
 def roundtrip(circuit):
@@ -44,6 +59,11 @@ class TestEncode:
         b = CircuitBuilder(1)
         b.h(0)
         assert "#" not in encode(b.build())
+
+
+@pytest.mark.parametrize("build, digest", PINNED_NETLISTS)
+def test_pinned_netlist_bytes(build, digest):
+    assert hashlib.sha256(encode(build()).encode()).hexdigest()[:16] == digest
 
 
 class TestRoundTrip:

@@ -4,20 +4,25 @@ from itertools import product
 import numpy as np
 import pytest
 
+from qftkit.circuit import Circuit
 from qftkit.phasest import (
     TRANSFER_MATRICES,
     basis_probs,
     bernoulli_bound,
     failure_bound,
-    measurement_probs,
     reconstruct_batch,
     reconstruct_x,
-    sample_and_mode,
     transfer_matrix,
     transfer_product_index,
 )
+from qftkit.qft_pow2 import LogdepthQft, QftPlan
 
 MINMAX = 0.5 + math.sqrt(2.0) / 4.0
+
+
+def channel(n: int, k: int) -> LogdepthQft:
+    """The measurement channel of the (n, k) pipeline; it samples without the circuit."""
+    return LogdepthQft(Circuit.from_gates([], 1), n, k, min(n, k))
 
 
 def promise_options(x: int, j: int) -> list[int]:
@@ -54,21 +59,15 @@ class TestTransferMonoid:
 
 class TestMeasurementProbs:
     def test_each_basis_is_normalized(self):
-        for x in range(16):
-            p = measurement_probs(x, 3, 4)
-            assert p[0] + p[2] == pytest.approx(1.0)
-            assert p[1] + p[3] == pytest.approx(1.0)
-
-    def test_matches_vectorized_form(self):
-        for x, j in ((5, 3), (9, 4), (0, 1)):
-            theta = (x % (1 << j)) / (1 << j)
-            assert measurement_probs(x, j, 4) == pytest.approx(tuple(basis_probs(theta)))
+        p = basis_probs(np.arange(64) / 64.0)
+        assert p[:, 0] + p[:, 2] == pytest.approx(np.ones(64))
+        assert p[:, 1] + p[:, 3] == pytest.approx(np.ones(64))
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            measurement_probs(0, 0, 3)
+            channel(3, 4).run_channel(8)
         with pytest.raises(ValueError):
-            measurement_probs(8, 1, 3)
+            channel(3, 4).run_channel(1, trials=0)
 
     def test_best_outcome_never_below_the_floor(self):
         grid = np.arange(10000) / 10000.0
@@ -89,15 +88,18 @@ class TestReconstruct:
                     assert reconstruct_x(ls) == x
 
     def test_batch_matches_scalar(self, rng):
-        rows = rng.integers(0, 4, size=(64, 8))
-        batch = reconstruct_batch(rows)
-        assert [reconstruct_x(tuple(r)) for r in rows] == list(batch)
+        for width in (8, 64):
+            rows = rng.integers(0, 4, size=(64, width))
+            batch = reconstruct_batch(rows)
+            assert [reconstruct_x(tuple(r)) for r in rows] == list(batch)
 
     def test_batch_shape_validation(self):
         with pytest.raises(ValueError):
             reconstruct_batch(np.zeros(4, dtype=np.int64))
         with pytest.raises(ValueError):
             reconstruct_batch(np.full((2, 2), 7))
+        with pytest.raises(ValueError):
+            reconstruct_batch(np.zeros((2, 65), dtype=np.int64))
 
     def test_outcome_validation(self):
         with pytest.raises(ValueError):
@@ -106,20 +108,18 @@ class TestReconstruct:
 
 class TestSampling:
     def test_seeded_runs_reproduce(self):
-        a = sample_and_mode(9, 4, 32, seed=7)
-        b = sample_and_mode(9, 4, 32, seed=7)
+        a = channel(2, 2).run_channel(1, trials=64, seed=7)
+        b = channel(2, 2).run_channel(1, trials=64, seed=7)
+        assert 0 < a["successes"] < 64
         assert a == b
 
     def test_modes_recover_x_at_large_k(self):
         for x in (0, 3, 11, 15):
-            modes, tally = sample_and_mode(x, 4, 256, seed=x)
-            assert reconstruct_x(modes) == x
-            assert tally.n == 4
-            assert sum(tally.position(2)) == 256
+            assert channel(4, 256).run_channel(x, trials=16, seed=x)["successes"] == 16
 
     def test_sample_count_must_be_even(self):
         with pytest.raises(ValueError):
-            sample_and_mode(1, 2, 5)
+            QftPlan("logdepth", 2, k=5)
 
 
 class TestBounds:

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from qftkit.circuit import Circuit
 from qftkit.errors import CapacityError
 from qftkit.phasest import failure_bound
 from qftkit.qft_pow2 import (
     MAX_SPLIT_N,
     MAX_STANDARD_N,
+    LogdepthQft,
     QftPlan,
     banded_qft,
     bit_reversed_indices,
@@ -187,6 +189,13 @@ class TestLogdepthChannel:
         assert out["successes"] == 16
         assert out["psi_fidelity"] == pytest.approx(1.0, abs=1e-9)
         assert out["failure_bound"] == failure_bound(4, 48)
+
+    def test_run_channel_keeps_bit_63(self):
+        # the channel alone, without its n = k = 64 circuit; x >= 2^63 needs all 64 bits of x-hat
+        ld = LogdepthQft(Circuit.from_gates([], 1), 64, 64, 64)
+        for x in ((1 << 63) + 5, (1 << 64) - 1, (1 << 63) - 1):
+            out = ld.run_channel(x, trials=200, seed=1)
+            assert out["success_rate"] >= 1.0 - out["failure_bound"]
 
     def test_failure_bound_formula(self):
         assert failure_bound(8, 48) == pytest.approx(32 * math.exp(-6.0))
