@@ -1,45 +1,47 @@
 """Command-line front end.
 
 Subcommands: ``build`` (emit a circuit netlist), ``stats`` (metrics for a
-netlist), ``sim`` (amplitudes or sampled shots), ``verify`` (named check
-suites), ``factor`` (order-finding factorizer), ``accept`` (the full
-acceptance battery).  Exit codes: 0 success, 1 a verification-style check
-failed, 2 usage or validation error.
+netlist), ``sim`` (amplitudes or sampled shots), ``verify`` (a named subset of
+the acceptance criteria), ``factor`` (order-finding factorizer), ``accept``
+(the full acceptance battery).  Exit codes: 0 success, 1 a verification-style
+check failed, 2 usage or validation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from . import acceptance, netlist, shor
-from .acceptance import MINMAX_PROB, OPERATOR_TOL, TRACE_BOUND
 from .circuit import Circuit
 from .errors import CapacityError, QftkitError
 from .qft_pow2 import (
     QftPlan,
     banded_qft,
-    bit_reversed_indices,
     copy_fourier,
     logdepth_qft,
-    overlap_witness,
     prep_approx,
     prep_exact,
     split_qft,
     standard_qft,
-    viete_partial,
 )
-from .phasest import basis_probs
-from .sim import DEFAULT_SEED, dft_reference, extract_unitary, run_sparse, sparse_marginal
+from .sim import DEFAULT_SEED, run_sparse, sparse_marginal
 
 STATS_KEYS = ("n", "size", "depth", "width", "gate_histogram", "error_bound", "measured_error", "seed")
-VERIFY_SUITES = ("unitary", "arith", "phase", "moduli", "bounds", "all")
+# suite -> the acceptance criteria it runs (numbered as in ``qftkit accept``)
+VERIFY_SUITES = {
+    "unitary": (1, 2),
+    "arith": (4,),
+    "phase": (5,),
+    "moduli": (7,),
+    "bounds": (6,),
+    "all": (1, 2, 4, 5, 6, 7),
+}
 
 
 class UsageError(Exception):
@@ -181,98 +183,16 @@ def cmd_sim(args: argparse.Namespace) -> int:
 # --- verify suites --------------------------------------------------------------
 
 
-def _suite_unitary(cap: int) -> list[acceptance.CriterionResult]:
-    results = []
-    worst = 0.0
-    for n in range(1, cap + 1):
-        u = extract_unitary(standard_qft(n))[bit_reversed_indices(n), :]
-        worst = max(worst, float(np.linalg.norm(u - dft_reference(1 << n), 2)))
-    results.append(
-        acceptance.CriterionResult(
-            "standard-qft-unitary", worst <= OPERATOR_TOL, f"operator distance <= {worst:.2e} for n <= {cap}"
-        )
-    )
-    worst = 0.0
-    for n in range(1, min(cap, 6) + 1):
-        u = extract_unitary(split_qft(n))[bit_reversed_indices(n), :]
-        worst = max(worst, float(np.linalg.norm(u - dft_reference(1 << n), 2)))
-    results.append(
-        acceptance.CriterionResult(
-            "split-qft-unitary",
-            worst <= OPERATOR_TOL,
-            f"operator distance <= {worst:.2e} for n <= {min(cap, 6)}",
-        )
-    )
-    n = min(cap, 8)
-    dft = dft_reference(1 << n)
-    rev = bit_reversed_indices(n)
-    ok = True
-    margin = -math.inf
-    for b in range(1, n + 1):
-        circ = banded_qft(n, b)
-        dist = float(np.linalg.norm(extract_unitary(circ)[rev, :] - dft, 2))
-        ok = ok and dist <= circ.metadata["error_bound"] + 1e-12
-        margin = max(margin, dist - circ.metadata["error_bound"])
-    results.append(
-        acceptance.CriterionResult(
-            "banded-qft-bound", ok, f"n={n}, all bands within analytic bound (worst slack {-margin:.2e})"
-        )
-    )
-    return results
-
-
-def _suite_bounds() -> list[acceptance.CriterionResult]:
-    v = viete_partial(64)
-    results = [
-        acceptance.CriterionResult(
-            "cos-product",
-            0.6366 < v < 0.6367 and abs(v - 2.0 / math.pi) <= 1e-9,
-            f"{v:.10f} in (0.6366, 0.6367), within 1e-9 of 2/pi",
-        )
-    ]
-    worst = 0.0
-    for n in range(2, 21):
-        for r in range(1, n):
-            worst = max(worst, overlap_witness(n, r)["trace_distance"])
-    results.append(
-        acceptance.CriterionResult(
-            "trace-distance", worst < TRACE_BOUND, f"max {worst:.6f} < {TRACE_BOUND} over 1 <= r < n <= 20"
-        )
-    )
-    grid = np.arange(100000) / 100000.0
-    minmax = float(basis_probs(grid).max(axis=-1).min())
-    results.append(
-        acceptance.CriterionResult(
-            "min-max-prob",
-            minmax >= MINMAX_PROB - 1e-9,
-            f"{minmax:.9f} >= {MINMAX_PROB:.6f} over a 1e5-point grid",
-        )
-    )
-    return results
+def _report(results: Iterable[tuple[int, acceptance.CriterionResult]]) -> int:
+    failed = False
+    for index, result in results:
+        print(acceptance.format_line(index, result))
+        failed = failed or not result.passed
+    return 1 if failed else 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.n is not None and not 1 <= args.n <= 8:
-        raise UsageError("--n must be in 1..8 for verify")
-    cap = args.n or 6
-    results: list[acceptance.CriterionResult] = []
-    suite = args.suite
-    if suite in ("unitary", "all"):
-        results += _suite_unitary(cap)
-    if suite in ("arith", "all"):
-        results.append(acceptance.criterion_component_unitarity(quick=True))
-    if suite in ("phase", "all"):
-        results.append(acceptance.criterion_phase_statistics(quick=True))
-    if suite in ("moduli", "all"):
-        results.append(acceptance.criterion_crt_identities(quick=True))
-    if suite in ("bounds", "all"):
-        results += _suite_bounds()
-    failed = False
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.name}: {res.details}")
-        failed = failed or not res.passed
-    return 1 if failed else 0
+    return _report((i, acceptance.CRITERIA[i - 1](False)) for i in VERIFY_SUITES[args.suite])
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
@@ -288,11 +208,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_accept(args: argparse.Namespace) -> int:
-    failed = False
-    for i, result in enumerate(acceptance.run_all(quick=args.quick), 1):
-        print(acceptance.format_line(i, result))
-        failed = failed or not result.passed
-    return 1 if failed else 0
+    return _report(enumerate(acceptance.run_all(quick=args.quick), 1))
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -324,10 +240,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, help="sample outcomes instead of printing amplitudes")
     p.set_defaults(func=cmd_sim)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    p = sub.add_parser("verify", help="run the acceptance criteria a suite names")
     p.add_argument("--suite", required=True, choices=VERIFY_SUITES)
-    p.add_argument("--n", type=int, help="max register width for the unitary suite")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("factor", help="factor an odd composite via order finding")

@@ -4,9 +4,9 @@ Four builders for the transform mod 2^n: the textbook H/CP ladder
 (``standard_qft``), its banded approximation with an analytic error bound
 (``banded_qft``), an exact divide-and-conquer form whose cross terms are
 realised by one integer multiplier and n single-qubit phases (``split_qft``),
-and a four-stage shallow pipeline (``logdepth_qft``) that prepares Fourier
-factor qubits directly, copies them, and erases the input register through
-measurement statistics.
+and a three-stage shallow pipeline (``logdepth_qft``) that prepares Fourier
+factor qubits directly, copies them, and measures the copies, whose
+statistics decide the erasure of the input register.
 
 All builders leave the output in carry order: circuit wire i holds the factor
 with denominator 2^{i+1}, which is the bit-reversal of the index order used by
@@ -315,7 +315,7 @@ def copy_fourier(n: int, k: int) -> Circuit:
     return b.build(meta)
 
 
-# --- the four-stage shallow pipeline ---------------------------------------------
+# --- the three-stage shallow pipeline --------------------------------------------
 
 
 @dataclass
@@ -374,13 +374,13 @@ class LogdepthQft:
 
 
 def logdepth_qft(plan: QftPlan) -> LogdepthQft:
-    """Assemble prepare, copy, measure, uncopy for the plan's (n, k).
+    """Assemble prepare, copy, measure for the plan's (n, k).
 
     Data wires: |x> on 0..n-1, the transform output on n..2n-1.  The k copy
     registers live on ancillas and are measured, half in each readout basis;
-    the copy stage is then reversed.  The erase decision itself is statistics
-    over the measurement record, so it lives in run_channel rather than in
-    gates.
+    measured copies are discarded, so nothing uncomputes them.  The erase
+    decision itself is statistics over the measurement record, so it lives in
+    run_channel rather than in gates.
     """
     if plan.kind != "logdepth":
         raise ValueError(f"expected a logdepth plan, got kind {plan.kind!r}")
@@ -401,14 +401,13 @@ def logdepth_qft(plan: QftPlan) -> LogdepthQft:
     qmap.update({w: copies[w] for w in range(k * n)})
     copy_mark = b.mark()
     b.inline(copy, qmap)
-    copy_gates = b.gates_since(copy_mark)
+    copy_size = b.mark() - copy_mark
 
     for c in range(k):
         basis = "x" if c < k // 2 else "y"
         for i in range(n):
             b.measure(copies[c * n + i], basis)
 
-    b.emit_inverse(copy_gates)
     meta = {
         "kind": "logdepth",
         "n": n,
@@ -416,9 +415,8 @@ def logdepth_qft(plan: QftPlan) -> LogdepthQft:
         "window": window,
         "stage_sizes": {
             "prep": prep_size,
-            "copy": len(copy_gates),
+            "copy": copy_size,
             "measure": k * n,
-            "uncopy": len(copy_gates),
         },
     }
     return LogdepthQft(b.build(meta), n, k, window)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, Gate, H, P, dyadic
 from .errors import CapacityError, SimulationError
 
 DEFAULT_SEED = 1729
@@ -25,10 +25,21 @@ MAX_UNITARY_QUBITS = 12
 SPARSE_SUPPORT_CAP = 1 << 21
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _PRUNE = 1e-13
+_S_DAGGER = dyadic(3, 2)
 
-# measurement basis rotations, as (pre-measure ops, post-measure ops) in
-# terms of (kind, angle) steps applied to the target wire
-_Y_PHASE = 0.75  # S-dagger as a turn fraction
+
+def _basis_rotation(gate: Gate) -> tuple[Gate, ...]:
+    """Gates that turn an x or y measurement into a z measurement.
+
+    Each simulator applies them before the collapse and their inverses, in
+    reverse order, after it, so the wire is left in the observed basis state.
+    """
+    w = gate.target
+    if gate.basis == "x":
+        return (H(w),)
+    if gate.basis == "y":
+        return (P(w, _S_DAGGER), H(w))
+    return ()
 
 
 @dataclass
@@ -86,23 +97,7 @@ def _apply_flip_dense(psi: np.ndarray, ctrl_axes: list[int], ax_t: int) -> None:
     sub[_sl(sub.ndim, ax, 1)] = tmp
 
 
-def _rotate_for_basis(psi, ax, basis, forward: bool) -> None:
-    # x: measure after H; y: measure after S-dagger then H
-    if basis == "z":
-        return
-    if basis == "x":
-        _apply_h_dense(psi, ax)
-        return
-    if forward:
-        _apply_phase_dense(psi, [ax], np.exp(2j * np.pi * _Y_PHASE))
-        _apply_h_dense(psi, ax)
-    else:
-        _apply_h_dense(psi, ax)
-        _apply_phase_dense(psi, [ax], np.exp(-2j * np.pi * _Y_PHASE))
-
-
-def _measure_dense(psi: np.ndarray, ax: int, basis: str, rng: np.random.Generator) -> int:
-    _rotate_for_basis(psi, ax, basis, forward=True)
+def _collapse_dense(psi: np.ndarray, ax: int, rng: np.random.Generator) -> int:
     branch1 = psi[_sl(psi.ndim, ax, 1)]
     p1 = float(np.sum(np.abs(branch1) ** 2))
     outcome = 1 if rng.random() < p1 else 0
@@ -111,7 +106,6 @@ def _measure_dense(psi: np.ndarray, ax: int, basis: str, rng: np.random.Generato
         raise SimulationError("measurement branch has zero probability")
     psi[_sl(psi.ndim, ax, 1 - outcome)] = 0.0
     psi *= 1.0 / np.sqrt(p)
-    _rotate_for_basis(psi, ax, basis, forward=False)
     return outcome
 
 
@@ -125,7 +119,12 @@ def _dense_apply_gate(psi, gate, nq, rng, classical) -> None:
     elif family == "flip":
         _apply_flip_dense(psi, axes[:-1], axes[-1])
     elif family == "measure":
-        classical[gate.out] = _measure_dense(psi, axes[0], gate.basis, rng)
+        rotation = _basis_rotation(gate)
+        for g in rotation:
+            _dense_apply_gate(psi, g, nq, rng, classical)
+        classical[gate.out] = _collapse_dense(psi, axes[0], rng)
+        for g in reversed(rotation):
+            _dense_apply_gate(psi, g.inverse(), nq, rng, classical)
     else:
         raise SimulationError(f"dense simulator cannot apply {gate!r}")
 
@@ -187,12 +186,7 @@ def _sparse_flip(amps, ctrls: tuple[int, ...], target: int) -> dict[int, complex
     return {(idx ^ tmask if (idx & cmask) == cmask else idx): amp for idx, amp in amps.items()}
 
 
-def _sparse_measure(amps, w, basis, rng) -> tuple[dict[int, complex], int]:
-    if basis == "x":
-        amps = _sparse_h(amps, w)
-    elif basis == "y":
-        amps = _sparse_phase(amps, (w,), np.exp(2j * np.pi * _Y_PHASE))
-        amps = _sparse_h(amps, w)
+def _sparse_collapse(amps, w, rng) -> tuple[dict[int, complex], int]:
     mask = 1 << w
     p1 = sum(abs(a) ** 2 for idx, a in amps.items() if idx & mask)
     outcome = 1 if rng.random() < p1 else 0
@@ -201,12 +195,27 @@ def _sparse_measure(amps, w, basis, rng) -> tuple[dict[int, complex], int]:
         raise SimulationError("measurement branch has zero probability")
     scale = 1.0 / np.sqrt(p)
     amps = {idx: a * scale for idx, a in amps.items() if bool(idx & mask) == bool(outcome)}
-    if basis == "x":
-        amps = _sparse_h(amps, w)
-    elif basis == "y":
-        amps = _sparse_h(amps, w)
-        amps = _sparse_phase(amps, (w,), np.exp(-2j * np.pi * _Y_PHASE))
     return amps, outcome
+
+
+def _sparse_apply_gate(amps, gate, rng, classical) -> dict[int, complex]:
+    family = gate.family
+    if family == "h":
+        return _sparse_h(amps, gate.qubits()[0])
+    if family == "phase":
+        return _sparse_phase(amps, gate.qubits(), gate.theta.phase())
+    if family == "flip":
+        *ctrls, target = gate.qubits()
+        return _sparse_flip(amps, ctrls, target)
+    if family == "measure":
+        rotation = _basis_rotation(gate)
+        for g in rotation:
+            amps = _sparse_apply_gate(amps, g, rng, classical)
+        amps, classical[gate.out] = _sparse_collapse(amps, gate.target, rng)
+        for g in reversed(rotation):
+            amps = _sparse_apply_gate(amps, g.inverse(), rng, classical)
+        return amps
+    raise SimulationError(f"sparse simulator cannot apply {gate!r}")
 
 
 def run_sparse(
@@ -225,20 +234,9 @@ def run_sparse(
         amps = {x: 1.0 + 0.0j}
     classical: list = [None] * circuit.n_classical
     for gate in circuit.all_gates():
-        family = gate.family
-        if family == "h":
-            amps = _sparse_h(amps, gate.qubits()[0])
-        elif family == "phase":
-            amps = _sparse_phase(amps, gate.qubits(), gate.theta.phase())
-        elif family == "flip":
-            *ctrls, target = gate.qubits()
-            amps = _sparse_flip(amps, ctrls, target)
-        elif family == "measure":
-            if rng is None:
-                rng = np.random.default_rng(DEFAULT_SEED)
-            amps, classical[gate.out] = _sparse_measure(amps, gate.qubits()[0], gate.basis, rng)
-        else:
-            raise SimulationError(f"sparse simulator cannot apply {gate!r}")
+        if gate.family == "measure" and rng is None:
+            rng = np.random.default_rng(DEFAULT_SEED)
+        amps = _sparse_apply_gate(amps, gate, rng, classical)
         if len(amps) > support_cap:
             raise CapacityError(f"sparse support {len(amps)} exceeds cap {support_cap}")
     return RunResult(classical=classical, amplitudes=amps)

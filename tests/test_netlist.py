@@ -15,7 +15,7 @@ PINNED_NETLISTS = [
     pytest.param(lambda: banded_qft(6, 2), "b6767a9134503abd", id="banded_qft(6,2)"),
     pytest.param(lambda: split_qft(6), "c55a590914f6418a", id="split_qft(6)"),
     pytest.param(lambda: lower(split_qft(4)), "8140421f7ebef7df", id="lower(split_qft(4))"),
-    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "97456722beb936f5", id="logdepth(3,4)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "19bac3482cd8d2e5", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "06d2ecbc2420b95c", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "20364f46156fd7b7", id="order_circuit(15,7)"),
 ]

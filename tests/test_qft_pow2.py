@@ -180,8 +180,36 @@ class TestLogdepthChannel:
         ld = logdepth_qft(QftPlan(kind="logdepth", n=4, k=8))
         meta = ld.circuit.metadata
         assert meta["n"] == 4 and meta["k"] == 8
-        assert set(meta["stage_sizes"]) == {"prep", "copy", "measure", "uncopy"}
+        assert set(meta["stage_sizes"]) == {"prep", "copy", "measure"}
+        assert sum(meta["stage_sizes"].values()) == ld.circuit.size
         assert ld.circuit.has_measurement()
+
+    @pytest.mark.parametrize("n, k", [(3, 4), (4, 8)])
+    def test_no_gate_acts_on_a_measured_wire(self, n, k):
+        measured: set[int] = set()
+        for gate in logdepth_qft(QftPlan(kind="logdepth", n=n, k=k)).circuit.all_gates():
+            wires = set(gate.qubits())
+            assert not wires & measured, f"{gate!r} acts on a measured wire"
+            if gate.family == "measure":
+                measured |= wires
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (2, 4)])
+    def test_gate_level_output_register(self, n, k):
+        # simulate the built circuit: |x> stays on the data wires, and tracing out
+        # the measured copies leaves the exact Fourier state on wires n..2n-1
+        circuit = logdepth_qft(QftPlan(kind="logdepth", n=n, k=k)).circuit
+        mask = (1 << n) - 1
+        for x in range(1 << n):
+            psi = fourier_state(n, x)
+            for seed in range(3):
+                amps = run_sparse(circuit, x=x, rng=np.random.default_rng(seed)).amplitudes
+                assert all(idx & mask == x for idx in amps)
+                overlaps: dict[int, complex] = {}
+                for idx, amp in amps.items():
+                    rest = idx >> (2 * n)
+                    overlaps[rest] = overlaps.get(rest, 0.0) + np.conj(psi[(idx >> n) & mask]) * amp
+                fidelity = sum(abs(v) ** 2 for v in overlaps.values())
+                assert fidelity >= 1.0 - 1e-10, (x, seed, fidelity)
 
     def test_run_channel_succeeds_at_large_k(self):
         ld = logdepth_qft(QftPlan(kind="logdepth", n=4, k=48))
