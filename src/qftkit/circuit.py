@@ -419,19 +419,10 @@ class CircuitBuilder:
         self._n_classical += 1
         return w
 
-    @property
-    def num_quantum(self) -> int:
-        return self.n_qubits + self._n_ancilla
-
     # gates
 
     def add(self, gate: Gate) -> None:
-        for w in gate.qubits():
-            if not 0 <= w < self.num_quantum:
-                raise StructuralError(f"quantum wire {w} not allocated")
-        for w in gate.clbits():
-            if not 0 <= w < self._n_classical:
-                raise StructuralError(f"classical wire {w} not allocated")
+        """Append a gate; its wires are checked against the allocation once, at ``build``."""
         self._gates.append(gate)
 
     def h(self, t: int) -> None:
@@ -470,32 +461,25 @@ class CircuitBuilder:
         for g in reversed(list(gates)):
             self.add(g.inverse())
 
-    def inline(
-        self,
-        sub: Circuit,
-        qmap: Mapping[int, int] | Sequence[int],
-        cmap: Mapping[int, int] | None = None,
-        full_map: Mapping[int, int] | None = None,
-    ) -> dict[int, int]:
+    def invert_since(self, mark: int) -> None:
+        """Replace the gates added since ``mark`` by their inverse, in reverse order."""
+        self._gates[mark:] = [g.inverse() for g in reversed(self._gates[mark:])]
+
+    def inline(self, sub: Circuit, qmap: Mapping[int, int] | Sequence[int]) -> dict[int, int]:
         """Append ``sub``'s gates with wires remapped into this builder.
 
-        ``qmap`` maps sub data wires to parent wires.  Sub ancillas get fresh
-        parent ancillas unless ``full_map`` already covers them (used to
-        re-inline an inverse over the same scratch wires).  Returns the
+        ``qmap`` maps sub data wires to parent wires; sub ancillas it leaves
+        out and sub classical bits get fresh parent ones.  Returns the
         complete quantum wire map that was used.
         """
-        wmap: dict[int, int] = dict(full_map) if full_map else {}
-        if isinstance(qmap, Mapping):
-            wmap.update(qmap)
-        else:
-            wmap.update(enumerate(qmap))
+        wmap = dict(qmap) if isinstance(qmap, Mapping) else dict(enumerate(qmap))
         for i in range(sub.n_qubits):
             if i not in wmap:
                 raise StructuralError(f"inline map missing data wire {i}")
         for a in range(sub.n_qubits, sub.n_qubits + sub.n_ancilla):
             if a not in wmap:
                 wmap[a] = self.new_ancilla()
-        cm: dict[int, int] = dict(cmap) if cmap else {}
+        cm: dict[int, int] = {}
         for g in sub.all_gates():
             self.add(_remap_gate(g, wmap, cm, self))
         return wmap

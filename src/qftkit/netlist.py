@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import re
 
-from .circuit import GATES, MAX_LOG_DENOMINATOR, MEASURE_BASES, Circuit, DyadicAngle, Gate
+from .circuit import GATES, Circuit, DyadicAngle, Gate
 from .errors import NetlistError, StructuralError
 
 _ANGLE_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
@@ -40,10 +40,7 @@ def _parse_angle(token: str, line: int) -> DyadicAngle:
     m = _ANGLE_RE.match(token)
     if not m:
         raise NetlistError(f"bad angle {token!r}, expected a/2^b", line)
-    num, ld = int(m.group(1)), int(m.group(2))
-    if ld > MAX_LOG_DENOMINATOR:
-        raise NetlistError(f"angle denominator 2^{ld} too large", line)
-    angle = DyadicAngle(num, ld)
+    angle = DyadicAngle(int(m.group(1)), int(m.group(2)))
     if str(angle) != token:
         raise NetlistError(f"angle {token!r} is not in reduced form", line)
     return angle
@@ -170,9 +167,6 @@ def _parse_gate(tok, raw, lineno, qwire, seen_c, n_classical) -> Gate:
         return cls(*wires, theta) if cls.angled else cls(*wires)
     cls = GATES.get(tok[0])
     if cls is not None and cls.family == "measure" and len(tok) == 5 and tok[3] == "->":
-        basis = tok[1]
-        if basis not in MEASURE_BASES:
-            raise NetlistError(f"unknown measurement basis {basis!r}", lineno)
         target = qwire(tok[2], lineno)
         m = _CLBIT_RE.match(tok[4])
         if not m:
@@ -183,5 +177,5 @@ def _parse_gate(tok, raw, lineno, qwire, seen_c, n_classical) -> Gate:
         if out in seen_c:
             raise NetlistError(f"classical wire {out} used twice in one layer", lineno)
         seen_c.add(out)
-        return cls(target, basis, out)
+        return cls(target, tok[1], out)
     raise NetlistError(f"unrecognized gate line {raw!r}", lineno)

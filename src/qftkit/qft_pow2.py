@@ -29,7 +29,7 @@ import numpy as np
 from .circuit import CP, Circuit, CircuitBuilder, Gate, H, dyadic
 from .errors import CapacityError
 from .phasest import failure_bound, reconstruct_batch
-from .revarith import build_multiplier, build_telescoping_subtract
+from .revarith import _emit_multiplier, _emit_prefix_add
 from .sim import DEFAULT_SEED
 
 __all__ = [
@@ -196,17 +196,9 @@ def _emit_split(b: CircuitBuilder, wires: list[int]) -> int:
     lo, hi = wires[:m], wires[m:]
     _emit_split(b, hi)
 
-    mul = build_multiplier(n - m, m, n)
     prod = b.new_ancillas(n)
-    qmap: dict[int, int] = {}
-    for i, w in enumerate(reversed(hi)):
-        qmap[i] = w
-    for i, w in enumerate(lo):
-        qmap[n - m + i] = w
-    for t, w in enumerate(prod):
-        qmap[n + t] = w
     mark = b.mark()
-    b.inline(mul, qmap)
+    _emit_multiplier(b, hi[::-1], lo, prod)
     seg = b.gates_since(mark)
     for t, w in enumerate(prod):
         b.p(w, dyadic(1, n - t))
@@ -266,6 +258,18 @@ def prep_approx(n: int, k: int) -> Circuit:
     if not 1 <= k <= n:
         raise ValueError(f"window must satisfy 1 <= k <= n, got {k}")
     b = CircuitBuilder(2 * n)
+    _emit_prep(b, n, k)
+    meta = {
+        "kind": "prep",
+        "n": n,
+        "k": k,
+        "error_bound": n * 2.0 * math.pi * 2.0 ** (-k),
+    }
+    return b.build(meta)
+
+
+def _emit_prep(b: CircuitBuilder, n: int, k: int) -> None:
+    """prep_approx(n, k) on the builder's first 2n wires."""
     for j in range(n):
         b.h(2 * n - 1 - j)
     mark = b.mark()
@@ -282,13 +286,6 @@ def prep_approx(n: int, k: int) -> Circuit:
             tgt_used[j] += 1
             b.cp(cw, tw, dyadic(1, j + 1 - t))
     b.emit_inverse(fan)
-    meta = {
-        "kind": "prep",
-        "n": n,
-        "k": k,
-        "error_bound": n * 2.0 * math.pi * 2.0 ** (-k),
-    }
-    return b.build(meta)
 
 
 def prep_exact(n: int) -> Circuit:
@@ -306,13 +303,22 @@ def copy_fourier(n: int, k: int) -> Circuit:
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got ({n}, {k})")
     b = CircuitBuilder(k * n)
-    meta = {"kind": "copy", "n": n, "k": k}
-    if k == 1:
-        return b.build(meta)
-    for w in range((k - 1) * n):
-        b.h(w)
-    b.inline(build_telescoping_subtract(k, n), list(range(k * n)))
-    return b.build(meta)
+    if k > 1:
+        _emit_copy(b, [list(range(j * n, (j + 1) * n)) for j in range(k)])
+    return b.build({"kind": "copy", "n": n, "k": k})
+
+
+def _emit_copy(b: CircuitBuilder, regs: Sequence[Sequence[int]]) -> None:
+    """copy_fourier on the registers ``regs``, source last.
+
+    The telescoping subtraction is the prefix-add network, inverted in place.
+    """
+    for reg in regs[:-1]:
+        for w in reg:
+            b.h(w)
+    mark = b.mark()
+    _emit_prefix_add(b, regs)
+    b.invert_since(mark)
 
 
 # --- the three-stage shallow pipeline --------------------------------------------
@@ -333,30 +339,26 @@ class LogdepthQft:
         """Monte-Carlo the measure-and-erase stage for input x.
 
         Per trial, each of the n factor positions is read k/2 times in each
-        basis from its prepared (window-truncated) phase; the per-position
-        modes reconstruct x-hat, and the trial clears the input register iff
-        x-hat equals x.  The remaining register's fidelity to the exact
-        Fourier state is the deterministic window product.  Sampling is
-        analytic: outcome counts are binomial draws from the exact
-        per-position probabilities.
+        basis from its exact phase x/2^j; the per-position modes reconstruct
+        x-hat, and the trial clears the input register iff x-hat equals x.
+        The prepared register is the exact Fourier state, so ``psi_fidelity``
+        is 1.  Sampling is analytic: outcome counts are binomial draws from
+        the exact per-position probabilities.  A truncated window (k < n)
+        entangles the copies, which this model does not describe, so it is
+        refused.
         """
         n, k, w = self.n, self.k, self.window
+        if w < n:
+            raise ValueError(f"run_channel needs the full window, got window {w} < n = {n}")
         if not 0 <= x < (1 << n):
             raise ValueError(f"input must be in 0..{(1 << n) - 1}, got {x}")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
         half = k // 2
-        exact = np.empty(n)
-        prepared = np.empty(n)
-        for j in range(1, n + 1):
-            lo = max(0, j - w)
-            kept = (x & ((1 << j) - 1)) & ~((1 << lo) - 1)
-            exact[j - 1] = (x % (1 << j)) / (1 << j)
-            prepared[j - 1] = kept / (1 << j)
-        fidelity = float(np.prod(np.abs(np.cos(np.pi * (exact - prepared)))))
-        p0 = np.cos(np.pi * prepared) ** 2
-        p1 = np.cos(np.pi * (prepared - 0.25)) ** 2
+        phase = np.array([(x % (1 << j)) / (1 << j) for j in range(1, n + 1)])
+        p0 = np.cos(np.pi * phase) ** 2
+        p1 = np.cos(np.pi * (phase - 0.25)) ** 2
         c0 = rng.binomial(half, p0, size=(trials, n))
         c1 = rng.binomial(half, p1, size=(trials, n))
         counts = np.stack([c0, c1, half - c0, half - c1], axis=-1)
@@ -367,7 +369,7 @@ class LogdepthQft:
             "trials": trials,
             "successes": successes,
             "success_rate": successes / trials,
-            "psi_fidelity": fidelity,
+            "psi_fidelity": 1.0,
             "failure_bound": failure_bound(n, k),
             "window": w,
         }
@@ -389,19 +391,15 @@ def logdepth_qft(plan: QftPlan) -> LogdepthQft:
     if n > MAX_CHANNEL_N:
         raise CapacityError(f"logdepth_qft supports n <= {MAX_CHANNEL_N}")
     window = min(n, k)
-    prep = prep_approx(n, window)
-    copy = copy_fourier(n, k + 1)
 
     b = CircuitBuilder(2 * n)
-    b.inline(prep, list(range(2 * n)))
+    _emit_prep(b, n, window)
     prep_size = b.mark()
 
     copies = b.new_ancillas(k * n)
-    qmap = {k * n + i: n + i for i in range(n)}  # source register = transform output
-    qmap.update({w: copies[w] for w in range(k * n)})
-    copy_mark = b.mark()
-    b.inline(copy, qmap)
-    copy_size = b.mark() - copy_mark
+    regs = [copies[c * n : (c + 1) * n] for c in range(k)]
+    _emit_copy(b, regs + [list(range(n, 2 * n))])  # source register = transform output
+    copy_size = b.mark() - prep_size
 
     for c in range(k):
         basis = "x" if c < k // 2 else "y"

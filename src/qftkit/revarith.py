@@ -360,7 +360,13 @@ def build_prefix_add(k: int, n: int) -> Circuit:
     swap.  Ancillas all return to zero.
     """
     b = CircuitBuilder(k * n)
-    regs = [list(range(j * n, (j + 1) * n)) for j in range(k)]
+    _emit_prefix_add(b, [list(range(j * n, (j + 1) * n)) for j in range(k)])
+    return b.build(metadata={"kind": "prefix_add", "k": k, "n": n})
+
+
+def _emit_prefix_add(b: CircuitBuilder, regs: Sequence[Sequence[int]]) -> None:
+    """In-place prefix sums mod 2^n over the k n-wire registers ``regs``."""
+    k, n = len(regs), len(regs[0])
     mark = b.mark()
     rows: list[tuple[list[BitRef], list[BitRef]]] = [
         (list(regs[j]), [ZERO] * n) for j in range(k)
@@ -399,7 +405,6 @@ def build_prefix_add(k: int, n: int) -> Circuit:
         for i in range(n):
             b.cnot(qs[j][i], regs[j][i])
             b.cnot(regs[j][i], qs[j][i])
-    return b.build(metadata={"kind": "prefix_add", "k": k, "n": n})
 
 
 def build_telescoping_subtract(k: int, n: int) -> Circuit:
@@ -528,8 +533,15 @@ def build_iterated_product(modulus: int, factors: Sequence[int]) -> Circuit:
         if not 1 <= f < modulus:
             raise StructuralError(f"factor {f} not in [1, modulus)")
     b = CircuitBuilder(m + nb)
-    xs = list(range(m))
-    outs = list(range(m, m + nb))
+    _emit_iterated_product(b, list(range(m)), list(range(m, m + nb)), modulus, factors)
+    return b.build(metadata={"kind": "iterated_product", "modulus": modulus, "m": m})
+
+
+def _emit_iterated_product(
+    b: CircuitBuilder, xs: Sequence[int], outs: Sequence[int], modulus: int, factors: Sequence[int]
+) -> None:
+    """outs ^= prod_j factors[j]^{x_j} mod modulus, with one control wire per factor in ``xs``."""
+    nb = len(outs)
     mark = b.mark()
     vals: list[list[int]] = []
     for j, fac in enumerate(factors):
@@ -550,7 +562,6 @@ def build_iterated_product(modulus: int, factors: Sequence[int]) -> Circuit:
     for i in range(nb):
         xor_into(b, outs[i], vals[0][i])
     b.emit_inverse(seg)
-    return b.build(metadata={"kind": "iterated_product", "modulus": modulus, "m": m})
 
 
 def precompute_powers(a: int, modulus: int, count: int) -> list[int]:

@@ -148,7 +148,7 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
     b = CircuitBuilder(n_x + nb)
     for w in range(n_x):
         b.h(w)
-    b.inline(revarith.build_iterated_product(modulus, list(powers)), list(range(n_x + nb)))
+    revarith._emit_iterated_product(b, list(range(n_x)), list(range(n_x, n_x + nb)), modulus, powers)
     b.inline(standard_qft(n_x), list(range(n_x)))
     return b.build(
         metadata={

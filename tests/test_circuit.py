@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qftkit import circuit as circuit_module
 from qftkit.circuit import (
     CNOT,
     CP,
@@ -19,7 +20,8 @@ from qftkit.circuit import (
     lower,
 )
 from qftkit.errors import StructuralError
-from qftkit.qft_pow2 import copy_fourier, prep_exact, standard_qft
+from qftkit.qft_pow2 import QftPlan, copy_fourier, logdepth_qft, prep_exact, split_qft, standard_qft
+from qftkit.shor import build_order_circuit
 from qftkit.sim import extract_unitary
 
 
@@ -85,6 +87,43 @@ class TestBuilderAndLayers:
         b.h(w[0])
         c = b.build()
         assert (c.n_qubits, c.n_ancilla, c.width) == (2, 3, 5)
+
+    def test_unallocated_wires_rejected_at_build(self):
+        b = CircuitBuilder(2)
+        b.h(2)
+        with pytest.raises(StructuralError, match="quantum wire 2"):
+            b.build()
+        b = CircuitBuilder(1, n_classical=1)
+        b.measure(0, "z", out=1)
+        with pytest.raises(StructuralError, match="classical wire"):
+            b.build()
+
+    @pytest.mark.parametrize(
+        "build, validations",
+        [
+            pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)), 1, id="logdepth(3,4)"),
+            pytest.param(lambda: split_qft(8), 1, id="split_qft(8)"),
+            pytest.param(lambda: copy_fourier(3, 4), 1, id="copy_fourier(3,4)"),
+            # the inlined ladder keeps its own fixed layers, validated once for itself
+            pytest.param(lambda: build_order_circuit(15, 7), 2, id="order_circuit(15,7)"),
+        ],
+    )
+    def test_composite_builders_schedule_once(self, monkeypatch, build, validations):
+        calls = {"schedule": 0, "validate": 0}
+        schedule, validate = circuit_module._asap_layers, Circuit.__post_init__
+
+        def counted_schedule(gates):
+            calls["schedule"] += 1
+            return schedule(gates)
+
+        def counted_validate(self):
+            calls["validate"] += 1
+            validate(self)
+
+        monkeypatch.setattr(circuit_module, "_asap_layers", counted_schedule)
+        monkeypatch.setattr(Circuit, "__post_init__", counted_validate)
+        build()
+        assert calls == {"schedule": 1, "validate": validations}
 
     def test_metadata_is_attached_but_not_compared(self):
         mk = lambda meta: CircuitBuilder(1).build(metadata=meta)

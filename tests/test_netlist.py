@@ -5,7 +5,7 @@ import pytest
 from qftkit.circuit import CP, CircuitBuilder, H, dyadic, lower
 from qftkit.errors import NetlistError
 from qftkit.netlist import decode, encode
-from qftkit.qft_pow2 import QftPlan, banded_qft, logdepth_qft, split_qft, standard_qft
+from qftkit.qft_pow2 import QftPlan, banded_qft, copy_fourier, logdepth_qft, split_qft, standard_qft
 from qftkit.revarith import build_telescoping_subtract
 from qftkit.shor import build_order_circuit
 
@@ -13,11 +13,25 @@ from qftkit.shor import build_order_circuit
 PINNED_NETLISTS = [
     pytest.param(lambda: standard_qft(5), "270ac160f4e615ef", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "b6767a9134503abd", id="banded_qft(6,2)"),
-    pytest.param(lambda: split_qft(6), "c55a590914f6418a", id="split_qft(6)"),
-    pytest.param(lambda: lower(split_qft(4)), "8140421f7ebef7df", id="lower(split_qft(4))"),
-    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "19bac3482cd8d2e5", id="logdepth(3,4)"),
+    pytest.param(lambda: split_qft(6), "50457228047fe47a", id="split_qft(6)"),
+    pytest.param(lambda: lower(split_qft(4)), "5462f77cccc0e0f9", id="lower(split_qft(4))"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "0965d3164f58a223", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "06d2ecbc2420b95c", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "20364f46156fd7b7", id="order_circuit(15,7)"),
+]
+
+# the same digest over each layer's lines sorted: pins which gates share a layer
+# (and the header and metadata), but not their order within the layer
+PINNED_LAYER_SETS = [
+    pytest.param(lambda: standard_qft(5), "981475492fbf47fe", id="standard_qft(5)"),
+    pytest.param(lambda: banded_qft(6, 2), "eec0806346172c2e", id="banded_qft(6,2)"),
+    pytest.param(lambda: split_qft(6), "1da65351a23d5b36", id="split_qft(6)"),
+    pytest.param(lambda: lower(split_qft(4)), "58d721cf1ee48f20", id="lower(split_qft(4))"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "6fc8df63fe6633f8", id="logdepth(3,4)"),
+    pytest.param(lambda: build_telescoping_subtract(3, 4), "26307734ead9602a", id="telescoping_subtract(3,4)"),
+    pytest.param(lambda: build_order_circuit(15, 7), "9d067ab0a451411b", id="order_circuit(15,7)"),
+    pytest.param(lambda: copy_fourier(3, 3), "4ea4f4d28d5934d1", id="copy_fourier(3,3)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 12, k=4)).circuit, "5be61ef04cdbf908", id="logdepth(12,4)"),
 ]
 
 
@@ -64,6 +78,12 @@ class TestEncode:
 @pytest.mark.parametrize("build, digest", PINNED_NETLISTS)
 def test_pinned_netlist_bytes(build, digest):
     assert hashlib.sha256(encode(build()).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("build, digest", PINNED_LAYER_SETS)
+def test_pinned_layer_sets(build, digest):
+    layers = [sorted(chunk.splitlines()) for chunk in encode(build()).split("\n---\n")]
+    assert hashlib.sha256(repr(layers).encode()).hexdigest()[:16] == digest
 
 
 class TestRoundTrip:

@@ -5,7 +5,7 @@ import pytest
 
 from qftkit.circuit import Circuit
 from qftkit.errors import CapacityError
-from qftkit.phasest import failure_bound
+from qftkit.phasest import basis_probs, failure_bound
 from qftkit.qft_pow2 import (
     MAX_SPLIT_N,
     MAX_STANDARD_N,
@@ -210,6 +210,38 @@ class TestLogdepthChannel:
                     overlaps[rest] = overlaps.get(rest, 0.0) + np.conj(psi[(idx >> n) & mask]) * amp
                 fidelity = sum(abs(v) ** 2 for v in overlaps.values())
                 assert fidelity >= 1.0 - 1e-10, (x, seed, fidelity)
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (3, 4), (5, 2)])
+    def test_stage_sizes_match_the_public_builders(self, n, k):
+        ld = logdepth_qft(QftPlan(kind="logdepth", n=n, k=k))
+        sizes = ld.circuit.metadata["stage_sizes"]
+        assert sizes["prep"] == prep_approx(n, ld.window).size
+        assert sizes["copy"] == copy_fourier(n, k + 1).size
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (2, 2)])
+    def test_gate_level_outcome_frequencies(self, n, k):
+        # each copy wire's outcome frequency over 100 seeded runs of the built circuit
+        # must lie within 4.5 binomial sigma of basis_probs at the exact phase; copy
+        # wire i holds the factor with denominator 2^(n-i), and the first k/2 copies
+        # are read in the x basis (outcome 1 is l = 2), the rest in y (l = 3)
+        runs = 100
+        circuit = logdepth_qft(QftPlan(kind="logdepth", n=n, k=k)).circuit
+        for x in range(1 << n):
+            ones = np.zeros(k * n)
+            for seed in range(runs):
+                ones += run_sparse(circuit, x=x, rng=np.random.default_rng(seed)).classical
+            for c in range(k):
+                for i in range(n):
+                    j = n - i
+                    p = basis_probs((x % (1 << j)) / (1 << j))[2 if c < k // 2 else 3]
+                    sigma = math.sqrt(p * (1 - p) / runs)
+                    assert abs(ones[c * n + i] / runs - p) <= 4.5 * sigma + 1e-12, (x, c, i)
+
+    def test_run_channel_refuses_a_truncated_window(self):
+        # k < n truncates the prepared phases, which entangles the copies
+        ld = logdepth_qft(QftPlan(kind="logdepth", n=3, k=2))
+        with pytest.raises(ValueError, match="window"):
+            ld.run_channel(1)
 
     def test_run_channel_succeeds_at_large_k(self):
         ld = logdepth_qft(QftPlan(kind="logdepth", n=4, k=48))
