@@ -28,7 +28,6 @@ from .netlist import decode as decode_netlist
 from .netlist import encode as encode_netlist
 from .phasest import (
     basis_probs,
-    bernoulli_bound,
     failure_bound,
     reconstruct_batch,
     reconstruct_x,
@@ -82,13 +81,11 @@ from .shor import (
     multiplicative_order,
     order_finding_run,
     perfect_power_root,
-    precompute_powers,
 )
 from .sim import (
     DEFAULT_SEED,
     dft_reference,
     extract_unitary,
-    pure_trace_distance,
     run_classical_bits,
     run_dense,
     run_sparse,

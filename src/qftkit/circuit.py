@@ -335,18 +335,6 @@ class Circuit:
         inv = tuple(tuple(g.inverse() for g in layer) for layer in reversed(self.layers))
         return Circuit(self.n_qubits, self.n_ancilla, self.n_classical, inv, dict(self.metadata))
 
-    def compose(self, other: Circuit) -> Circuit:
-        """Concatenate self then other on shared wires and reschedule ASAP."""
-        if other.n_qubits != self.n_qubits:
-            raise StructuralError("compose requires matching data width")
-        gates = list(self.all_gates()) + list(other.all_gates())
-        return Circuit.from_gates(
-            gates,
-            self.n_qubits,
-            max(self.n_ancilla, other.n_ancilla),
-            max(self.n_classical, other.n_classical),
-        )
-
     def light_cone(self, wires: Iterable[int]) -> set[int]:
         """Quantum wires that can influence ``wires``, walking layers backward."""
         cone = set(wires)
@@ -454,12 +442,13 @@ class CircuitBuilder:
     def mark(self) -> int:
         return len(self._gates)
 
-    def gates_since(self, mark: int) -> list[Gate]:
-        return list(self._gates[mark:])
+    def uncompute(self, start: int, stop: int) -> None:
+        """Append the inverses of the gates between marks ``start`` and ``stop``, in reverse order.
 
-    def emit_inverse(self, gates: Sequence[Gate]) -> None:
-        for g in reversed(list(gates)):
-            self.add(g.inverse())
+        The Bennett compute / use / uncompute block: whatever was added after
+        ``stop`` (the use) stays where it is.
+        """
+        self._gates.extend(g.inverse() for g in reversed(self._gates[start:stop]))
 
     def invert_since(self, mark: int) -> None:
         """Replace the gates added since ``mark`` by their inverse, in reverse order."""

@@ -18,12 +18,9 @@ import numpy as np
 
 __all__ = [
     "TRANSFER_MATRICES",
-    "transfer_matrix",
-    "transfer_product_index",
     "reconstruct_x",
     "reconstruct_batch",
     "failure_bound",
-    "bernoulli_bound",
 ]
 
 TRANSFER_MATRICES: tuple[np.ndarray, ...] = (
@@ -53,18 +50,6 @@ def _build_product_table() -> np.ndarray:
 _PRODUCT_TABLE = _build_product_table()
 # bit read off a prefix product: entry (row 2, column 1) in 1-based terms
 _STATE_BIT = np.array([int(m[1][0]) for m in TRANSFER_MATRICES], dtype=np.uint64)
-
-
-def transfer_matrix(l: int) -> np.ndarray:
-    """The 2x2 transfer matrix attached to outcome ``l``."""
-    if l not in (0, 1, 2, 3):
-        raise ValueError(f"outcome must be in 0..3, got {l}")
-    return TRANSFER_MATRICES[l].copy()
-
-
-def transfer_product_index(l: int, state: int) -> int:
-    """Index of A_l @ A_state inside the four-element closure."""
-    return int(_PRODUCT_TABLE[l, state])
 
 
 def basis_probs(theta) -> np.ndarray:
@@ -118,12 +103,3 @@ def failure_bound(n: int, k: int) -> float:
     if k < 0:
         raise ValueError(f"sample count must be >= 0, got {k}")
     return min(1.0, 4.0 * n * math.exp(-k / 8.0))
-
-
-def bernoulli_bound(p_x: float, p_y: float, t: int) -> float:
-    """Chernoff bound 2*e^{-(p_y-p_x)^2 t/2} on t samples confusing the two rates."""
-    if t < 1:
-        raise ValueError(f"sample count must be >= 1, got {t}")
-    if p_x >= p_y:
-        raise ValueError("requires p_x < p_y")
-    return 2.0 * math.exp(-((p_y - p_x) ** 2) * t / 2.0)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .circuit import CP, Circuit, CircuitBuilder, Gate, H, dyadic
 from .errors import CapacityError
-from .phasest import failure_bound, reconstruct_batch
+from .phasest import basis_probs, failure_bound, reconstruct_batch
 from .revarith import _emit_multiplier, _emit_prefix_add
 from .sim import DEFAULT_SEED
 
@@ -197,13 +197,13 @@ def _emit_split(b: CircuitBuilder, wires: list[int]) -> int:
     _emit_split(b, hi)
 
     prod = b.new_ancillas(n)
-    mark = b.mark()
+    start = b.mark()
     _emit_multiplier(b, hi[::-1], lo, prod)
-    seg = b.gates_since(mark)
+    stop = b.mark()
     for t, w in enumerate(prod):
         b.p(w, dyadic(1, n - t))
-    b.emit_inverse(seg)
-    step2 = 2 * len(seg) + n
+    b.uncompute(start, stop)
+    step2 = 2 * (stop - start) + n
 
     _emit_split(b, lo)
     return step2
@@ -272,10 +272,10 @@ def _emit_prep(b: CircuitBuilder, n: int, k: int) -> None:
     """prep_approx(n, k) on the builder's first 2n wires."""
     for j in range(n):
         b.h(2 * n - 1 - j)
-    mark = b.mark()
+    start = b.mark()
     ctrl_refs = [_fan_out(b, t, min(n - t, k)) for t in range(n)]
     tgt_refs = [_fan_out(b, 2 * n - 1 - j, min(j + 1, k)) for j in range(n)]
-    fan = b.gates_since(mark)
+    stop = b.mark()
     ctrl_used = [0] * n
     tgt_used = [0] * n
     for j in range(n):
@@ -285,7 +285,7 @@ def _emit_prep(b: CircuitBuilder, n: int, k: int) -> None:
             ctrl_used[t] += 1
             tgt_used[j] += 1
             b.cp(cw, tw, dyadic(1, j + 1 - t))
-    b.emit_inverse(fan)
+    b.uncompute(start, stop)
 
 
 def prep_exact(n: int) -> Circuit:
@@ -357,10 +357,9 @@ class LogdepthQft:
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
         half = k // 2
         phase = np.array([(x % (1 << j)) / (1 << j) for j in range(1, n + 1)])
-        p0 = np.cos(np.pi * phase) ** 2
-        p1 = np.cos(np.pi * (phase - 0.25)) ** 2
-        c0 = rng.binomial(half, p0, size=(trials, n))
-        c1 = rng.binomial(half, p1, size=(trials, n))
+        probs = basis_probs(phase)
+        c0 = rng.binomial(half, probs[:, 0], size=(trials, n))
+        c1 = rng.binomial(half, probs[:, 1], size=(trials, n))
         counts = np.stack([c0, c1, half - c0, half - c1], axis=-1)
         modes = np.argmax(counts, axis=-1)  # ties resolve to the smallest outcome
         xhat = reconstruct_batch(modes)

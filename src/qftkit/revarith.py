@@ -232,7 +232,7 @@ def _emit_addsub_core(
         for r in list(a_bits) + list(b_bits):
             if not _is_const(r) and _wire_of(r) in out_set:
                 raise StructuralError("sum outputs overlap the addend wires")
-    mark = b.mark()
+    start = b.mark()
     leaves = []
     for x, y in zip(a_bits, b_bits):
         g = _and_fold(x, y)
@@ -244,14 +244,14 @@ def _emit_addsub_core(
         leaves.append(GP(g, p))
     seed = GP(ONE if carry_in else ZERO, ZERO)
     prefixes = _brent_kung([seed] + leaves, lambda hi, lo: _gp_combine(b, hi, lo))
-    dag = b.gates_since(mark)
+    stop = b.mark()
     if outs is not None:
         for i, out in enumerate(outs):
             xor_into(b, out, leaves[i].p)
             xor_into(b, out, prefixes[i].g)
     if keep_dag:
         return prefixes[len(leaves)].g
-    b.emit_inverse(dag)
+    b.uncompute(start, stop)
     return None
 
 
@@ -287,27 +287,6 @@ def build_subtractor(n: int) -> Circuit:
 # --- carry-save counters ------------------------------------------------------
 
 
-def build_three_two(n: int) -> Circuit:
-    """3-2 counter on wires [x | y | z | s(n) | c(n+1)]: s ^= x^y^z, c ^= carries.
-
-    Constant depth: every bit position is handled independently.
-    """
-    b = CircuitBuilder(3 * n + (n) + (n + 1))
-    x = list(range(n))
-    y = list(range(n, 2 * n))
-    z = list(range(2 * n, 3 * n))
-    s = list(range(3 * n, 4 * n))
-    c = list(range(4 * n, 5 * n + 1))
-    for i in range(n):
-        b.cnot(x[i], s[i])
-        b.cnot(y[i], s[i])
-        b.cnot(z[i], s[i])
-        b.toffoli(x[i], y[i], c[i + 1])
-        b.toffoli(x[i], z[i], c[i + 1])
-        b.toffoli(y[i], z[i], c[i + 1])
-    return b.build(metadata={"kind": "three_two", "n": n})
-
-
 def _pad(row: Sequence[BitRef], width: int) -> list[BitRef]:
     return list(row) + [ZERO] * (width - len(row))
 
@@ -323,27 +302,51 @@ def _emit_three_two_refs(
     return s, c
 
 
+def _emit_four_two_refs(
+    b: CircuitBuilder,
+    hi: tuple[Sequence[BitRef], Sequence[BitRef]],
+    lo: tuple[Sequence[BitRef], Sequence[BitRef]],
+    width: int,
+) -> tuple[list[BitRef], list[BitRef]]:
+    """4-2 step on two carry-save row pairs: two 3-2 steps, rows cut to ``width``.
+
+    The four rows sum to the returned (sum row, carry row) mod 2^width.
+    """
+    s1, c1 = _emit_three_two_refs(b, hi[0], hi[1], lo[0])
+    s2, c2 = _emit_three_two_refs(b, s1[:width], c1[:width], lo[1])
+    return s2[:width], c2[:width]
+
+
+def build_three_two(n: int) -> Circuit:
+    """3-2 counter on wires [x | y | z | s(n) | c(n+1)]: s ^= x^y^z, c ^= carries.
+
+    Wraps the carry-save step the multiplier runs: compute, copy out,
+    uncompute.  Constant depth: every bit position is handled independently.
+    """
+    b = CircuitBuilder(5 * n + 1)
+    x, y, z = (list(range(j * n, (j + 1) * n)) for j in range(3))
+    start = b.mark()
+    s, c = _emit_three_two_refs(b, x, y, z)
+    stop = b.mark()
+    for out, r in zip(range(3 * n, 5 * n + 1), s + c, strict=True):
+        xor_into(b, out, r)
+    b.uncompute(start, stop)
+    return b.build(metadata={"kind": "three_two", "n": n})
+
+
 def build_four_two(n: int) -> Circuit:
-    """4-2 counter on [x | y | z | w | s(n+1) | c(n+2)] with x+y+z+w = s+c."""
-    b = CircuitBuilder(4 * n + (n + 1) + (n + 2))
-    regs = [list(range(j * n, (j + 1) * n)) for j in range(4)]
-    s = list(range(4 * n, 5 * n + 1))
-    c = list(range(5 * n + 1, 6 * n + 3))
-    mark = b.mark()
-    s1, c1 = _emit_three_two_refs(b, regs[0], regs[1], regs[2])
-    stage1 = b.gates_since(mark)
-    w = _pad(regs[3], len(s))
-    s1p, c1p = _pad(s1, len(s)), _pad(c1, len(s))
-    for i in range(len(s)):
-        xor_into(b, s[i], s1p[i])
-        xor_into(b, s[i], c1p[i])
-        xor_into(b, s[i], w[i])
-        # maj(a, b, c) = ab ^ ac ^ bc, accumulated straight into the output
-        # so stage 2 leaves no scratch of its own
-        and_into(b, c[i + 1], s1p[i], c1p[i])
-        and_into(b, c[i + 1], s1p[i], w[i])
-        and_into(b, c[i + 1], c1p[i], w[i])
-    b.emit_inverse(stage1)
+    """4-2 counter on [x | y | z | w | s(n+1) | c(n+2)] with x+y+z+w = s+c.
+
+    Wraps the 4-2 step the prefix adder runs: compute, copy out, uncompute.
+    """
+    b = CircuitBuilder(6 * n + 3)
+    x, y, z, w = (list(range(j * n, (j + 1) * n)) for j in range(4))
+    start = b.mark()
+    s, c = _emit_four_two_refs(b, (x, y), (z, w), n + 2)
+    stop = b.mark()
+    for out, r in zip(range(4 * n, 6 * n + 3), s + c, strict=True):
+        xor_into(b, out, r)
+    b.uncompute(start, stop)
     return b.build(metadata={"kind": "four_two", "n": n})
 
 
@@ -367,24 +370,18 @@ def build_prefix_add(k: int, n: int) -> Circuit:
 def _emit_prefix_add(b: CircuitBuilder, regs: Sequence[Sequence[int]]) -> None:
     """In-place prefix sums mod 2^n over the k n-wire registers ``regs``."""
     k, n = len(regs), len(regs[0])
-    mark = b.mark()
+    start = b.mark()
     rows: list[tuple[list[BitRef], list[BitRef]]] = [
         (list(regs[j]), [ZERO] * n) for j in range(k)
     ]
-
-    def row_combine(hi, lo):
-        s1, c1 = _emit_three_two_refs(b, hi[0], hi[1], lo[0])
-        s2, c2 = _emit_three_two_refs(b, s1[:n], c1[:n], lo[1])
-        return (s2[:n], c2[:n])
-
-    prows = _brent_kung(rows, row_combine)
-    tree = b.gates_since(mark)
+    prows = _brent_kung(rows, lambda hi, lo: _emit_four_two_refs(b, hi, lo, n))
+    stop = b.mark()
     qs = []
     for j in range(k):
         q = b.new_ancillas(n)
         _emit_addsub_core(b, _pad(prows[j][0], n)[:n], _pad(prows[j][1], n)[:n], outs=q)
         qs.append(q)
-    b.emit_inverse(tree)
+    b.uncompute(start, stop)
     # erase the original registers: regs[j] ^= q_j - q_{j-1}.  Each subtract
     # core reads a scratch copy of q_{j-1} so neighbouring cores touch
     # disjoint wires and all run in parallel.
@@ -425,7 +422,7 @@ def _emit_multiplier(
 ) -> None:
     """outs ^= (x*y) mod 2^len(outs) via a Wallace 3-2 reduction tree."""
     n_out = len(outs)
-    mark = b.mark()
+    start = b.mark()
     rows: list[list[BitRef]] = []
     for j in range(len(ys)):
         if j >= n_out:
@@ -455,9 +452,9 @@ def _emit_multiplier(
         return
     if len(rows) == 1:
         rows.append([ZERO] * n_out)
-    tree = b.gates_since(mark)
+    stop = b.mark()
     _emit_addsub_core(b, _pad(rows[0], n_out)[:n_out], _pad(rows[1], n_out)[:n_out], outs=outs)
-    b.emit_inverse(tree)
+    b.uncompute(start, stop)
 
 
 def build_multiplier(nx: int, ny: int, n_out: int) -> Circuit:
@@ -509,12 +506,12 @@ def build_modmul(modulus: int) -> Circuit:
     us = list(range(nb))
     vs = list(range(nb, 2 * nb))
     outs = list(range(2 * nb, 3 * nb))
-    mark = b.mark()
+    start = b.mark()
     res = _emit_modmul_garbage(b, us, vs, modulus)
-    seg = b.gates_since(mark)
+    stop = b.mark()
     for i in range(nb):
         xor_into(b, outs[i], res[i])
-    b.emit_inverse(seg)
+    b.uncompute(start, stop)
     return b.build(metadata={"kind": "modmul", "modulus": modulus})
 
 
@@ -542,7 +539,7 @@ def _emit_iterated_product(
 ) -> None:
     """outs ^= prod_j factors[j]^{x_j} mod modulus, with one control wire per factor in ``xs``."""
     nb = len(outs)
-    mark = b.mark()
+    start = b.mark()
     vals: list[list[int]] = []
     for j, fac in enumerate(factors):
         leaf = b.new_ancillas(nb)
@@ -558,10 +555,10 @@ def _emit_iterated_product(
         if len(vals) % 2:
             nxt.append(vals[-1])
         vals = nxt
-    seg = b.gates_since(mark)
+    stop = b.mark()
     for i in range(nb):
         xor_into(b, outs[i], vals[0][i])
-    b.emit_inverse(seg)
+    b.uncompute(start, stop)
 
 
 def precompute_powers(a: int, modulus: int, count: int) -> list[int]:

@@ -125,12 +125,11 @@ class OrderResult:
     verified: bool
 
 
-def precompute_powers(a: int, modulus: int) -> tuple[int, ...]:
-    """b_j = a^(2^j) mod modulus for j < 2n, by repeated squaring."""
+def _screen_base(a: int, modulus: int) -> None:
+    """Raise LuckyFactor when the base shares a divisor with the modulus."""
     d = math.gcd(a, modulus)
     if d > 1:
         raise LuckyFactor(a, modulus, d)
-    return tuple(revarith.precompute_powers(a, modulus, 2 * modulus.bit_length()))
 
 
 def build_order_circuit(modulus: int, a: int) -> Circuit:
@@ -142,9 +141,10 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
     """
     if modulus > MAX_GATE_MODULUS:
         raise CapacityError(f"modulus {modulus} exceeds gate-backend cap {MAX_GATE_MODULUS}")
-    powers = precompute_powers(a, modulus)
-    n_x = len(powers)
+    _screen_base(a, modulus)
     nb = modulus.bit_length()
+    n_x = 2 * nb
+    powers = revarith.precompute_powers(a, modulus, n_x)
     b = CircuitBuilder(n_x + nb)
     for w in range(n_x):
         b.h(w)
@@ -257,10 +257,12 @@ def order_finding_run(
     With the measured-transform variant selected, the exact distribution is
     mixed with a uniform floor at the erase-failure bound: a failed erase
     leaves which-x information behind, which dephases the coset superposition
-    and makes the readout uniform.
+    and makes the readout uniform.  A base that shares a divisor with the
+    modulus raises LuckyFactor on either backend.
     """
     if qft not in QFT_VARIANTS:
         raise ValueError(f"qft must be one of {QFT_VARIANTS}")
+    _screen_base(task.a, task.modulus)
     resolved = _resolve_backend(backend, task.modulus)
     if resolved == "gate":
         probs = gate_distribution(task.modulus, task.a)

@@ -62,6 +62,12 @@ def basis_state(num_wires: int, x: int) -> np.ndarray:
     return state
 
 
+def _check_input(circuit: Circuit, x: int) -> None:
+    """Refuse a basis input that does not fit the circuit's data wires."""
+    if not 0 <= x < (1 << circuit.n_qubits):
+        raise SimulationError(f"input {x} out of range for {circuit.n_qubits} data wires")
+
+
 def _axis(nq: int, wire: int) -> int:
     return nq - 1 - wire
 
@@ -144,8 +150,7 @@ def run_dense(
         if state.shape != (1 << nq,):
             raise SimulationError("initial state has wrong dimension")
     else:
-        if x >= (1 << circuit.n_qubits):
-            raise SimulationError(f"input {x} too wide for {circuit.n_qubits} data wires")
+        _check_input(circuit, x)
         state = basis_state(nq, x)
     psi = state.reshape([2] * nq) if nq else state
     classical: list = [None] * circuit.n_classical
@@ -229,8 +234,7 @@ def run_sparse(
     if initial is not None:
         amps = dict(initial)
     else:
-        if x >= (1 << circuit.n_qubits):
-            raise SimulationError(f"input {x} too wide for {circuit.n_qubits} data wires")
+        _check_input(circuit, x)
         amps = {x: 1.0 + 0.0j}
     classical: list = [None] * circuit.n_classical
     for gate in circuit.all_gates():
@@ -273,8 +277,7 @@ def run_classical_bits(circuit: Circuit, x: int) -> int:
     magnitude faster than either quantum simulator; used to test reversible
     arithmetic exhaustively.
     """
-    if x >= (1 << circuit.n_qubits):
-        raise SimulationError(f"input {x} too wide for {circuit.n_qubits} data wires")
+    _check_input(circuit, x)
     bits = x
     for gate in circuit.all_gates():
         if gate.family != "flip":
@@ -338,7 +341,7 @@ def extract_unitary(circuit: Circuit, atol: float = 1e-9) -> np.ndarray:
     return unitary
 
 
-# --- references and distances ----------------------------------------------
+# --- references ------------------------------------------------------------
 
 MAX_DFT_DIM = 4096
 
@@ -349,8 +352,3 @@ def dft_reference(m: int) -> np.ndarray:
         raise CapacityError(f"DFT dimension {m} exceeds cap {MAX_DFT_DIM}")
     idx = np.arange(m)
     return np.exp(2j * np.pi * np.outer(idx, idx) / m) / np.sqrt(m)
-
-
-def pure_trace_distance(u: np.ndarray, v: np.ndarray) -> float:
-    overlap = abs(np.vdot(u, v)) ** 2
-    return float(np.sqrt(max(0.0, 1.0 - overlap)))

@@ -14,6 +14,7 @@ from qftkit.circuit import (
     CircuitBuilder,
     DyadicAngle,
     H,
+    P,
     Toffoli,
     X,
     dyadic,
@@ -22,7 +23,7 @@ from qftkit.circuit import (
 from qftkit.errors import StructuralError
 from qftkit.qft_pow2 import QftPlan, copy_fourier, logdepth_qft, prep_exact, split_qft, standard_qft
 from qftkit.shor import build_order_circuit
-from qftkit.sim import extract_unitary
+from qftkit.sim import extract_unitary, run_sparse
 
 
 class TestDyadicAngle:
@@ -80,6 +81,36 @@ class TestBuilderAndLayers:
         with pytest.raises(StructuralError):
             Circuit.from_layers([[H(0), CNOT(0, 1)]], 2)
 
+    def test_uncompute_undoes_the_segment_and_keeps_the_use(self, rng):
+        def flip_phase_gates(count):
+            gates = []
+            for _ in range(count):
+                a, b, c = (int(w) for w in rng.choice(4, size=3, replace=False))
+                theta = dyadic(int(rng.integers(1, 16)), 4)
+                kinds = [X(a), CNOT(a, b), Toffoli(a, b, c), P(a, theta), CP(a, b, theta)]
+                gates.append(kinds[int(rng.integers(0, 5))])
+            return gates
+
+        def built(gates):
+            b = CircuitBuilder(4)
+            for g in gates:
+                b.add(g)
+            return b
+
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        initial = dict(enumerate(amps / np.linalg.norm(amps)))
+        for _ in range(5):
+            pre, seg, use = flip_phase_gates(4), flip_phase_gates(12), flip_phase_gates(3)
+            b = built(pre + seg)
+            b.uncompute(len(pre), b.mark())
+            got = run_sparse(b.build(), initial=initial).amplitudes
+            want = run_sparse(built(pre).build(), initial=initial).amplitudes
+            assert max(abs(got.get(i, 0) - a) for i, a in want.items()) < 1e-12
+            # gates added after ``stop`` (the use) stay between the segment and its inverse
+            b = built(pre + seg + use)
+            b.uncompute(len(pre), len(pre) + len(seg))
+            assert b.build() == built(pre + seg + use + [g.inverse() for g in reversed(seg)]).build()
+
     def test_ancillas_extend_width(self):
         b = CircuitBuilder(2)
         w = b.new_ancillas(3)
@@ -133,15 +164,19 @@ class TestBuilderAndLayers:
 
 class TestComposeInverse:
     def test_compose_size_additive_depth_subadditive(self):
+        # circuits compose by inlining into one builder
         a = prep_exact(3)
         b = copy_fourier(3, 2)
-        c = a.compose(b)
+        builder = CircuitBuilder(6)
+        builder.inline(a, range(6))
+        builder.inline(b, range(6))
+        c = builder.build()
         assert c.size == a.size + b.size
         assert c.depth <= a.depth + b.depth
 
     def test_compose_requires_matching_data_width(self):
         with pytest.raises(StructuralError):
-            standard_qft(2).compose(standard_qft(3))
+            CircuitBuilder(2).inline(standard_qft(3), range(2))
 
     def test_inverse_reverses_unitary(self, rng, random_circuit):
         for _ in range(5):

@@ -6,14 +6,12 @@ import pytest
 
 from qftkit.circuit import Circuit
 from qftkit.phasest import (
+    _PRODUCT_TABLE,
     TRANSFER_MATRICES,
     basis_probs,
-    bernoulli_bound,
     failure_bound,
     reconstruct_batch,
     reconstruct_x,
-    transfer_matrix,
-    transfer_product_index,
 )
 from qftkit.qft_pow2 import LogdepthQft, QftPlan
 
@@ -40,21 +38,11 @@ class TestTransferMonoid:
     def test_closed_under_saturated_product(self):
         for l, s in product(range(4), repeat=2):
             prod = np.minimum(TRANSFER_MATRICES[l] @ TRANSFER_MATRICES[s], 1)
-            idx = transfer_product_index(l, s)
-            assert np.array_equal(prod, TRANSFER_MATRICES[idx])
+            assert np.array_equal(prod, TRANSFER_MATRICES[_PRODUCT_TABLE[l, s]])
 
     def test_identity_element(self):
         for s in range(4):
-            assert transfer_product_index(0, s) == s
-
-    def test_matrix_accessor_copies(self):
-        m = transfer_matrix(1)
-        m[0, 0] = 99
-        assert transfer_matrix(1)[0, 0] != 99
-
-    def test_outcome_validation(self):
-        with pytest.raises(ValueError):
-            transfer_matrix(4)
+            assert _PRODUCT_TABLE[0, s] == s
 
 
 class TestMeasurementProbs:
@@ -132,10 +120,3 @@ class TestBounds:
     def test_failure_bound_monotone_in_k(self):
         vals = [failure_bound(8, k) for k in range(40, 200, 8)]
         assert vals == sorted(vals, reverse=True)
-
-    def test_bernoulli_bound_decreases_with_samples(self):
-        assert bernoulli_bound(0.2, 0.8, 64) < bernoulli_bound(0.2, 0.8, 8)
-
-    def test_bernoulli_bound_needs_separated_rates(self):
-        with pytest.raises(ValueError):
-            bernoulli_bound(0.6, 0.4, 10)

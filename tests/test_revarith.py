@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qftkit import revarith
 from qftkit.revarith import (
     build_adder,
     build_four_two,
@@ -61,7 +62,7 @@ class TestCarrySave:
             assert (x, y, z) == tuple(fields(packed, [n, n, n])[0])
             assert s + carry == x + y + z
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_four_two_preserves_sum(self, n):
         c = build_four_two(n)
         for packed in range(1 << (4 * n)):
@@ -69,6 +70,26 @@ class TestCarrySave:
             (x, y, z, w, s, carry), junk = fields(out, [n, n, n, n, n + 1, n + 2])
             assert junk == 0
             assert s + carry == x + y + z + w
+
+    def test_public_counters_run_the_live_emitters(self, monkeypatch):
+        # the exhaustive checks above certify the counters the multiplier and
+        # the prefix adder call, not a copy of them
+        calls = {"three_two": 0, "four_two": 0}
+
+        def counted(name, emit):
+            def wrapped(*args):
+                calls[name] += 1
+                return emit(*args)
+
+            return wrapped
+
+        for name in calls:
+            emitter = f"_emit_{name}_refs"
+            monkeypatch.setattr(revarith, emitter, counted(name, getattr(revarith, emitter)))
+        build_three_two(2)
+        assert calls == {"three_two": 1, "four_two": 0}
+        build_four_two(2)
+        assert calls == {"three_two": 3, "four_two": 1}
 
     def test_three_two_depth_constant_in_width(self):
         # no carry chain: the depth must not grow with n

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qftkit.errors import CapacityError
+from qftkit.revarith import precompute_powers
 from qftkit.shor import (
     FactorTask,
     LuckyFactor,
@@ -18,7 +19,6 @@ from qftkit.shor import (
     multiplicative_order,
     order_finding_run,
     perfect_power_root,
-    precompute_powers,
 )
 
 
@@ -63,8 +63,8 @@ class TestNumberTheoryHelpers:
             multiplicative_order(6, 15)
 
     def test_precompute_powers(self):
-        assert precompute_powers(7, 15) == (7, 4, 1, 1, 1, 1, 1, 1)
-        for j, p in enumerate(precompute_powers(5, 21)):
+        assert precompute_powers(7, 15, 8) == [7, 4, 1, 1, 1, 1, 1, 1]
+        for j, p in enumerate(precompute_powers(5, 21, 10)):
             assert p == pow(5, 1 << j, 21)
 
 
@@ -157,9 +157,14 @@ class TestOrderFindingRun:
         assert r.verified
 
     def test_non_unit_base_raises_lucky_factor(self):
-        with pytest.raises(LuckyFactor) as exc:
-            order_finding_run(FactorTask(15, 6, 0))
-        assert exc.value.divisor == 3
+        # one screen ahead of the backend choice: the analytic backend must
+        # not fall through to multiplicative_order's ValueError
+        for backend in ("gate", "analytic"):
+            with pytest.raises(LuckyFactor) as exc:
+                order_finding_run(FactorTask(15, 6, 0), backend=backend)
+            assert exc.value.divisor == 3
+        with pytest.raises(LuckyFactor):
+            build_order_circuit(15, 6)
 
     def test_task_cap(self):
         with pytest.raises(CapacityError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qftkit.circuit import CircuitBuilder, dyadic
-from qftkit.errors import CapacityError
+from qftkit.errors import CapacityError, SimulationError
 from qftkit.qft_pow2 import bit_reversed_indices, standard_qft
 from qftkit.sim import (
     DEFAULT_SEED,
@@ -10,7 +10,6 @@ from qftkit.sim import (
     basis_state,
     dft_reference,
     extract_unitary,
-    pure_trace_distance,
     run_classical_bits,
     run_dense,
     run_sparse,
@@ -54,6 +53,15 @@ class TestStateConventions:
     def test_basis_state(self):
         v = basis_state(3, 5)
         assert v[5] == 1 and np.count_nonzero(v) == 1
+
+    @pytest.mark.parametrize("run", [run_dense, run_sparse, run_classical_bits])
+    @pytest.mark.parametrize("x", [-1, -8, 8])
+    def test_input_outside_the_data_register_is_refused(self, run, x):
+        b = CircuitBuilder(3)
+        b.cnot(0, 1)
+        b.new_ancilla()
+        with pytest.raises(SimulationError):
+            run(b.build(), x)
 
     def test_initial_amplitudes_override(self):
         b = CircuitBuilder(2)
@@ -115,20 +123,6 @@ class TestReferencesAndMetrics:
     def test_dft_dimension_cap(self):
         with pytest.raises(CapacityError):
             dft_reference(MAX_DFT_DIM + 1)
-
-    def test_pure_trace_distance_extremes(self):
-        u = np.array([1, 0], dtype=complex)
-        v = np.array([0, 1], dtype=complex)
-        assert pure_trace_distance(u, u) == pytest.approx(0.0, abs=1e-12)
-        assert pure_trace_distance(u, v) == pytest.approx(1.0)
-
-    def test_pure_trace_distance_formula(self, rng):
-        u = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        expected = np.sqrt(1 - abs(np.vdot(u, v)) ** 2)
-        assert pure_trace_distance(u, v) == pytest.approx(expected)
 
 
 class TestMeasurement:
