@@ -126,8 +126,14 @@ class OrderResult:
 
 
 def _screen_base(a: int, modulus: int) -> None:
-    """Raise LuckyFactor when the base shares a divisor with the modulus."""
+    """Raise LuckyFactor when the base shares a proper divisor with the modulus.
+
+    A base that is 0 mod the modulus yields only the trivial divisor, and is
+    refused with ValueError instead.
+    """
     d = math.gcd(a, modulus)
+    if d == modulus:
+        raise ValueError(f"{a} is not a unit mod {modulus}")
     if d > 1:
         raise LuckyFactor(a, modulus, d)
 
@@ -166,14 +172,19 @@ _ANALYTIC_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def gate_distribution(modulus: int, a: int) -> np.ndarray:
-    """Exact y distribution of the order-finding circuit, by sparse simulation."""
+    """Exact y distribution of the order-finding circuit, by sparse simulation.
+
+    The result is cached and read-only; copy it before writing to it.
+    """
     key = (modulus, a)
     if key not in _GATE_CACHE:
         circuit = build_order_circuit(modulus, a)
         n_x = 2 * modulus.bit_length()
         res = run_sparse(circuit, x=0)
         probs = sparse_marginal(res.amplitudes, list(range(n_x)))
-        _GATE_CACHE[key] = probs[bit_reversed_indices(n_x)]
+        probs = probs[bit_reversed_indices(n_x)]
+        probs.setflags(write=False)
+        _GATE_CACHE[key] = probs
     return _GATE_CACHE[key]
 
 
@@ -181,31 +192,54 @@ def analytic_distribution(modulus: int, a: int) -> np.ndarray:
     """Closed-form y distribution of order finding from the true order r.
 
     The x register holds each residue class mod r in a coset of size
-    floor(M/r) or ceil(M/r); each coset contributes a Dirichlet-kernel term
+    c = floor(M/r) or c + 1; each coset contributes a Dirichlet-kernel term
     sin^2(pi c theta)/sin^2(pi theta) at theta = r y / M (c^2 where theta is
-    an integer).  Kernel arguments are reduced mod 1 in exact integers
-    before any trig so the peaks stay accurate.
+    an integer).
+
+    The kernels are evaluated once per phase class.  With g the largest
+    power of two dividing r, M' = M/g and r' = r/g, theta = u/M' for
+    u = r' y mod M', so P(y) depends on u alone, has period M' in y, and is
+    mirror-symmetric, K(u) = K(M' - u).  Both kernels are computed for
+    u = 0..M'/2 only, mirrored to length M', gathered at u = r' y mod M'
+    for y < M', normalised, and tiled g times.  Every sine argument is
+    reduced in exact integers to pi v / M' with 0 <= v <= M'/2, so no sine
+    is taken near pi.
+
+    The result is cached and read-only; copy it before writing to it.
     """
     if modulus > MAX_ANALYTIC_MODULUS:
         raise CapacityError(f"modulus {modulus} exceeds analytic cap {MAX_ANALYTIC_MODULUS}")
-    if math.gcd(a, modulus) != 1:
-        raise ValueError(f"{a} is not a unit mod {modulus}")
+    _screen_base(a, modulus)
     key = (modulus, a)
     if key not in _ANALYTIC_CACHE:
         big_m = 1 << (2 * modulus.bit_length())
         r = multiplicative_order(a, modulus)
         full, rem = divmod(big_m, r)
-        ry_mod = (r * np.arange(big_m, dtype=np.int64)) % big_m
-        integral = ry_mod == 0
-        denom = np.sin(np.pi * (ry_mod / big_m)) ** 2
-        denom[integral] = 1.0
+        g = r & -r
+        period, r_odd = big_m // g, r // g
+        mask, half = period - 1, period // 2
+        u = np.arange(half + 1, dtype=np.int64)
+
+        def sin2(v: np.ndarray) -> np.ndarray:
+            v = np.minimum(v, period - v)
+            return np.sin(np.pi * (v / period)) ** 2
+
+        denom = sin2(u)
+        denom[0] = 1.0
 
         def kernel(c: int) -> np.ndarray:
-            num = np.sin(np.pi * ((c * ry_mod % big_m) / big_m)) ** 2
-            return np.where(integral, float(c) ** 2, num / denom)
+            k = sin2((c * u) & mask) / denom
+            k[0] = float(c) ** 2
+            return k
 
-        probs = (rem * kernel(full + 1) + (r - rem) * kernel(full)) / float(big_m) ** 2
-        _ANALYTIC_CACHE[key] = probs / probs.sum()
+        kernels = rem * kernel(full + 1) + (r - rem) * kernel(full)
+        mirrored = np.concatenate((kernels, kernels[half - 1 : 0 : -1]))
+        phase_class = (r_odd * np.arange(period, dtype=np.int64)) & mask
+        one_period = mirrored[phase_class] / float(big_m) ** 2
+        one_period /= g * one_period.sum()
+        probs = np.tile(one_period, g)
+        probs.setflags(write=False)
+        _ANALYTIC_CACHE[key] = probs
     return _ANALYTIC_CACHE[key]
 
 
@@ -254,11 +288,14 @@ def order_finding_run(
 ) -> OrderResult:
     """Sample one y and post-process it into a candidate order.
 
-    With the measured-transform variant selected, the exact distribution is
-    mixed with a uniform floor at the erase-failure bound: a failed erase
-    leaves which-x information behind, which dephases the coset superposition
-    and makes the readout uniform.  A base that shares a divisor with the
-    modulus raises LuckyFactor on either backend.
+    With the measured-transform variant (qft="logdepth") selected, the exact
+    distribution is mixed with a uniform floor: a failed erase leaves which-x
+    information behind, which dephases the coset superposition and makes the
+    readout uniform.  The floor's weight is the bound
+    failure_bound(2 * n_bits, LOGDEPTH_CHANNEL_K), not a measured erase rate:
+    no channel and no log-depth circuit is run, so this variant models the
+    bound's worst case rather than simulating the transform.  A base that
+    shares a divisor with the modulus raises LuckyFactor on either backend.
     """
     if qft not in QFT_VARIANTS:
         raise ValueError(f"qft must be one of {QFT_VARIANTS}")

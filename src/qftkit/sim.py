@@ -230,9 +230,17 @@ def run_sparse(
     initial: dict[int, complex] | None = None,
     support_cap: int = SPARSE_SUPPORT_CAP,
 ) -> RunResult:
-    """Simulate tracking only nonzero amplitudes."""
+    """Simulate tracking only nonzero amplitudes.
+
+    ``initial`` maps basis indices over all ``circuit.width`` wires to
+    amplitudes; an index outside ``0 <= k < 2**circuit.width`` is refused.
+    """
     if initial is not None:
         amps = dict(initial)
+        dim = 1 << circuit.width
+        for k in amps:
+            if not 0 <= k < dim:
+                raise SimulationError(f"initial index {k} out of range for {circuit.width} wires")
     else:
         _check_input(circuit, x)
         amps = {x: 1.0 + 0.0j}

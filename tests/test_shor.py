@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qftkit import shor
 from qftkit.errors import CapacityError
 from qftkit.revarith import precompute_powers
 from qftkit.shor import (
@@ -116,6 +117,38 @@ class TestDistributions:
             tv = 0.5 * np.abs(gate_distribution(15, a) - analytic_distribution(15, a)).sum()
             assert tv < 1e-10
 
+    @pytest.mark.parametrize("modulus,a", [(253, 190), (221, 3), (187, 5)])
+    def test_analytic_matches_fft_reference(self, modulus, a):
+        # two-FFT coset reference: a coset of `count` elements spaced r apart
+        # has the transform magnitude of the one starting at 0.  M = 2^16 in
+        # each case; the orders are 55 (odd), 48 and 80 (divisible by 16)
+        m = 1 << (2 * modulus.bit_length())
+        r = multiplicative_order(a, modulus)
+        full, rem = divmod(m, r)
+
+        def coset_power(count):
+            indicator = np.zeros(m)
+            indicator[: count * r : r] = 1.0
+            return np.abs(np.fft.fft(indicator)) ** 2
+
+        want = (rem * coset_power(full + 1) + (r - rem) * coset_power(full)) / float(m) ** 2
+        got = analytic_distribution(modulus, a)
+        assert got.shape == (m,)
+        assert np.abs(got - want).max() <= 1e-16
+
+    def test_cached_distributions_are_read_only(self):
+        try:
+            for dist in (gate_distribution, analytic_distribution):
+                before = dist(15, 7).copy()
+                with pytest.raises(ValueError):
+                    dist(15, 7)[0] = 1.0
+                np.testing.assert_array_equal(dist(15, 7), before)
+            assert order_finding_run(FactorTask(15, 7, 0)).y in (0, 64, 128, 192)
+        finally:
+            # a writable cache would otherwise leak the write into later tests
+            shor._GATE_CACHE.clear()
+            shor._ANALYTIC_CACHE.clear()
+
     def test_backend_caps(self):
         with pytest.raises(CapacityError):
             gate_distribution(21, 2)
@@ -163,8 +196,13 @@ class TestOrderFindingRun:
             with pytest.raises(LuckyFactor) as exc:
                 order_finding_run(FactorTask(15, 6, 0), backend=backend)
             assert exc.value.divisor == 3
-        with pytest.raises(LuckyFactor):
-            build_order_circuit(15, 6)
+        for build in (build_order_circuit, gate_distribution, analytic_distribution):
+            with pytest.raises(LuckyFactor):
+                build(15, 6)
+            # gcd 15 is the modulus itself, not a proper divisor: refused
+            for a in (0, 15):
+                with pytest.raises(ValueError):
+                    build(15, a)
 
     def test_task_cap(self):
         with pytest.raises(CapacityError):

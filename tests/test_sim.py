@@ -71,6 +71,13 @@ class TestStateConventions:
         assert amps[0] == pytest.approx(0.6)
         assert amps[3] == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("initial", [{-1: 1.0, 9: 0.0}, {4: 1.0}], ids=["neg-and-9", "key-4"])
+    def test_initial_indices_outside_the_wires_are_refused(self, initial):
+        b = CircuitBuilder(2)
+        b.cnot(0, 1)
+        with pytest.raises(SimulationError):
+            run_sparse(b.build(), initial=initial)
+
     def test_sparse_marginal_orders_low_wire_first(self):
         b = CircuitBuilder(3)
         b.x(1)
