@@ -83,6 +83,8 @@ def perfect_power_root(n: int) -> tuple[int, int] | None:
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
+    if modulus < 2:
+        raise ValueError(f"modulus {modulus} has no multiplicative group")
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not a unit mod {modulus}")
     r, v = 1, a % modulus

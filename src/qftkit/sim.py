@@ -4,10 +4,14 @@ Wire/bit convention everywhere: basis index bit ``i`` is quantum wire ``i``
 (wire 0 is the least significant bit).  Data wires come first, ancillas
 after, and an integer input ``x`` loads the data wires with ancillas at 0.
 
-The sparse simulator tracks a ``dict[int, complex]`` of nonzero amplitudes.
-Its support can only double at a Hadamard, so circuits that are wide but
-classically-branching-poor (reversible arithmetic with a few H wires) run in
-time proportional to their true branching, independent of total width.
+The sparse simulator keeps its nonzero amplitudes in arrays: a boolean bit
+matrix with one row per wire and one column per amplitude, beside a complex
+amplitude vector.  A flip XORs one row with the AND of its control rows, a
+phase is a masked multiply, a measurement filters columns, and a Hadamard
+emits each column twice and merges equal columns.  The support can only
+double at a Hadamard, so circuits that are wide but classically-branching-poor
+(reversible arithmetic with a few H wires) run in time proportional to their
+true branching.  ``run_sparse`` returns the state as a ``dict[int, complex]``.
 """
 
 from __future__ import annotations
@@ -44,11 +48,16 @@ def _basis_rotation(gate: Gate) -> tuple[Gate, ...]:
 
 @dataclass
 class RunResult:
-    """Final state plus the classical bits written by measurements."""
+    """Final state plus the classical bits written by measurements.
+
+    ``pruned_mass`` is the total squared magnitude the sparse simulator
+    dropped at ``_PRUNE`` over the run (always 0 for the dense simulator).
+    """
 
     classical: list
     state: np.ndarray | None = None
     amplitudes: dict[int, complex] = field(default_factory=dict)
+    pruned_mass: float = 0.0
 
 
 # --- dense statevector -----------------------------------------------------
@@ -164,63 +173,119 @@ def run_dense(
 # --- sparse amplitudes ------------------------------------------------------
 
 
-def _sparse_h(amps: dict[int, complex], w: int) -> dict[int, complex]:
-    out: dict[int, complex] = {}
-    mask = 1 << w
-    for idx, amp in amps.items():
-        base = idx & ~mask
-        contrib = amp * _SQRT_HALF
-        out[base] = out.get(base, 0.0) + contrib
-        sign = -contrib if idx & mask else contrib
-        out[base | mask] = out.get(base | mask, 0.0) + sign
-    return {k: v for k, v in out.items() if abs(v) > _PRUNE}
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Column keys as uint64 words: row ``i`` is bit ``i % 64`` of word ``i // 64``."""
+    words = np.zeros((max(1, -(-len(bits) // 64)), bits.shape[1]), dtype=np.uint64)
+    for i in np.flatnonzero(bits.any(axis=1)):
+        words[i >> 6] |= bits[i].astype(np.uint64) << np.uint64(i & 63)
+    return words
 
 
-def _sparse_phase(amps, wires: tuple[int, ...], phase: complex) -> dict[int, complex]:
-    mask = 0
-    for w in wires:
-        mask |= 1 << w
-    return {idx: (amp * phase if (idx & mask) == mask else amp) for idx, amp in amps.items()}
+class _SparseState:
+    """Nonzero amplitudes as arrays: column ``j`` is the basis state whose wire ``w``
+    reads ``bits[w, j]``, with amplitude ``amps[j]``.  No two columns are equal.
+
+    Rows past the circuit's width are carried along untouched, so a reference
+    register can label each column with the input it came from.
+    """
+
+    def __init__(self, keys: list[int], amps, num_rows: int):
+        nbytes = max(1, -(-num_rows // 8))
+        raw = np.frombuffer(b"".join(int(k).to_bytes(nbytes, "little") for k in keys), dtype=np.uint8)
+        cols = np.unpackbits(raw.reshape(len(keys), nbytes), axis=1, count=num_rows, bitorder="little")
+        self.bits = np.ascontiguousarray(cols.T, dtype=bool)
+        self.amps = np.array(amps, dtype=np.complex128)
+        self.pruned_mass = 0.0
+
+    def keys(self) -> list[int]:
+        words = _pack(self.bits)
+        keys = words[0].astype(object)
+        for j in range(1, len(words)):
+            if words[j].any():
+                keys |= words[j].astype(object) << (64 * j)
+        return keys.tolist()
+
+    def _all_set(self, wires) -> np.ndarray:
+        bits = self.bits
+        mask = bits[wires[0]]
+        for w in wires[1:]:
+            mask = mask & bits[w]
+        return mask
+
+    def h(self, w: int) -> None:
+        """Pair each column with its partner across wire ``w`` and emit both sums."""
+        bits, amps = self.bits, self.amps
+        if bits[w].any() and not bits[w].all():
+            rows = np.flatnonzero(bits.any(axis=1) & ~bits.all(axis=1))
+            keys = _pack(bits[rows[rows != w]])
+            order = np.lexsort(keys)
+            sorted_keys = keys[:, order]
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0)
+            group = np.empty(order.size, dtype=np.intp)
+            group[order] = np.cumsum(first) - 1
+            rep = order[first]
+        else:  # wire w is the same in every column, so no column has a partner
+            group = rep = np.arange(amps.size)
+        n_groups = rep.size
+        half = amps * _SQRT_HALF
+        out = np.empty(2 * n_groups, dtype=np.complex128)
+        for lo, contrib in ((0, half), (n_groups, np.where(bits[w], -half, half))):
+            out.real[lo : lo + n_groups] = np.bincount(group, contrib.real, n_groups)
+            out.imag[lo : lo + n_groups] = np.bincount(group, contrib.imag, n_groups)
+        magnitude = np.abs(out)
+        keep = magnitude > _PRUNE
+        self.pruned_mass += float(np.sum(magnitude[~keep] ** 2))
+        self.bits = np.take(bits, np.concatenate((rep, rep))[keep], axis=1)
+        self.bits[w] = (np.arange(2 * n_groups) >= n_groups)[keep]
+        self.amps = out[keep]
+
+    def collapse(self, w: int, rng: np.random.Generator) -> int:
+        mask = self.bits[w]
+        p1 = float(np.sum(np.abs(self.amps[mask]) ** 2))
+        outcome = 1 if rng.random() < p1 else 0
+        p = p1 if outcome else max(1.0 - p1, 0.0)
+        if p <= 0.0:
+            raise SimulationError("measurement branch has zero probability")
+        kept = np.flatnonzero(mask if outcome else ~mask)
+        self.bits = np.take(self.bits, kept, axis=1)
+        self.amps = self.amps[kept] * (1.0 / np.sqrt(p))
+        return outcome
+
+    def apply(self, gate: Gate, rng: np.random.Generator | None, classical: list) -> None:
+        family = gate.family
+        wires = gate.qubits()
+        if family == "flip":
+            target = self.bits[wires[-1]]
+            if len(wires) > 1:
+                target ^= self._all_set(wires[:-1])
+            else:
+                np.logical_not(target, out=target)
+        elif family == "h":
+            self.h(wires[0])
+        elif family == "phase":
+            np.multiply(self.amps, gate.theta.phase(), out=self.amps, where=self._all_set(wires))
+        elif family == "measure":
+            rotation = _basis_rotation(gate)
+            for g in rotation:
+                self.apply(g, rng, classical)
+            classical[gate.out] = self.collapse(gate.target, rng)
+            for g in reversed(rotation):
+                self.apply(g.inverse(), rng, classical)
+        else:
+            raise SimulationError(f"sparse simulator cannot apply {gate!r}")
 
 
-def _sparse_flip(amps, ctrls: tuple[int, ...], target: int) -> dict[int, complex]:
-    cmask = 0
-    for w in ctrls:
-        cmask |= 1 << w
-    tmask = 1 << target
-    return {(idx ^ tmask if (idx & cmask) == cmask else idx): amp for idx, amp in amps.items()}
-
-
-def _sparse_collapse(amps, w, rng) -> tuple[dict[int, complex], int]:
-    mask = 1 << w
-    p1 = sum(abs(a) ** 2 for idx, a in amps.items() if idx & mask)
-    outcome = 1 if rng.random() < p1 else 0
-    p = p1 if outcome else max(1.0 - p1, 0.0)
-    if p <= 0.0:
-        raise SimulationError("measurement branch has zero probability")
-    scale = 1.0 / np.sqrt(p)
-    amps = {idx: a * scale for idx, a in amps.items() if bool(idx & mask) == bool(outcome)}
-    return amps, outcome
-
-
-def _sparse_apply_gate(amps, gate, rng, classical) -> dict[int, complex]:
-    family = gate.family
-    if family == "h":
-        return _sparse_h(amps, gate.qubits()[0])
-    if family == "phase":
-        return _sparse_phase(amps, gate.qubits(), gate.theta.phase())
-    if family == "flip":
-        *ctrls, target = gate.qubits()
-        return _sparse_flip(amps, ctrls, target)
-    if family == "measure":
-        rotation = _basis_rotation(gate)
-        for g in rotation:
-            amps = _sparse_apply_gate(amps, g, rng, classical)
-        amps, classical[gate.out] = _sparse_collapse(amps, gate.target, rng)
-        for g in reversed(rotation):
-            amps = _sparse_apply_gate(amps, g.inverse(), rng, classical)
-        return amps
-    raise SimulationError(f"sparse simulator cannot apply {gate!r}")
+def _evolve(state: _SparseState, circuit: Circuit, rng: np.random.Generator | None, support_cap: int) -> list:
+    """Run every gate of ``circuit`` on ``state``; returns the classical bits."""
+    classical: list = [None] * circuit.n_classical
+    for gate in circuit.all_gates():
+        if gate.family == "measure" and rng is None:
+            rng = np.random.default_rng(DEFAULT_SEED)
+        state.apply(gate, rng, classical)
+        if state.amps.size > support_cap:
+            raise CapacityError(f"sparse support {state.amps.size} exceeds cap {support_cap}")
+    return classical
 
 
 def run_sparse(
@@ -236,22 +301,17 @@ def run_sparse(
     amplitudes; an index outside ``0 <= k < 2**circuit.width`` is refused.
     """
     if initial is not None:
-        amps = dict(initial)
         dim = 1 << circuit.width
-        for k in amps:
+        for k in initial:
             if not 0 <= k < dim:
                 raise SimulationError(f"initial index {k} out of range for {circuit.width} wires")
+        state = _SparseState(list(initial), list(initial.values()), circuit.width)
     else:
         _check_input(circuit, x)
-        amps = {x: 1.0 + 0.0j}
-    classical: list = [None] * circuit.n_classical
-    for gate in circuit.all_gates():
-        if gate.family == "measure" and rng is None:
-            rng = np.random.default_rng(DEFAULT_SEED)
-        amps = _sparse_apply_gate(amps, gate, rng, classical)
-        if len(amps) > support_cap:
-            raise CapacityError(f"sparse support {len(amps)} exceeds cap {support_cap}")
-    return RunResult(classical=classical, amplitudes=amps)
+        state = _SparseState([x], [1.0], circuit.width)
+    classical = _evolve(state, circuit, rng, support_cap)
+    amplitudes = dict(zip(state.keys(), state.amps.tolist()))
+    return RunResult(classical=classical, amplitudes=amplitudes, pruned_mass=state.pruned_mass)
 
 
 def sparse_to_dense(amps: dict[int, complex], num_wires: int) -> np.ndarray:
@@ -306,10 +366,14 @@ def extract_unitary(circuit: Circuit, atol: float = 1e-9) -> np.ndarray:
     """The unitary on the data wires, with ancillas going |0> -> |0>.
 
     Dense batched evaluation when the whole circuit fits in
-    ``MAX_UNITARY_QUBITS``; otherwise a per-column sparse pass that works for
-    any width as long as there are at most ``MAX_UNITARY_QUBITS`` data wires.
-    Any amplitude left on a nonzero ancilla pattern (beyond ``atol`` mass per
-    column) is an error, as is a non-unitary restriction.
+    ``MAX_UNITARY_QUBITS``; otherwise one sparse run of the Choi state
+    sum_x |x>|0>|x>, whose extra reference register labels each column with
+    its input, for any width as long as there are at most
+    ``MAX_UNITARY_QUBITS`` data wires.  The columns run in batches of
+    ``SPARSE_SUPPORT_CAP >> n_qubits``, and each batch's support is held to
+    ``SPARSE_SUPPORT_CAP``.  Any amplitude left on a nonzero ancilla pattern
+    (beyond ``atol`` mass per column) is an error, as is a non-unitary
+    restriction.
     """
     if circuit.has_measurement():
         raise SimulationError("cannot extract a unitary from a measuring circuit")
@@ -326,17 +390,20 @@ def extract_unitary(circuit: Circuit, atol: float = 1e-9) -> np.ndarray:
         unitary = matrix[:dim, :].copy()
         leak = 0.0 if nq == n_data else float(np.max(np.sum(np.abs(matrix[dim:, :]) ** 2, axis=0)))
     elif n_data <= MAX_UNITARY_QUBITS:
+        # reference rows past the circuit's width hold each column's input x
         unitary = np.zeros((dim, dim), dtype=np.complex128)
         leak = 0.0
-        for x in range(dim):
-            res = run_sparse(circuit, x=x)
-            col_leak = 0.0
-            for idx, amp in res.amplitudes.items():
-                if idx < dim:
-                    unitary[idx, x] = amp
-                else:
-                    col_leak += abs(amp) ** 2
-            leak = max(leak, col_leak)
+        batch = max(1, SPARSE_SUPPORT_CAP >> n_data)
+        for start in range(0, dim, batch):
+            xs = range(start, min(dim, start + batch))
+            state = _SparseState([x | x << nq for x in xs], np.ones(len(xs)), nq + n_data)
+            _evolve(state, circuit, None, SPARSE_SUPPORT_CAP)
+            y = _pack(state.bits[:n_data])[0].astype(np.intp)
+            x = _pack(state.bits[nq:])[0].astype(np.intp)
+            clean = ~state.bits[n_data:nq].any(axis=0)
+            unitary[y[clean], x[clean]] = state.amps[clean]
+            col_leak = np.bincount(x[~clean], np.abs(state.amps[~clean]) ** 2, minlength=dim)
+            leak = max(leak, float(col_leak.max()))
     else:
         raise CapacityError(
             f"{n_data} data wires exceeds unitary cap {MAX_UNITARY_QUBITS}"

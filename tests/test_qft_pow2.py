@@ -64,7 +64,7 @@ class TestStandardLadder:
 
 
 class TestSplit:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_reference(self, n):
         u = extract_unitary(split_qft(n))[bit_reversed_indices(n), :]
         assert np.linalg.norm(u - dft_reference(1 << n), 2) < 1e-10
@@ -193,15 +193,17 @@ class TestLogdepthChannel:
             if gate.family == "measure":
                 measured |= wires
 
-    @pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (2, 4)])
+    @pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (2, 4), (3, 4)])
     def test_gate_level_output_register(self, n, k):
         # simulate the built circuit: |x> stays on the data wires, and tracing out
-        # the measured copies leaves the exact Fourier state on wires n..2n-1
+        # the measured copies leaves the exact Fourier state on wires n..2n-1;
+        # (3,4) ends with 32,768 amplitudes, so it runs two inputs at one seed
         circuit = logdepth_qft(QftPlan(kind="logdepth", n=n, k=k)).circuit
         mask = (1 << n) - 1
-        for x in range(1 << n):
+        xs, seeds = ((0, 5), (0,)) if n == 3 else (range(1 << n), range(3))
+        for x in xs:
             psi = fourier_state(n, x)
-            for seed in range(3):
+            for seed in seeds:
                 amps = run_sparse(circuit, x=x, rng=np.random.default_rng(seed)).amplitudes
                 assert all(idx & mask == x for idx in amps)
                 overlaps: dict[int, complex] = {}

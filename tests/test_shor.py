@@ -63,6 +63,12 @@ class TestNumberTheoryHelpers:
         with pytest.raises(ValueError):
             multiplicative_order(6, 15)
 
+    @pytest.mark.parametrize("a, modulus", [(2, 1), (1, 0)])
+    def test_multiplicative_order_needs_a_modulus_above_one(self, a, modulus):
+        # mod 1 every residue is 0, so the search for a power equal to 1 never ends
+        with pytest.raises(ValueError, match="modulus"):
+            multiplicative_order(a, modulus)
+
     def test_precompute_powers(self):
         assert precompute_powers(7, 15, 8) == [7, 4, 1, 1, 1, 1, 1, 1]
         for j, p in enumerate(precompute_powers(5, 21, 10)):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from qftkit.circuit import CircuitBuilder, dyadic
+from qftkit import sim
+from qftkit.circuit import Circuit, CircuitBuilder, dyadic
 from qftkit.errors import CapacityError, SimulationError
 from qftkit.qft_pow2 import bit_reversed_indices, standard_qft
 from qftkit.sim import (
     DEFAULT_SEED,
     MAX_DFT_DIM,
+    MAX_UNITARY_QUBITS,
     basis_state,
     dft_reference,
     extract_unitary,
@@ -26,6 +28,34 @@ class TestBackendsAgree:
             dense = run_dense(c, x=x).state
             sparse = sparse_to_dense(run_sparse(c, x=x).amplitudes, 5)
             assert np.linalg.norm(dense - sparse) < 1e-12
+
+    def test_dense_and_sparse_agree_on_measured_random_circuits(self, rng):
+        # same seed, same draws: both backends must see the same outcomes in the
+        # same order and leave the same collapsed state
+        for _ in range(12):
+            b = CircuitBuilder(5)
+            for _ in range(20):
+                kind = int(rng.integers(0, 7))
+                a, c, t = (int(w) for w in rng.choice(5, size=3, replace=False))
+                if kind == 0:
+                    b.h(a)
+                elif kind == 1:
+                    b.cnot(a, t)
+                elif kind == 2:
+                    b.toffoli(a, c, t)
+                elif kind == 3:
+                    b.cp(a, t, dyadic(int(rng.integers(1, 16)), 4))
+                elif kind == 4:
+                    b.p(a, dyadic(int(rng.integers(1, 8)), 3))
+                else:
+                    b.measure(a, "zxy"[int(rng.integers(0, 3))])
+            circuit = b.build()
+            x = int(rng.integers(0, 32))
+            for seed in range(3):
+                dense = run_dense(circuit, x=x, rng=np.random.default_rng(seed))
+                sparse = run_sparse(circuit, x=x, rng=np.random.default_rng(seed))
+                assert dense.classical == sparse.classical
+                assert np.max(np.abs(dense.state - sparse_to_dense(sparse.amplitudes, 5))) < 1e-12
 
     def test_norm_preserved(self, rng, random_circuit):
         c = random_circuit(rng, n_qubits=4, n_gates=20)
@@ -88,6 +118,22 @@ class TestStateConventions:
         assert probs == pytest.approx([0.0, 0.5, 0.0, 0.5])
 
 
+class TestPrunedMass:
+    def test_exact_transform_prunes_nothing(self):
+        for x in (0, 5, 255):
+            assert run_sparse(standard_qft(8), x=x).pruned_mass == 0.0
+
+    def test_cancelled_amplitude_is_reported(self):
+        # H P(2^-60 turn) H leaves about 2.7e-18 on |1>, below the prune threshold
+        b = CircuitBuilder(1)
+        b.h(0)
+        b.p(0, dyadic(1, 60))
+        b.h(0)
+        res = run_sparse(b.build())
+        assert set(res.amplitudes) == {0}
+        assert 0 < res.pruned_mass < 1e-30
+
+
 class TestClassicalPath:
     def test_toffoli_adder_bits(self):
         b = CircuitBuilder(3)
@@ -114,6 +160,24 @@ class TestExtractUnitary:
         c = random_circuit(rng, n_qubits=4, n_gates=12)
         u = extract_unitary(c)
         assert np.linalg.norm(u.conj().T @ u - np.eye(16), 2) < 1e-10
+
+    def test_wide_path_matches_the_dense_path(self, rng, random_circuit, monkeypatch):
+        narrow = random_circuit(rng, n_qubits=4, n_gates=16)
+        padded = Circuit.from_gates(list(narrow.all_gates()), 4, n_ancilla=10)
+        assert padded.width > MAX_UNITARY_QUBITS >= narrow.width
+        want = extract_unitary(narrow)
+        assert np.max(np.abs(extract_unitary(padded) - want)) < 1e-12
+        # a 64-amplitude cap runs the 16 columns in four batches of four
+        monkeypatch.setattr(sim, "SPARSE_SUPPORT_CAP", 64)
+        assert np.max(np.abs(extract_unitary(padded) - want)) < 1e-12
+
+    def test_wide_path_refuses_a_dirty_ancilla(self):
+        b = CircuitBuilder(4)
+        ancillas = b.new_ancillas(9)
+        b.h(0)
+        b.cnot(0, ancillas[-1])
+        with pytest.raises(SimulationError, match="ancillas"):
+            extract_unitary(b.build())
 
 
 class TestReferencesAndMetrics:
