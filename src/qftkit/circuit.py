@@ -11,7 +11,7 @@ power-of-two denominator, kept exact as ``numerator / 2**log_denominator``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .errors import NonInvertibleError, StructuralError
@@ -230,6 +230,33 @@ GATES: dict[str, type[Gate]] = {g.name: g for g in (H, P, CP, X, CNOT, Toffoli, 
 # --- circuit --------------------------------------------------------------
 
 
+def layer_fault(
+    layers: Sequence[Sequence[Gate]], width: int, n_classical: int
+) -> tuple[int, int, str] | None:
+    """The first (layer, position in layer, reason) at which ``layers`` break a rule, or None.
+
+    Every quantum wire lies in ``0..width-1``, every classical bit in
+    ``0..n_classical-1``, and no layer uses a wire or a bit twice.
+    """
+    for li, layer in enumerate(layers):
+        seen_q: set[int] = set()
+        seen_c: set[int] = set()
+        for gi, g in enumerate(layer):
+            for w in g.qubits():
+                if not 0 <= w < width:
+                    return li, gi, f"quantum wire {w} out of range 0..{width - 1}"
+                if w in seen_q:
+                    return li, gi, f"quantum wire {w} used twice in one layer"
+                seen_q.add(w)
+            for w in g.clbits():
+                if not 0 <= w < n_classical:
+                    return li, gi, f"classical wire {w} out of range 0..{n_classical - 1}"
+                if w in seen_c:
+                    return li, gi, f"classical wire {w} used twice in one layer"
+                seen_c.add(w)
+    return None
+
+
 def _asap_layers(gates: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
     frontier: dict[tuple[str, int], int] = {}
     layers: list[list[Gate]] = []
@@ -259,23 +286,9 @@ class Circuit:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        nq = self.n_qubits + self.n_ancilla
-        for li, layer in enumerate(self.layers):
-            seen_q: set[int] = set()
-            seen_c: set[int] = set()
-            for g in layer:
-                for w in g.qubits():
-                    if not 0 <= w < nq:
-                        raise StructuralError(f"layer {li}: quantum wire {w} out of range 0..{nq - 1}")
-                    if w in seen_q:
-                        raise StructuralError(f"layer {li}: quantum wire {w} used twice")
-                    seen_q.add(w)
-                for w in g.clbits():
-                    if not 0 <= w < self.n_classical:
-                        raise StructuralError(f"layer {li}: classical wire {w} out of range")
-                    if w in seen_c:
-                        raise StructuralError(f"layer {li}: classical wire {w} used twice")
-                    seen_c.add(w)
+        fault = layer_fault(self.layers, self.width, self.n_classical)
+        if fault is not None:
+            raise StructuralError(f"layer {fault[0]}: {fault[2]}")
 
     @classmethod
     def from_gates(
@@ -386,10 +399,10 @@ def lower(circuit: Circuit) -> Circuit:
 class CircuitBuilder:
     """Mutable gate-list builder with ancilla allocation and uncompute helpers."""
 
-    def __init__(self, n_qubits: int, n_classical: int = 0):
+    def __init__(self, n_qubits: int):
         self.n_qubits = n_qubits
         self._n_ancilla = 0
-        self._n_classical = n_classical
+        self._n_classical = 0
         self._gates: list[Gate] = []
 
     # wires
@@ -431,9 +444,9 @@ class CircuitBuilder:
     def toffoli(self, c1: int, c2: int, t: int) -> None:
         self.add(Toffoli(c1, c2, t))
 
-    def measure(self, t: int, basis: str, out: int | None = None) -> int:
-        if out is None:
-            out = self.new_classical()
+    def measure(self, t: int, basis: str) -> int:
+        """Measure wire ``t`` in ``basis`` onto a fresh classical bit; returns the bit."""
+        out = self.new_classical()
         self.add(MeasureBasis(t, basis, out))
         return out
 
@@ -454,24 +467,22 @@ class CircuitBuilder:
         """Replace the gates added since ``mark`` by their inverse, in reverse order."""
         self._gates[mark:] = [g.inverse() for g in reversed(self._gates[mark:])]
 
-    def inline(self, sub: Circuit, qmap: Mapping[int, int] | Sequence[int]) -> dict[int, int]:
+    def inline(self, sub: Circuit, qmap: Sequence[int]) -> None:
         """Append ``sub``'s gates with wires remapped into this builder.
 
-        ``qmap`` maps sub data wires to parent wires; sub ancillas it leaves
-        out and sub classical bits get fresh parent ones.  Returns the
-        complete quantum wire map that was used.
+        Sub wire ``i`` goes to parent wire ``qmap[i]``.  ``qmap`` covers at
+        least the sub data wires; sub ancillas past its end get fresh parent
+        ancillas, and sub classical bits get fresh parent ones.
         """
-        wmap = dict(qmap) if isinstance(qmap, Mapping) else dict(enumerate(qmap))
-        for i in range(sub.n_qubits):
-            if i not in wmap:
-                raise StructuralError(f"inline map missing data wire {i}")
+        wmap = dict(enumerate(qmap))
+        if len(wmap) < sub.n_qubits:
+            raise StructuralError(f"inline map missing data wire {len(wmap)}")
         for a in range(sub.n_qubits, sub.n_qubits + sub.n_ancilla):
             if a not in wmap:
                 wmap[a] = self.new_ancilla()
         cm: dict[int, int] = {}
         for g in sub.all_gates():
             self.add(_remap_gate(g, wmap, cm, self))
-        return wmap
 
     def build(self, metadata: dict | None = None) -> Circuit:
         return Circuit.from_gates(
@@ -479,7 +490,7 @@ class CircuitBuilder:
         )
 
 
-def _remap_gate(g: Gate, qm: Mapping[int, int], cm: dict[int, int], builder: CircuitBuilder) -> Gate:
+def _remap_gate(g: Gate, qm: dict[int, int], cm: dict[int, int], builder: CircuitBuilder) -> Gate:
     # a loop rather than a comprehension: this runs once per inlined gate
     wires = []
     for w in g.qubits():

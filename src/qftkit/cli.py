@@ -20,16 +20,7 @@ import numpy as np
 from . import acceptance, netlist, shor
 from .circuit import Circuit
 from .errors import CapacityError, QftkitError
-from .qft_pow2 import (
-    QftPlan,
-    banded_qft,
-    copy_fourier,
-    logdepth_qft,
-    prep_approx,
-    prep_exact,
-    split_qft,
-    standard_qft,
-)
+from .qft_pow2 import PLAN_KINDS, QftPlan, build_from_plan, copy_fourier, prep_approx, prep_exact
 from .sim import DEFAULT_SEED, run_sparse, sparse_marginal
 
 STATS_KEYS = ("n", "size", "depth", "width", "gate_histogram", "error_bound", "measured_error", "seed")
@@ -62,18 +53,12 @@ def _resolve_seed(value: int | None) -> int:
 
 def _build_circuit(args: argparse.Namespace) -> Circuit:
     kind, n = args.kind, args.n
-    if kind == "standard":
-        return standard_qft(n)
-    if kind == "split":
-        return split_qft(n)
-    if kind == "banded":
-        if args.band is None:
-            raise UsageError("--kind banded requires --band")
-        return banded_qft(n, args.band)
-    if kind == "logdepth":
-        if args.k is None:
-            raise UsageError("--kind logdepth requires --k (erasure repetitions)")
-        return logdepth_qft(QftPlan(kind="logdepth", n=n, k=args.k)).circuit
+    if kind == "banded" and args.band is None:
+        raise UsageError("--kind banded requires --band")
+    if kind == "logdepth" and args.k is None:
+        raise UsageError("--kind logdepth requires --k (erasure repetitions)")
+    if kind in PLAN_KINDS:
+        return build_from_plan(QftPlan(kind, n, b=args.band, k=args.k))
     if kind == "prep":
         return prep_exact(n)
     if kind == "prep-approx":

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 
-from .circuit import GATES, Circuit, DyadicAngle, Gate
+from .circuit import GATES, Circuit, DyadicAngle, Gate, layer_fault
 from .errors import NetlistError, StructuralError
 
 _ANGLE_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
@@ -86,6 +87,11 @@ def _parse_int(token: str, what: str, line: int) -> int:
 
 
 def decode(text: str) -> Circuit:
+    """Parse a netlist, keeping its layers as written.
+
+    The circuit must satisfy ``Circuit``'s rules; a gate that breaks one is
+    reported as a ``NetlistError`` carrying that gate's line.
+    """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -98,35 +104,18 @@ def decode(text: str) -> Circuit:
     n_qubits = _parse_int(header[1], "qubit count", 1)
     n_ancilla = _parse_int(header[3], "ancilla count", 1)
     n_classical = _parse_int(header[5], "classical count", 1)
-    num_quantum = n_qubits + n_ancilla
 
-    layers: list[list[Gate]] = []
-    current: list[Gate] = []
-    seen_q: set[int] = set()
-    seen_c: set[int] = set()
-    saw_separator = False
-
-    def qwire(token: str, line: int) -> int:
-        w = _parse_int(token, "wire", line)
-        if w >= num_quantum:
-            raise NetlistError(f"quantum wire {w} out of range 0..{num_quantum - 1}", line)
-        if w in seen_q:
-            raise NetlistError(f"quantum wire {w} used twice in one layer", line)
-        return w
-
-    def flush(line: int) -> None:
-        if not current:
-            raise NetlistError("empty layer", line)
-        layers.append(list(current))
-        current.clear()
-        seen_q.clear()
-        seen_c.clear()
-
+    # gate_lines[i][j] is the line of gate layers[i][j]; arrays, since a list
+    # of ints costs 36 bytes per gate against 8
+    layers: list[list[Gate]] = [[]]
+    gate_lines: list[array] = [array("q")]
     metadata: dict = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if raw == SEPARATOR:
-            flush(lineno)
-            saw_separator = True
+            if not layers[-1]:
+                raise NetlistError("empty layer", lineno)
+            layers.append([])
+            gate_lines.append(array("q"))
             continue
         if raw.lstrip().startswith("#"):
             if raw.startswith(META_PRAGMA):
@@ -142,40 +131,38 @@ def decode(text: str) -> Circuit:
         if not tok:
             raise NetlistError("blank line", lineno)
         try:
-            gate = _parse_gate(tok, raw, lineno, qwire, seen_c, n_classical)
+            gate = _parse_gate(tok, raw, lineno)
         except StructuralError as exc:
             raise NetlistError(str(exc), lineno) from None
-        seen_q.update(gate.qubits())
-        current.append(gate)
+        layers[-1].append(gate)
+        gate_lines[-1].append(lineno)
 
-    if current:
-        layers.append(current)
-    elif saw_separator or layers:
-        raise NetlistError("trailing layer separator", len(lines))
+    if not layers[-1]:
+        if len(layers) > 1:
+            raise NetlistError("trailing layer separator", len(lines))
+        layers.pop()
 
-    return Circuit.from_layers(layers, n_qubits, n_ancilla, n_classical, metadata)
+    try:
+        return Circuit.from_layers(layers, n_qubits, n_ancilla, n_classical, metadata)
+    except StructuralError:
+        li, gi, reason = layer_fault(layers, n_qubits + n_ancilla, n_classical)
+        raise NetlistError(reason, gate_lines[li][gi]) from None
 
 
-def _parse_gate(tok, raw, lineno, qwire, seen_c, n_classical) -> Gate:
+def _parse_gate(tok: list[str], raw: str, lineno: int) -> Gate:
     shape = _UNITARY_SHAPES.get(tok[0])
     if shape is not None and len(tok) == shape[1]:
         cls, _, first = shape
         theta = _parse_angle(tok[1], lineno) if cls.angled else None
         wires = []
         for t in tok[first:]:  # a loop rather than a comprehension: once per line
-            wires.append(qwire(t, lineno))
+            wires.append(_parse_int(t, "wire", lineno))
         return cls(*wires, theta) if cls.angled else cls(*wires)
     cls = GATES.get(tok[0])
     if cls is not None and cls.family == "measure" and len(tok) == 5 and tok[3] == "->":
-        target = qwire(tok[2], lineno)
+        target = _parse_int(tok[2], "wire", lineno)
         m = _CLBIT_RE.match(tok[4])
         if not m:
             raise NetlistError(f"bad classical wire {tok[4]!r}, expected c<j>", lineno)
-        out = int(m.group(1))
-        if out >= n_classical:
-            raise NetlistError(f"classical wire {out} out of range 0..{n_classical - 1}", lineno)
-        if out in seen_c:
-            raise NetlistError(f"classical wire {out} used twice in one layer", lineno)
-        seen_c.add(out)
-        return cls(target, tok[1], out)
+        return cls(target, tok[1], int(m.group(1)))
     raise NetlistError(f"unrecognized gate line {raw!r}", lineno)

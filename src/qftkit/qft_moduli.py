@@ -182,7 +182,6 @@ def arbitrary_modulus_estimate(
     x: int,
     *,
     k_bits: int | None = None,
-    padding_bits: int = DEFAULT_PADDING_BITS,
     copies: int = 25,
     seed: int | None = None,
 ) -> dict:
@@ -191,7 +190,9 @@ def arbitrary_modulus_estimate(
     Each of ``copies`` samples measures an independent padded Fourier state
     and rounds the outcome back to Z_m; the mode of the rounded estimates is
     the recovered index.  Reports the exact per-sample success probability
-    (from the readout distribution) alongside the empirical one.
+    (from the readout distribution) alongside the empirical one.  The
+    readout register has ``k_bits`` wires, by default ``DEFAULT_PADDING_BITS``
+    more than ``m.bit_length() - 1``.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
@@ -200,7 +201,7 @@ def arbitrary_modulus_estimate(
     if copies < 1:
         raise ValueError("copies must be positive")
     if k_bits is None:
-        k_bits = m.bit_length() - 1 + padding_bits
+        k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS
     probs = padded_fourier_probs(m, x, k_bits)
     rounded = np.array([estimate_from_sample(y, m, k_bits) for y in range(probs.size)])
     success_probability = float(probs[rounded == x].sum())

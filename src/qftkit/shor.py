@@ -96,11 +96,10 @@ def multiplicative_order(a: int, modulus: int) -> int:
 
 @dataclass(frozen=True)
 class FactorTask:
-    """One order-finding attempt: modulus, base, and sampling seed."""
+    """One order-finding attempt: modulus and base; ``order_finding_run`` takes the generator."""
 
     modulus: int
     a: int
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.modulus < 3 or self.modulus % 2 == 0:
@@ -290,6 +289,9 @@ def order_finding_run(
 ) -> OrderResult:
     """Sample one y and post-process it into a candidate order.
 
+    The sample is drawn from ``rng``, or from a generator seeded with
+    ``DEFAULT_SEED`` when none is given.
+
     With the measured-transform variant (qft="logdepth") selected, the exact
     distribution is mixed with a uniform floor: a failed erase leaves which-x
     information behind, which dephases the coset superposition and makes the
@@ -311,7 +313,7 @@ def order_finding_run(
         miss = failure_bound(2 * task.n_bits, LOGDEPTH_CHANNEL_K)
         probs = (1.0 - miss) * probs + miss / probs.size
     if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED if task.seed is None else task.seed)
+        rng = np.random.default_rng(DEFAULT_SEED)
     y = int(rng.choice(probs.size, p=probs))
     conv = continued_fraction_post(y, probs.size, task.modulus)
     verified = conv is not None and pow(task.a, conv[1], task.modulus) == 1
@@ -324,7 +326,6 @@ def factor(
     backend: str = "auto",
     qft: str = "standard",
     max_retries: int = DEFAULT_MAX_RETRIES,
-    samples_per_a: int = 1,
 ) -> dict:
     """Classical screens, then order-finding attempts until a divisor drops out.
 
@@ -353,28 +354,26 @@ def factor(
         if d > 1:
             trace.append({"attempt": attempt, "a": a, "outcome": "lucky_gcd", "divisor": d})
             return {"divisor": d, "attempts": attempt, "trace": trace}
-        task = FactorTask(modulus, a)
-        for _ in range(samples_per_a):
-            res = order_finding_run(task, backend=backend, qft=qft, rng=rng)
-            rec: dict = {"attempt": attempt, "a": a, "y": res.y}
-            if not res.verified:
-                rec["outcome"] = "unverified_order" if res.convergent else "no_convergent"
-                trace.append(rec)
-                continue
-            r = res.convergent[1]
-            rec["order"] = r
-            if r % 2:
-                rec["outcome"] = "odd_order"
-                trace.append(rec)
-                continue
-            d = math.gcd(pow(a, r // 2, modulus) - 1, modulus)
-            if 1 < d < modulus:
-                if modulus % d:
-                    raise QftkitError(f"internal: {d} does not divide {modulus}")
-                rec["outcome"] = "divisor"
-                rec["divisor"] = d
-                trace.append(rec)
-                return {"divisor": d, "attempts": attempt, "trace": trace}
-            rec["outcome"] = "trivial_gcd"
+        res = order_finding_run(FactorTask(modulus, a), backend=backend, qft=qft, rng=rng)
+        rec: dict = {"attempt": attempt, "a": a, "y": res.y}
+        if not res.verified:
+            rec["outcome"] = "unverified_order" if res.convergent else "no_convergent"
             trace.append(rec)
+            continue
+        r = res.convergent[1]
+        rec["order"] = r
+        if r % 2:
+            rec["outcome"] = "odd_order"
+            trace.append(rec)
+            continue
+        d = math.gcd(pow(a, r // 2, modulus) - 1, modulus)
+        if 1 < d < modulus:
+            if modulus % d:
+                raise QftkitError(f"internal: {d} does not divide {modulus}")
+            rec["outcome"] = "divisor"
+            rec["divisor"] = d
+            trace.append(rec)
+            return {"divisor": d, "attempts": attempt, "trace": trace}
+        rec["outcome"] = "trivial_gcd"
+        trace.append(rec)
     return {"divisor": None, "attempts": max_retries, "trace": trace}

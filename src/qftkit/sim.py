@@ -27,6 +27,7 @@ DEFAULT_SEED = 1729
 MAX_DENSE_QUBITS = 26
 MAX_UNITARY_QUBITS = 12
 SPARSE_SUPPORT_CAP = 1 << 21
+UNITARY_TOL = 1e-9
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _PRUNE = 1e-13
 _S_DAGGER = dyadic(3, 2)
@@ -112,13 +113,21 @@ def _apply_flip_dense(psi: np.ndarray, ctrl_axes: list[int], ax_t: int) -> None:
     sub[_sl(sub.ndim, ax, 1)] = tmp
 
 
-def _collapse_dense(psi: np.ndarray, ax: int, rng: np.random.Generator) -> int:
-    branch1 = psi[_sl(psi.ndim, ax, 1)]
-    p1 = float(np.sum(np.abs(branch1) ** 2))
+def _draw(p1: float, rng: np.random.Generator) -> tuple[int, float]:
+    """Draw an outcome with probability ``p1`` of reading 1, by one ``rng.random()``.
+
+    Returns the outcome and the kept branch's probability; both simulators
+    collapse through here, so equal seeds give them equal records.
+    """
     outcome = 1 if rng.random() < p1 else 0
     p = p1 if outcome else max(1.0 - p1, 0.0)
     if p <= 0.0:
         raise SimulationError("measurement branch has zero probability")
+    return outcome, p
+
+
+def _collapse_dense(psi: np.ndarray, ax: int, rng: np.random.Generator) -> int:
+    outcome, p = _draw(float(np.sum(np.abs(psi[_sl(psi.ndim, ax, 1)]) ** 2)), rng)
     psi[_sl(psi.ndim, ax, 1 - outcome)] = 0.0
     psi *= 1.0 / np.sqrt(p)
     return outcome
@@ -144,23 +153,17 @@ def _dense_apply_gate(psi, gate, nq, rng, classical) -> None:
         raise SimulationError(f"dense simulator cannot apply {gate!r}")
 
 
-def run_dense(
-    circuit: Circuit,
-    x: int = 0,
-    rng: np.random.Generator | None = None,
-    initial: np.ndarray | None = None,
-) -> RunResult:
-    """Simulate on a full statevector; returns the flat final state."""
+def run_dense(circuit: Circuit, x: int = 0, rng: np.random.Generator | None = None) -> RunResult:
+    """Simulate on a full statevector from the basis input ``x``; returns the flat final state.
+
+    Measurements draw from ``rng``, or from a generator seeded with
+    ``DEFAULT_SEED`` when none is given.
+    """
     nq = circuit.width
     if nq > MAX_DENSE_QUBITS:
         raise CapacityError(f"{nq} qubits exceeds dense cap {MAX_DENSE_QUBITS}")
-    if initial is not None:
-        state = np.array(initial, dtype=np.complex128)
-        if state.shape != (1 << nq,):
-            raise SimulationError("initial state has wrong dimension")
-    else:
-        _check_input(circuit, x)
-        state = basis_state(nq, x)
+    _check_input(circuit, x)
+    state = basis_state(nq, x)
     psi = state.reshape([2] * nq) if nq else state
     classical: list = [None] * circuit.n_classical
     for gate in circuit.all_gates():
@@ -242,11 +245,7 @@ class _SparseState:
 
     def collapse(self, w: int, rng: np.random.Generator) -> int:
         mask = self.bits[w]
-        p1 = float(np.sum(np.abs(self.amps[mask]) ** 2))
-        outcome = 1 if rng.random() < p1 else 0
-        p = p1 if outcome else max(1.0 - p1, 0.0)
-        if p <= 0.0:
-            raise SimulationError("measurement branch has zero probability")
+        outcome, p = _draw(float(np.sum(np.abs(self.amps[mask]) ** 2)), rng)
         kept = np.flatnonzero(mask if outcome else ~mask)
         self.bits = np.take(self.bits, kept, axis=1)
         self.amps = self.amps[kept] * (1.0 / np.sqrt(p))
@@ -276,15 +275,15 @@ class _SparseState:
             raise SimulationError(f"sparse simulator cannot apply {gate!r}")
 
 
-def _evolve(state: _SparseState, circuit: Circuit, rng: np.random.Generator | None, support_cap: int) -> list:
+def _evolve(state: _SparseState, circuit: Circuit, rng: np.random.Generator | None) -> list:
     """Run every gate of ``circuit`` on ``state``; returns the classical bits."""
     classical: list = [None] * circuit.n_classical
     for gate in circuit.all_gates():
         if gate.family == "measure" and rng is None:
             rng = np.random.default_rng(DEFAULT_SEED)
         state.apply(gate, rng, classical)
-        if state.amps.size > support_cap:
-            raise CapacityError(f"sparse support {state.amps.size} exceeds cap {support_cap}")
+        if state.amps.size > SPARSE_SUPPORT_CAP:
+            raise CapacityError(f"sparse support {state.amps.size} exceeds cap {SPARSE_SUPPORT_CAP}")
     return classical
 
 
@@ -293,12 +292,13 @@ def run_sparse(
     x: int = 0,
     rng: np.random.Generator | None = None,
     initial: dict[int, complex] | None = None,
-    support_cap: int = SPARSE_SUPPORT_CAP,
 ) -> RunResult:
     """Simulate tracking only nonzero amplitudes.
 
     ``initial`` maps basis indices over all ``circuit.width`` wires to
-    amplitudes; an index outside ``0 <= k < 2**circuit.width`` is refused.
+    amplitudes; an index outside ``0 <= k < 2**circuit.width`` is refused,
+    and so is a state whose squared norm is off 1 by more than 1e-9, since
+    every measurement draw reads branch probabilities as they stand.
     """
     if initial is not None:
         dim = 1 << circuit.width
@@ -306,10 +306,13 @@ def run_sparse(
             if not 0 <= k < dim:
                 raise SimulationError(f"initial index {k} out of range for {circuit.width} wires")
         state = _SparseState(list(initial), list(initial.values()), circuit.width)
+        norm = float(np.sum(np.abs(state.amps) ** 2))
+        if abs(norm - 1.0) > 1e-9:
+            raise SimulationError(f"initial state has squared norm {norm:.6g}, not 1")
     else:
         _check_input(circuit, x)
         state = _SparseState([x], [1.0], circuit.width)
-    classical = _evolve(state, circuit, rng, support_cap)
+    classical = _evolve(state, circuit, rng)
     amplitudes = dict(zip(state.keys(), state.amps.tolist()))
     return RunResult(classical=classical, amplitudes=amplitudes, pruned_mass=state.pruned_mass)
 
@@ -362,7 +365,7 @@ def run_classical_bits(circuit: Circuit, x: int) -> int:
 # --- unitary extraction -----------------------------------------------------
 
 
-def extract_unitary(circuit: Circuit, atol: float = 1e-9) -> np.ndarray:
+def extract_unitary(circuit: Circuit) -> np.ndarray:
     """The unitary on the data wires, with ancillas going |0> -> |0>.
 
     Dense batched evaluation when the whole circuit fits in
@@ -372,8 +375,8 @@ def extract_unitary(circuit: Circuit, atol: float = 1e-9) -> np.ndarray:
     ``MAX_UNITARY_QUBITS`` data wires.  The columns run in batches of
     ``SPARSE_SUPPORT_CAP >> n_qubits``, and each batch's support is held to
     ``SPARSE_SUPPORT_CAP``.  Any amplitude left on a nonzero ancilla pattern
-    (beyond ``atol`` mass per column) is an error, as is a non-unitary
-    restriction.
+    (beyond ``UNITARY_TOL`` mass per column) is an error, as is a restriction
+    whose U^dagger U is off the identity by more than ``UNITARY_TOL``.
     """
     if circuit.has_measurement():
         raise SimulationError("cannot extract a unitary from a measuring circuit")
@@ -397,7 +400,7 @@ def extract_unitary(circuit: Circuit, atol: float = 1e-9) -> np.ndarray:
         for start in range(0, dim, batch):
             xs = range(start, min(dim, start + batch))
             state = _SparseState([x | x << nq for x in xs], np.ones(len(xs)), nq + n_data)
-            _evolve(state, circuit, None, SPARSE_SUPPORT_CAP)
+            _evolve(state, circuit, None)
             y = _pack(state.bits[:n_data])[0].astype(np.intp)
             x = _pack(state.bits[nq:])[0].astype(np.intp)
             clean = ~state.bits[n_data:nq].any(axis=0)
@@ -408,10 +411,10 @@ def extract_unitary(circuit: Circuit, atol: float = 1e-9) -> np.ndarray:
         raise CapacityError(
             f"{n_data} data wires exceeds unitary cap {MAX_UNITARY_QUBITS}"
         )
-    if leak > atol:
+    if leak > UNITARY_TOL:
         raise SimulationError(f"ancillas do not return to |0>: leaked mass {leak:.3e}")
     defect = float(np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim))))
-    if defect > atol:
+    if defect > UNITARY_TOL:
         raise SimulationError(f"restriction to data wires is not unitary: defect {defect:.3e}")
     return unitary
 

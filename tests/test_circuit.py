@@ -14,6 +14,7 @@ from qftkit.circuit import (
     CircuitBuilder,
     DyadicAngle,
     H,
+    MeasureBasis,
     P,
     Toffoli,
     X,
@@ -124,8 +125,9 @@ class TestBuilderAndLayers:
         b.h(2)
         with pytest.raises(StructuralError, match="quantum wire 2"):
             b.build()
-        b = CircuitBuilder(1, n_classical=1)
-        b.measure(0, "z", out=1)
+        b = CircuitBuilder(1)
+        b.new_classical()
+        b.add(MeasureBasis(0, "z", 1))
         with pytest.raises(StructuralError, match="classical wire"):
             b.build()
 

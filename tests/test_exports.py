@@ -1,10 +1,12 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import qftkit
-from qftkit import phasest, qft_pow2
+from qftkit import phasest, qft_moduli, qft_pow2, shor, sim
+from qftkit.circuit import CircuitBuilder
 
 
 @pytest.mark.parametrize("module", [phasest, qft_pow2], ids=lambda m: m.__name__)
@@ -17,3 +19,29 @@ def test_every_package_export_resolves():
     names = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
     assert names
     assert [name for name in names if not hasattr(qftkit, name)] == []
+
+
+REMOVED_PARAMETERS = [
+    (sim, "run_dense", "initial"),
+    (sim, "run_sparse", "support_cap"),
+    (sim, "extract_unitary", "atol"),
+    (shor, "factor", "samples_per_a"),
+    (shor, "FactorTask", "seed"),
+    (qft_moduli, "arbitrary_modulus_estimate", "padding_bits"),
+    (CircuitBuilder, "measure", "out"),
+    (CircuitBuilder, "__init__", "n_classical"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name, removed", REMOVED_PARAMETERS, ids=[f"{n}-{r}" for _, n, r in REMOVED_PARAMETERS]
+)
+def test_unused_parameters_stay_removed(owner, name, removed):
+    # each had one value in use; the callers get that value and no option
+    assert removed not in inspect.signature(getattr(owner, name)).parameters
+
+
+def test_inline_takes_a_sequence_and_returns_nothing():
+    sig = inspect.signature(CircuitBuilder.inline)
+    assert sig.parameters["qmap"].annotation == "Sequence[int]"
+    assert sig.return_annotation == "None"

@@ -55,7 +55,9 @@ def test_gate_table_row(cls):
         assert gate.inverse().inverse() == gate
 
     # a superposition with a distinct phase per wire, so that flips and phases show
-    b = CircuitBuilder(3, n_classical=n_classical)
+    b = CircuitBuilder(3)
+    for _ in range(n_classical):
+        b.new_classical()
     for w in range(3):
         b.h(w)
         b.p(w, dyadic(1, w + 3))

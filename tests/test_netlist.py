@@ -154,6 +154,20 @@ class TestDecodeErrors:
         with pytest.raises(NetlistError, match="classical"):
             decode("qubits 1 ancilla 0 classical 1\nmeas z 0 -> c3\n")
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            pytest.param("qubits 2 ancilla 0 classical 0\nh 0\n---\nh 1\nh 5\n", 5, "quantum wire 5 out of range", id="qubit-range"),
+            pytest.param("qubits 2 ancilla 0 classical 0\nh 1\n---\nh 0\n# note\ncnot 1 0\n", 6, "quantum wire 0 used twice", id="qubit-reuse"),
+            pytest.param("qubits 2 ancilla 0 classical 1\nh 0\nmeas z 1 -> c3\n", 3, "classical wire 3 out of range", id="clbit-range"),
+            pytest.param("qubits 2 ancilla 0 classical 1\nmeas z 0 -> c0\nmeas z 1 -> c0\n", 3, "classical wire 0 used twice", id="clbit-reuse"),
+        ],
+    )
+    def test_layer_fault_reports_the_gate_line(self, text, line, reason):
+        with pytest.raises(NetlistError, match=reason) as exc:
+            decode(text)
+        assert exc.value.line == line
+
     def test_unknown_basis(self):
         with pytest.raises(NetlistError, match="basis"):
             decode("qubits 1 ancilla 0 classical 1\nmeas q 0 -> c0\n")

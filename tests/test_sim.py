@@ -108,6 +108,16 @@ class TestStateConventions:
         with pytest.raises(SimulationError):
             run_sparse(b.build(), initial=initial)
 
+    @pytest.mark.parametrize("initial", [{0: 0.1}, {0: 2.0}], ids=["norm-0.01", "norm-4"])
+    def test_unnormalised_initial_state_is_refused(self, initial):
+        # measurement draws read branch probabilities as given, so a state off
+        # norm 1 would yield a wrong outcome rate and a rescaled state
+        b = CircuitBuilder(1)
+        b.h(0)
+        b.measure(0, "z")
+        with pytest.raises(SimulationError, match="norm"):
+            run_sparse(b.build(), initial=initial)
+
     def test_sparse_marginal_orders_low_wire_first(self):
         b = CircuitBuilder(3)
         b.x(1)
@@ -230,9 +240,10 @@ class TestMeasurement:
 
 
 class TestCapacity:
-    def test_sparse_support_cap(self):
+    def test_sparse_support_cap(self, monkeypatch):
         b = CircuitBuilder(8)
         for w in range(8):
             b.h(w)
+        monkeypatch.setattr(sim, "SPARSE_SUPPORT_CAP", 64)
         with pytest.raises(CapacityError):
-            run_sparse(b.build(), support_cap=64)
+            run_sparse(b.build())
