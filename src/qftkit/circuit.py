@@ -477,6 +477,8 @@ class CircuitBuilder:
         wmap = dict(enumerate(qmap))
         if len(wmap) < sub.n_qubits:
             raise StructuralError(f"inline map missing data wire {len(wmap)}")
+        if len(set(qmap)) < len(qmap):
+            raise StructuralError(f"inline map repeats a parent wire: {list(qmap)}")
         for a in range(sub.n_qubits, sub.n_qubits + sub.n_ancilla):
             if a not in wmap:
                 wmap[a] = self.new_ancilla()

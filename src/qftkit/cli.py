@@ -59,7 +59,11 @@ def _build_circuit(args: argparse.Namespace) -> Circuit:
         raise UsageError("--kind logdepth requires --k (erasure repetitions)")
     if kind in PLAN_KINDS:
         return build_from_plan(QftPlan(kind, n, b=args.band, k=args.k))
+    if args.band is not None:
+        raise UsageError(f"--kind {kind} takes no --band")
     if kind == "prep":
+        if args.k is not None:
+            raise UsageError("--kind prep takes no --k")
         return prep_exact(n)
     if kind == "prep-approx":
         if args.k is None:

@@ -84,6 +84,10 @@ class QftPlan:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.kind == "banded" and self.b is None:
             raise ValueError("banded plan needs a band width b")
+        if self.kind != "banded" and self.b is not None:
+            raise ValueError(f"{self.kind} plan takes no band width b")
+        if self.kind != "logdepth" and self.k is not None:
+            raise ValueError(f"{self.kind} plan takes no copy count k")
         if self.kind == "logdepth":
             if self.k is None:
                 raise ValueError("logdepth plan needs a copy count k")

@@ -4,14 +4,23 @@ Wire/bit convention everywhere: basis index bit ``i`` is quantum wire ``i``
 (wire 0 is the least significant bit).  Data wires come first, ancillas
 after, and an integer input ``x`` loads the data wires with ancillas at 0.
 
-The sparse simulator keeps its nonzero amplitudes in arrays: a boolean bit
-matrix with one row per wire and one column per amplitude, beside a complex
-amplitude vector.  A flip XORs one row with the AND of its control rows, a
-phase is a masked multiply, a measurement filters columns, and a Hadamard
-emits each column twice and merges equal columns.  The support can only
-double at a Hadamard, so circuits that are wide but classically-branching-poor
-(reversible arithmetic with a few H wires) run in time proportional to their
-true branching.  ``run_sparse`` returns the state as a ``dict[int, complex]``.
+One loop, ``_evolve``, applies gates to an amplitude state: it dispatches on
+the gate family, runs the measurement sequence (rotate into z, collapse,
+rotate back) and seeds the default generator.  It drives two state types
+with the same four kernels (``h``, ``phase``, ``flip``, ``collapse``):
+
+* ``_DenseState`` is a tensor with one axis of length 2 per wire; axes past
+  the wires (a batch of columns in ``extract_unitary``) ride along.
+* ``_SparseState`` keeps the nonzero amplitudes in arrays: a boolean bit
+  matrix with one row per wire and one column per amplitude, beside a
+  complex amplitude vector.  A flip XORs one row with the AND of its control
+  rows, a phase is a masked multiply, a measurement filters columns, and a
+  Hadamard emits each column twice and merges equal columns.  The support
+  can only double at a Hadamard, so circuits that are wide but
+  classically-branching-poor (reversible arithmetic with a few H wires) run
+  in time proportional to their true branching.
+
+``run_classical_bits`` is a separate Python-int loop for flip-only circuits.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ _S_DAGGER = dyadic(3, 2)
 def _basis_rotation(gate: Gate) -> tuple[Gate, ...]:
     """Gates that turn an x or y measurement into a z measurement.
 
-    Each simulator applies them before the collapse and their inverses, in
+    ``_evolve`` applies them before the collapse and their inverses, in
     reverse order, after it, so the wire is left in the observed basis state.
     """
     w = gate.target
@@ -78,45 +87,10 @@ def _check_input(circuit: Circuit, x: int) -> None:
         raise SimulationError(f"input {x} out of range for {circuit.n_qubits} data wires")
 
 
-def _axis(nq: int, wire: int) -> int:
-    return nq - 1 - wire
-
-
-def _sl(ndim: int, ax: int, bit: int) -> tuple:
-    idx: list = [slice(None)] * ndim
-    idx[ax] = bit
-    return tuple(idx)
-
-
-def _apply_h_dense(psi: np.ndarray, ax: int) -> None:
-    a = psi[_sl(psi.ndim, ax, 0)].copy()
-    b = psi[_sl(psi.ndim, ax, 1)].copy()
-    psi[_sl(psi.ndim, ax, 0)] = (a + b) * _SQRT_HALF
-    psi[_sl(psi.ndim, ax, 1)] = (a - b) * _SQRT_HALF
-
-
-def _apply_phase_dense(psi: np.ndarray, axes: list[int], phase: complex) -> None:
-    idx: list = [slice(None)] * psi.ndim
-    for ax in axes:
-        idx[ax] = 1
-    psi[tuple(idx)] *= phase
-
-
-def _apply_flip_dense(psi: np.ndarray, ctrl_axes: list[int], ax_t: int) -> None:
-    idx: list = [slice(None)] * psi.ndim
-    for ax in ctrl_axes:
-        idx[ax] = 1
-    sub = psi[tuple(idx)]
-    ax = ax_t - sum(a < ax_t for a in ctrl_axes)
-    tmp = sub[_sl(sub.ndim, ax, 0)].copy()
-    sub[_sl(sub.ndim, ax, 0)] = sub[_sl(sub.ndim, ax, 1)]
-    sub[_sl(sub.ndim, ax, 1)] = tmp
-
-
 def _draw(p1: float, rng: np.random.Generator) -> tuple[int, float]:
     """Draw an outcome with probability ``p1`` of reading 1, by one ``rng.random()``.
 
-    Returns the outcome and the kept branch's probability; both simulators
+    Returns the outcome and the kept branch's probability; both state types
     collapse through here, so equal seeds give them equal records.
     """
     outcome = 1 if rng.random() < p1 else 0
@@ -126,51 +100,48 @@ def _draw(p1: float, rng: np.random.Generator) -> tuple[int, float]:
     return outcome, p
 
 
-def _collapse_dense(psi: np.ndarray, ax: int, rng: np.random.Generator) -> int:
-    outcome, p = _draw(float(np.sum(np.abs(psi[_sl(psi.ndim, ax, 1)]) ** 2)), rng)
-    psi[_sl(psi.ndim, ax, 1 - outcome)] = 0.0
-    psi *= 1.0 / np.sqrt(p)
-    return outcome
+class _DenseState:
+    """Amplitudes as a tensor ``psi`` with wire ``w`` on axis ``nq - 1 - w``.
 
-
-def _dense_apply_gate(psi, gate, nq, rng, classical) -> None:
-    family = gate.family
-    axes = [_axis(nq, w) for w in gate.qubits()]
-    if family == "h":
-        _apply_h_dense(psi, axes[0])
-    elif family == "phase":
-        _apply_phase_dense(psi, axes, gate.theta.phase())
-    elif family == "flip":
-        _apply_flip_dense(psi, axes[:-1], axes[-1])
-    elif family == "measure":
-        rotation = _basis_rotation(gate)
-        for g in rotation:
-            _dense_apply_gate(psi, g, nq, rng, classical)
-        classical[gate.out] = _collapse_dense(psi, axes[0], rng)
-        for g in reversed(rotation):
-            _dense_apply_gate(psi, g.inverse(), nq, rng, classical)
-    else:
-        raise SimulationError(f"dense simulator cannot apply {gate!r}")
-
-
-def run_dense(circuit: Circuit, x: int = 0, rng: np.random.Generator | None = None) -> RunResult:
-    """Simulate on a full statevector from the basis input ``x``; returns the flat final state.
-
-    Measurements draw from ``rng``, or from a generator seeded with
-    ``DEFAULT_SEED`` when none is given.
+    Axes past the first ``nq`` are left alone, so a trailing batch axis of
+    columns is carried through every kernel.
     """
-    nq = circuit.width
-    if nq > MAX_DENSE_QUBITS:
-        raise CapacityError(f"{nq} qubits exceeds dense cap {MAX_DENSE_QUBITS}")
-    _check_input(circuit, x)
-    state = basis_state(nq, x)
-    psi = state.reshape([2] * nq) if nq else state
-    classical: list = [None] * circuit.n_classical
-    for gate in circuit.all_gates():
-        if gate.family == "measure" and rng is None:
-            rng = np.random.default_rng(DEFAULT_SEED)
-        _dense_apply_gate(psi, gate, nq, rng, classical)
-    return RunResult(classical=classical, state=state.reshape(-1))
+
+    def __init__(self, psi: np.ndarray, nq: int):
+        self.psi = psi
+        self.nq = nq
+
+    def _at(self, *fixed: tuple[int, int]) -> tuple:
+        """Basic index that holds wire ``w`` at ``bit`` for each ``(w, bit)``."""
+        idx: list = [slice(None)] * self.psi.ndim
+        for w, bit in fixed:
+            idx[self.nq - 1 - w] = bit
+        return tuple(idx)
+
+    def h(self, w: int) -> None:
+        psi, lo, hi = self.psi, self._at((w, 0)), self._at((w, 1))
+        a = psi[lo].copy()
+        b = psi[hi].copy()
+        psi[lo] = (a + b) * _SQRT_HALF
+        psi[hi] = (a - b) * _SQRT_HALF
+
+    def phase(self, wires, phase: complex) -> None:
+        self.psi[self._at(*((w, 1) for w in wires))] *= phase
+
+    def flip(self, wires) -> None:
+        psi = self.psi
+        on = [(c, 1) for c in wires[:-1]]
+        lo, hi = self._at(*on, (wires[-1], 0)), self._at(*on, (wires[-1], 1))
+        tmp = psi[lo].copy()
+        psi[lo] = psi[hi]
+        psi[hi] = tmp
+
+    def collapse(self, w: int, rng: np.random.Generator) -> int:
+        psi = self.psi
+        outcome, p = _draw(float(np.sum(np.abs(psi[self._at((w, 1))]) ** 2)), rng)
+        psi[self._at((w, 1 - outcome))] = 0.0
+        psi *= 1.0 / np.sqrt(p)
+        return outcome
 
 
 # --- sparse amplitudes ------------------------------------------------------
@@ -242,6 +213,8 @@ class _SparseState:
         self.bits = np.take(bits, np.concatenate((rep, rep))[keep], axis=1)
         self.bits[w] = (np.arange(2 * n_groups) >= n_groups)[keep]
         self.amps = out[keep]
+        if self.amps.size > SPARSE_SUPPORT_CAP:
+            raise CapacityError(f"sparse support {self.amps.size} exceeds cap {SPARSE_SUPPORT_CAP}")
 
     def collapse(self, w: int, rng: np.random.Generator) -> int:
         mask = self.bits[w]
@@ -251,40 +224,69 @@ class _SparseState:
         self.amps = self.amps[kept] * (1.0 / np.sqrt(p))
         return outcome
 
-    def apply(self, gate: Gate, rng: np.random.Generator | None, classical: list) -> None:
-        family = gate.family
-        wires = gate.qubits()
-        if family == "flip":
-            target = self.bits[wires[-1]]
-            if len(wires) > 1:
-                target ^= self._all_set(wires[:-1])
-            else:
-                np.logical_not(target, out=target)
-        elif family == "h":
-            self.h(wires[0])
-        elif family == "phase":
-            np.multiply(self.amps, gate.theta.phase(), out=self.amps, where=self._all_set(wires))
-        elif family == "measure":
-            rotation = _basis_rotation(gate)
-            for g in rotation:
-                self.apply(g, rng, classical)
-            classical[gate.out] = self.collapse(gate.target, rng)
-            for g in reversed(rotation):
-                self.apply(g.inverse(), rng, classical)
+    def phase(self, wires, phase: complex) -> None:
+        np.multiply(self.amps, phase, out=self.amps, where=self._all_set(wires))
+
+    def flip(self, wires) -> None:
+        target = self.bits[wires[-1]]
+        if len(wires) > 1:
+            target ^= self._all_set(wires[:-1])
         else:
-            raise SimulationError(f"sparse simulator cannot apply {gate!r}")
+            np.logical_not(target, out=target)
 
 
-def _evolve(state: _SparseState, circuit: Circuit, rng: np.random.Generator | None) -> list:
-    """Run every gate of ``circuit`` on ``state``; returns the classical bits."""
+# --- the gate loop ------------------------------------------------------------
+
+
+def _evolve(state: _DenseState | _SparseState, circuit: Circuit, rng: np.random.Generator | None) -> list:
+    """Run every gate of ``circuit`` on ``state``; returns the classical bits.
+
+    A measurement rotates its wire into the z basis, collapses it and rotates
+    it back.  Measurements draw from ``rng``, or from a generator seeded with
+    ``DEFAULT_SEED`` when none is given.
+    """
+
+    def apply(gate: Gate) -> None:
+        family = gate.family
+        if family == "h":
+            state.h(gate.target)
+        elif family == "phase":
+            state.phase(gate.qubits(), gate.theta.phase())
+        else:
+            state.flip(gate.qubits())
+
     classical: list = [None] * circuit.n_classical
     for gate in circuit.all_gates():
-        if gate.family == "measure" and rng is None:
+        if gate.family != "measure":
+            apply(gate)
+            continue
+        if rng is None:
             rng = np.random.default_rng(DEFAULT_SEED)
-        state.apply(gate, rng, classical)
-        if state.amps.size > SPARSE_SUPPORT_CAP:
-            raise CapacityError(f"sparse support {state.amps.size} exceeds cap {SPARSE_SUPPORT_CAP}")
+        rotation = _basis_rotation(gate)
+        for g in rotation:
+            apply(g)
+        classical[gate.out] = state.collapse(gate.target, rng)
+        for g in reversed(rotation):
+            apply(g.inverse())
     return classical
+
+
+# --- simulators ---------------------------------------------------------------
+
+
+def run_dense(circuit: Circuit, x: int = 0, rng: np.random.Generator | None = None) -> RunResult:
+    """Simulate on a full statevector from the basis input ``x``; returns the flat final state.
+
+    Measurements draw from ``rng``, or from a generator seeded with
+    ``DEFAULT_SEED`` when none is given.
+    """
+    nq = circuit.width
+    if nq > MAX_DENSE_QUBITS:
+        raise CapacityError(f"{nq} qubits exceeds dense cap {MAX_DENSE_QUBITS}")
+    _check_input(circuit, x)
+    state = _DenseState(basis_state(nq, x).reshape([2] * nq), nq)
+    classical = _evolve(state, circuit, rng)
+    return RunResult(classical=classical, state=state.psi.reshape(-1))
 
 
 def run_sparse(
@@ -384,12 +386,9 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
     nq = circuit.width
     dim = 1 << n_data
     if nq <= MAX_UNITARY_QUBITS:
-        cols = np.zeros((1 << nq, dim), dtype=np.complex128)
-        cols[np.arange(dim), np.arange(dim)] = 1.0
-        psi = cols.reshape([2] * nq + [dim])
-        for gate in circuit.all_gates():
-            _dense_apply_gate(psi, gate, nq, None, None)
-        matrix = cols
+        matrix = np.zeros((1 << nq, dim), dtype=np.complex128)
+        matrix[np.arange(dim), np.arange(dim)] = 1.0
+        _evolve(_DenseState(matrix.reshape([2] * nq + [dim]), nq), circuit, None)
         unitary = matrix[:dim, :].copy()
         leak = 0.0 if nq == n_data else float(np.max(np.sum(np.abs(matrix[dim:, :]) ** 2, axis=0)))
     elif n_data <= MAX_UNITARY_QUBITS:

@@ -180,6 +180,12 @@ class TestComposeInverse:
         with pytest.raises(StructuralError):
             CircuitBuilder(2).inline(standard_qft(3), range(2))
 
+    def test_inline_refuses_two_sub_wires_on_one_parent_wire(self):
+        # H(0) H(1) mapped through [0, 0] would silently become H(0) H(0)
+        sub = Circuit.from_gates([H(0), H(1)], 2)
+        with pytest.raises(StructuralError, match="repeats a parent wire"):
+            CircuitBuilder(2).inline(sub, [0, 0])
+
     def test_inverse_reverses_unitary(self, rng, random_circuit):
         for _ in range(5):
             c = random_circuit(rng, n_qubits=4, n_gates=10)

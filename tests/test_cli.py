@@ -37,6 +37,27 @@ class TestBuild:
         assert code == 2
         assert "--k" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "standard", "--n", "3", "--band", "2", "--k", "5"],
+            ["--kind", "standard", "--n", "3", "--band", "2"],
+            ["--kind", "split", "--n", "3", "--k", "4"],
+            ["--kind", "banded", "--n", "4", "--band", "2", "--k", "4"],
+            ["--kind", "logdepth", "--n", "3", "--k", "4", "--band", "2"],
+            ["--kind", "prep", "--n", "3", "--band", "7"],
+            ["--kind", "prep", "--n", "3", "--k", "2"],
+            ["--kind", "prep-approx", "--n", "3", "--k", "2", "--band", "1"],
+            ["--kind", "copy", "--n", "3", "--band", "1"],
+        ],
+        ids=lambda argv: " ".join([argv[1], *argv[4::2]]),
+    )
+    def test_flags_that_do_not_apply_to_the_kind_are_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "build", *argv)
+        assert code == 2
+        assert out == ""
+        assert "takes no" in err
+
     def test_banded_build(self, tmp_path, capsys):
         path = tmp_path / "b.qc"
         code, _, _ = run_cli(

@@ -1,4 +1,6 @@
 import ast
+import gc
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -45,3 +47,24 @@ def test_inline_takes_a_sequence_and_returns_nothing():
     sig = inspect.signature(CircuitBuilder.inline)
     assert sig.parameters["qmap"].annotation == "Sequence[int]"
     assert sig.return_annotation == "None"
+
+
+def test_every_traced_benchmark_target_is_wrapped_and_restored():
+    # a traced benchmark run wraps these public names; renaming or deleting one
+    # must fail here rather than only in ``bench/run.py --trace 1``
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    raw = [owner.__dict__[attr] for owner, attr, _ in tracing.TARGETS]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = [owner.__dict__[attr] for owner, attr, _ in tracing.TARGETS]
+    finally:
+        tracer.remove()
+    restored = [owner.__dict__[attr] for owner, attr, _ in tracing.TARGETS]
+    names = [name for _, _, name in tracing.TARGETS]
+    assert [n for n, r, w in zip(names, raw, wrapped) if w is r] == []
+    assert [n for n, r, a in zip(names, raw, restored) if a is not r] == []
+    assert tracer._gc_callback not in gc.callbacks

@@ -175,6 +175,12 @@ class TestLogdepthChannel:
             QftPlan(kind="nonsense", n=4)
         with pytest.raises(ValueError):
             QftPlan(kind="banded", n=4)  # banded needs b
+        for kind in ("standard", "split", "logdepth"):
+            with pytest.raises(ValueError, match="no band width"):
+                QftPlan(kind=kind, n=4, b=2, k=4 if kind == "logdepth" else None)
+        for kind in ("standard", "banded", "split"):
+            with pytest.raises(ValueError, match="no copy count"):
+                QftPlan(kind=kind, n=4, b=2 if kind == "banded" else None, k=4)
 
     def test_channel_metadata(self):
         ld = logdepth_qft(QftPlan(kind="logdepth", n=4, k=8))

@@ -4,7 +4,7 @@ import pytest
 from qftkit import sim
 from qftkit.circuit import Circuit, CircuitBuilder, dyadic
 from qftkit.errors import CapacityError, SimulationError
-from qftkit.qft_pow2 import bit_reversed_indices, standard_qft
+from qftkit.qft_pow2 import QftPlan, bit_reversed_indices, logdepth_qft, standard_qft
 from qftkit.sim import (
     DEFAULT_SEED,
     MAX_DFT_DIM,
@@ -20,6 +20,27 @@ from qftkit.sim import (
 )
 
 
+def measured_random_circuit(rng, n_wires: int, n_gates: int) -> Circuit:
+    """Random gates over the full gate set, about two in seven of them measurements."""
+    b = CircuitBuilder(n_wires)
+    for _ in range(n_gates):
+        kind = int(rng.integers(0, 7))
+        a, c, t = (int(w) for w in rng.choice(n_wires, size=3, replace=False))
+        if kind == 0:
+            b.h(a)
+        elif kind == 1:
+            b.cnot(a, t)
+        elif kind == 2:
+            b.toffoli(a, c, t)
+        elif kind == 3:
+            b.cp(a, t, dyadic(int(rng.integers(1, 16)), 4))
+        elif kind == 4:
+            b.p(a, dyadic(int(rng.integers(1, 8)), 3))
+        else:
+            b.measure(a, "zxy"[int(rng.integers(0, 3))])
+    return b.build()
+
+
 class TestBackendsAgree:
     def test_dense_and_sparse_match_on_random_circuits(self, rng, random_circuit):
         for _ in range(8):
@@ -33,23 +54,7 @@ class TestBackendsAgree:
         # same seed, same draws: both backends must see the same outcomes in the
         # same order and leave the same collapsed state
         for _ in range(12):
-            b = CircuitBuilder(5)
-            for _ in range(20):
-                kind = int(rng.integers(0, 7))
-                a, c, t = (int(w) for w in rng.choice(5, size=3, replace=False))
-                if kind == 0:
-                    b.h(a)
-                elif kind == 1:
-                    b.cnot(a, t)
-                elif kind == 2:
-                    b.toffoli(a, c, t)
-                elif kind == 3:
-                    b.cp(a, t, dyadic(int(rng.integers(1, 16)), 4))
-                elif kind == 4:
-                    b.p(a, dyadic(int(rng.integers(1, 8)), 3))
-                else:
-                    b.measure(a, "zxy"[int(rng.integers(0, 3))])
-            circuit = b.build()
+            circuit = measured_random_circuit(rng, 5, 20)
             x = int(rng.integers(0, 32))
             for seed in range(3):
                 dense = run_dense(circuit, x=x, rng=np.random.default_rng(seed))
@@ -226,6 +231,35 @@ class TestMeasurement:
         b.measure(0, "z")
         res = run_sparse(b.build(), rng=np.random.default_rng(0))
         assert len(res.amplitudes) == 1
+
+    # classical records as strings, one per (circuit, x), "seed 0 seed 1";
+    # any change to the draw order or to the measurement sequence moves them
+    LOGDEPTH_RECORDS = {
+        (1, 2): ["01 00", "11 10"],
+        (2, 2): ["0011 0010", "0101 0100", "1011 1010", "0111 0110"],
+        (2, 4): ["00000000 00001101", "01110000 01110101", "10100000 10101101", "01111010 01111111"],
+    }
+    RANDOM_RECORDS = [
+        "01111000010 00000111000", "011110010 001011100", "000101000 000011001", "000010 000111",
+        "0111010000 0010101110", "0111 0011", "0101 0000", "0111001 0010010", "01010000 00001011",
+        "0001000 0000110",
+    ]
+
+    @staticmethod
+    def _records(run, circuit, x):
+        runs = (run(circuit, x=x, rng=np.random.default_rng(seed)) for seed in (0, 1))
+        return " ".join("".join(map(str, res.classical)) for res in runs)
+
+    @pytest.mark.parametrize("n, k", list(LOGDEPTH_RECORDS))
+    def test_sparse_logdepth_records_are_pinned(self, n, k):
+        circuit = logdepth_qft(QftPlan("logdepth", n, k=k)).circuit
+        got = [self._records(run_sparse, circuit, x) for x in range(1 << n)]
+        assert got == self.LOGDEPTH_RECORDS[n, k]
+
+    def test_dense_records_on_measured_random_circuits_are_pinned(self):
+        circuits = [measured_random_circuit(np.random.default_rng(seed), 6, 24) for seed in range(10)]
+        got = [self._records(run_dense, circuit, x) for x, circuit in enumerate(circuits)]
+        assert got == self.RANDOM_RECORDS
 
     def test_seeded_runs_reproduce(self):
         b = CircuitBuilder(2)
