@@ -257,18 +257,33 @@ def layer_fault(
     return None
 
 
+# One int-keyed frontier per wire space (wire or bit -> next free layer): no width, so no table sized by it.
 def _asap_layers(gates: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
-    frontier: dict[tuple[str, int], int] = {}
+    qfree: dict[int, int] = {}
+    cfree: dict[int, int] = {}
     layers: list[list[Gate]] = []
     for g in gates:
-        keys = [("q", w) for w in g.qubits()] + [("c", w) for w in g.clbits()]
-        layer = max((frontier.get(k, 0) for k in keys), default=0)
-        while len(layers) <= layer:
-            layers.append([])
-        layers[layer].append(g)
-        for k in keys:
-            frontier[k] = layer + 1
-    return tuple(tuple(layer) for layer in layers)
+        qs = g.qubits()
+        layer = 0
+        for w in qs:
+            f = qfree.get(w, 0)
+            if f > layer:
+                layer = f
+        cs = g.clbits()
+        for w in cs:
+            f = cfree.get(w, 0)
+            if f > layer:
+                layer = f
+        if layer == len(layers):
+            layers.append([g])
+        else:
+            layers[layer].append(g)
+        layer += 1
+        for w in qs:
+            qfree[w] = layer
+        for w in cs:
+            cfree[w] = layer
+    return tuple(map(tuple, layers))
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ PLAN_KINDS = ("standard", "banded", "split", "logdepth")
 class QftPlan:
     """What to build: a transform kind plus its size parameters.
 
-    ``b`` is the band width (banded only); ``k`` the copy count (logdepth
+    ``b`` is the band width (banded only, >= 1); ``k`` the copy count (logdepth
     only, even and >= 2 so the two readout bases get k/2 samples each).
     """
 
@@ -86,6 +86,8 @@ class QftPlan:
             raise ValueError("banded plan needs a band width b")
         if self.kind != "banded" and self.b is not None:
             raise ValueError(f"{self.kind} plan takes no band width b")
+        if self.b is not None and self.b < 1:
+            raise ValueError(f"band width must be >= 1, got {self.b}")
         if self.kind != "logdepth" and self.k is not None:
             raise ValueError(f"{self.kind} plan takes no copy count k")
         if self.kind == "logdepth":

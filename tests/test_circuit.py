@@ -164,6 +164,49 @@ class TestBuilderAndLayers:
         assert mk({"kind": "a"}).metadata["kind"] == "a"
 
 
+_SCHED_QUBITS, _SCHED_CLBITS = 5, 3
+
+
+@st.composite
+def _gate_sequences(draw):
+    """Random gates over a few quantum wires and classical bits, measurements included."""
+    theta = dyadic(1, 3)
+    gates = []
+    for kind in draw(st.lists(st.integers(0, 6), max_size=40)):
+        w = draw(st.permutations(range(_SCHED_QUBITS)))
+        if kind == 6:
+            gates.append(MeasureBasis(w[0], draw(st.sampled_from("xyz")), draw(st.integers(0, _SCHED_CLBITS - 1))))
+        else:
+            gates.append([H(w[0]), P(w[0], theta), CP(w[0], w[1], theta), X(w[0]), CNOT(w[0], w[1]), Toffoli(*w[:3])][kind])
+    return gates
+
+
+class TestAsapSchedule:
+    """Well-formed layers, order kept on shared wires, and each gate one layer above
+    its latest predecessor: together these admit exactly one layering, the ASAP one."""
+
+    @given(_gate_sequences())
+    def test_schedule_is_asap(self, gates):
+        layers = circuit_module._asap_layers(gates)
+        assert circuit_module.layer_fault(layers, _SCHED_QUBITS, _SCHED_CLBITS) is None
+        where = {id(g): li for li, layer in enumerate(layers) for g in layer}
+        assert len(where) == len(gates) == sum(map(len, layers))
+        order = {id(g): i for i, g in enumerate(gates)}
+        for layer in layers:
+            assert [order[id(g)] for g in layer] == sorted(order[id(g)] for g in layer)
+
+        def touches(g):
+            return {("q", w) for w in g.qubits()} | {("c", w) for w in g.clbits()}
+
+        for j, g in enumerate(gates):
+            lj = where[id(g)]
+            earlier = [where[id(f)] for f in gates[:j] if touches(f) & touches(g)]
+            # gates sharing a wire or bit keep their sequence order across layers
+            assert all(li < lj for li in earlier)
+            # a gate above layer 0 waits on an earlier gate in the layer just below
+            assert lj == 0 or lj - 1 in earlier
+
+
 class TestComposeInverse:
     def test_compose_size_additive_depth_subadditive(self):
         # circuits compose by inlining into one builder

@@ -37,6 +37,13 @@ class TestBuild:
         assert code == 2
         assert "--k" in err
 
+    @pytest.mark.parametrize("band", ["0", "-1"])
+    def test_band_below_one_is_refused(self, capsys, band):
+        code, out, err = run_cli(capsys, "build", "--kind", "banded", "--n", "4", "--band", band)
+        assert code == 2
+        assert out == ""
+        assert "band width must be >= 1" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

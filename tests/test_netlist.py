@@ -173,6 +173,20 @@ class TestDecodeErrors:
             decode("qubits 1 ancilla 0 classical 1\nmeas q 0 -> c0\n")
 
 
+class TestWideHeaders:
+    """Scheduling and validation cost O(gates), not O(width): no table is sized by a header count."""
+
+    def test_trillion_qubits_one_gate(self):
+        c = decode("qubits 1000000000000 ancilla 0 classical 0\nh 0\n")
+        assert (c.width, c.size) == (10**12, 1)
+        assert lower(c).size == 1
+
+    def test_trillion_classical_bits_one_measurement(self):
+        c = decode("qubits 1 ancilla 0 classical 1000000000000\nmeas z 0 -> c999999999999\n")
+        assert (c.n_classical, c.size) == (10**12, 1)
+        assert lower(c).size == 1
+
+
 class TestCommentsAndPragma:
     def test_plain_comments_ignored(self):
         text = "qubits 1 ancilla 0 classical 0\n# a note\nh 0\n  # indented note\n"

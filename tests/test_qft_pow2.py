@@ -182,6 +182,11 @@ class TestLogdepthChannel:
             with pytest.raises(ValueError, match="no copy count"):
                 QftPlan(kind=kind, n=4, b=2 if kind == "banded" else None, k=4)
 
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_plan_refuses_band_below_one(self, b):
+        with pytest.raises(ValueError, match="band width must be >= 1"):
+            QftPlan(kind="banded", n=4, b=b)
+
     def test_channel_metadata(self):
         ld = logdepth_qft(QftPlan(kind="logdepth", n=4, k=8))
         meta = ld.circuit.metadata
