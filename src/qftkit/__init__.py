@@ -30,7 +30,6 @@ from .phasest import (
     basis_probs,
     failure_bound,
     reconstruct_batch,
-    reconstruct_x,
 )
 from .qft_moduli import (
     CrtBasis,

@@ -291,7 +291,7 @@ def criterion_phase_statistics(quick: bool = False) -> CriterionResult:
             rows = np.array(list(product(*(_promise_options(x, j) for j in range(1, n + 1)))))
             sequences += rows.shape[0]
             if not (phasest.reconstruct_batch(rows) == x).all():
-                return _failure(name, f"reconstruct_x missed x={x} at n={n}")
+                return _failure(name, f"reconstruct_batch missed x={x} at n={n}")
 
     details = (
         f"erase failure {rate:.4f} <= {bound:.4f}+3sigma at (n={ERASE_N}, k={ERASE_K}), "

@@ -251,10 +251,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"qftkit: error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, CapacityError) as exc:
+    except (UsageError, ValueError, CapacityError) as exc:
         print(f"qftkit: error: {exc}", file=sys.stderr)
         return 2
     except QftkitError as exc:

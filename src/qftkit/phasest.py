@@ -12,44 +12,19 @@ into the bits of x.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "TRANSFER_MATRICES",
-    "reconstruct_x",
     "reconstruct_batch",
     "failure_bound",
 ]
 
-TRANSFER_MATRICES: tuple[np.ndarray, ...] = (
-    np.array([[1, 0], [0, 1]], dtype=np.int64),
-    np.array([[1, 1], [0, 0]], dtype=np.int64),
-    np.array([[0, 1], [1, 0]], dtype=np.int64),
-    np.array([[0, 0], [1, 1]], dtype=np.int64),
-)
-
-
-def _build_product_table() -> np.ndarray:
-    # closure of {A0..A3} under multiplication, tabulated once
-    table = np.zeros((4, 4), dtype=np.int64)
-    for l in range(4):
-        for s in range(4):
-            prod = TRANSFER_MATRICES[l] @ TRANSFER_MATRICES[s]
-            prod = np.minimum(prod, 1)
-            for idx, m in enumerate(TRANSFER_MATRICES):
-                if np.array_equal(prod, m):
-                    table[l, s] = idx
-                    break
-            else:  # pragma: no cover - closure is a structural fact
-                raise AssertionError("transfer matrices not closed under product")
-    return table
-
-
-_PRODUCT_TABLE = _build_product_table()
+# Outcome l's transfer matrix: A_0 = [[1,0],[0,1]], A_1 = [[1,1],[0,0]],
+# A_2 = [[0,1],[1,0]], A_3 = [[0,0],[1,1]]; saturated to 0/1, A_l A_s = A_{_PRODUCT_TABLE[l, s]}.
+_PRODUCT_TABLE = np.array([[0, 1, 2, 3], [1, 1, 1, 1], [2, 3, 0, 1], [3, 3, 3, 3]], dtype=np.int64)
 # bit read off a prefix product: entry (row 2, column 1) in 1-based terms
-_STATE_BIT = np.array([int(m[1][0]) for m in TRANSFER_MATRICES], dtype=np.uint64)
+_STATE_BIT = np.array([0, 0, 1, 1], dtype=np.uint64)
 
 
 def basis_probs(theta) -> np.ndarray:
@@ -62,25 +37,13 @@ def basis_probs(theta) -> np.ndarray:
     return np.cos(np.pi * t) ** 2
 
 
-def reconstruct_x(ls: Sequence[int]) -> int:
-    """Recover x from per-position outcomes l_1..l_n (l_1 first, 1/4-accuracy each).
-
-    Bit j of the result is entry [2,1] (1-based) of A_{l_j} ... A_{l_1}.  If
-    some l_j is more than 1/8 of a turn from x/2^j the output is unspecified
-    but still a valid n-bit value.
-    """
-    x = 0
-    state = 0
-    for j, l in enumerate(ls):
-        if l not in (0, 1, 2, 3):
-            raise ValueError(f"outcome must be in 0..3, got {l}")
-        state = int(_PRODUCT_TABLE[l, state])
-        x |= int(_STATE_BIT[state]) << j
-    return x
-
-
 def reconstruct_batch(ls: np.ndarray) -> np.ndarray:
-    """Vectorised reconstruct_x over rows of an (m, n <= 64) outcome array, as uint64."""
+    """Recover x from each row l_1..l_n (l_1 first) of an (m, n <= 64) outcome array, as uint64.
+
+    Bit j of a row's result is entry [2,1] (1-based) of A_{l_j} ... A_{l_1}.
+    If some l_j is more than 1/8 of a turn from x/2^j the output is
+    unspecified but still a valid n-bit value.
+    """
     ls = np.asarray(ls, dtype=np.int64)
     if ls.ndim != 2:
         raise ValueError("expected a 2-d outcome array")

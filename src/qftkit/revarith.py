@@ -97,6 +97,16 @@ def and_into(b: CircuitBuilder, target: int, x: BitRef, y: BitRef) -> None:
         b.toffoli(w, u, target)
 
 
+def emit_and(b: CircuitBuilder, x: BitRef, y: BitRef) -> BitRef:
+    """AND of two references, folded to a constant or an alias when it can be."""
+    folded = _and_fold(x, y)
+    if folded is not None:
+        return folded
+    t = b.new_ancilla()
+    and_into(b, t, x, y)
+    return t
+
+
 def emit_xor(b: CircuitBuilder, refs: Sequence[BitRef]) -> BitRef:
     """XOR of references, folded to an alias when at most one wire survives."""
     parity = 0
@@ -123,45 +133,16 @@ def emit_xor(b: CircuitBuilder, refs: Sequence[BitRef]) -> BitRef:
     return t
 
 
-def emit_or(b: CircuitBuilder, x: BitRef, y: BitRef) -> BitRef:
-    if x == ONE or y == ONE:
-        return ONE
-    if x == ZERO:
-        return y
-    if y == ZERO:
-        return x
-    if x == y:
-        return x
-    if _wire_of(x) == _wire_of(y):
-        return ONE
-    t = b.new_ancilla()
-    xor_into(b, t, x)
-    xor_into(b, t, y)
-    and_into(b, t, x, y)
-    return t
-
-
 def emit_maj(b: CircuitBuilder, x: BitRef, y: BitRef, z: BitRef) -> BitRef:
     """Majority of three references (the carry of a 1-bit 3-2 step)."""
-    refs = [x, y, z]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if refs[i] == refs[j]:
-                return refs[i]
-            if not _is_const(refs[i]) and not _is_const(refs[j]) and _wire_of(refs[i]) == _wire_of(refs[j]):
-                return refs[3 - i - j]  # maj(w, not w, z) = z
-    if ZERO in refs:
-        rest = [r for r in refs if r != ZERO] + [ZERO, ZERO]
-        u, v = rest[0], rest[1]
-        folded = _and_fold(u, v)
-        if folded is not None:
-            return folded
-        t = b.new_ancilla()
-        and_into(b, t, u, v)
-        return t
-    if ONE in refs:
-        rest = [r for r in refs if r != ONE] + [ONE, ONE]
-        return emit_or(b, rest[0], rest[1])
+    if x == y or x == z:
+        return x
+    if y == z:
+        return y
+    if ZERO in (x, y, z):
+        u, v = (r for r in (x, y, z) if r != ZERO)
+        return emit_and(b, u, v)
+    # constants and (w, not w) pairs fold inside and_into
     t = b.new_ancilla()
     and_into(b, t, x, y)
     and_into(b, t, x, z)
@@ -186,12 +167,7 @@ def _gp_combine(b: CircuitBuilder, hi: GP, lo: GP) -> GP:
         xor_into(b, t, hi.g)
         and_into(b, t, hi.p, lo.g)
         g = t
-    p = _and_fold(hi.p, lo.p)
-    if p is None:
-        t = b.new_ancilla()
-        and_into(b, t, hi.p, lo.p)
-        p = t
-    return GP(g, p)
+    return GP(g, emit_and(b, hi.p, lo.p))
 
 
 def _brent_kung(items: list, combine: Callable) -> list:
@@ -235,13 +211,7 @@ def _emit_addsub_core(
     start = b.mark()
     leaves = []
     for x, y in zip(a_bits, b_bits):
-        g = _and_fold(x, y)
-        if g is None:
-            t = b.new_ancilla()
-            and_into(b, t, x, y)
-            g = t
-        p = emit_xor(b, [x, y])
-        leaves.append(GP(g, p))
+        leaves.append(GP(emit_and(b, x, y), emit_xor(b, [x, y])))
     seed = GP(ONE if carry_in else ZERO, ZERO)
     prefixes = _brent_kung([seed] + leaves, lambda hi, lo: _gp_combine(b, hi, lo))
     stop = b.mark()
@@ -431,12 +401,7 @@ def _emit_multiplier(
         for i in range(len(xs)):
             if i + j >= n_out:
                 break
-            pp = _and_fold(xs[i], ys[j])
-            if pp is None:
-                t = b.new_ancilla()
-                and_into(b, t, xs[i], ys[j])
-                pp = t
-            row.append(pp)
+            row.append(emit_and(b, xs[i], ys[j]))
         rows.append(row)
     while len(rows) > 2:
         nxt = []

@@ -334,6 +334,8 @@ def factor(
     divisor None with the full trace.  Even and prime-power inputs are
     dispatched classically without any quantum sampling.
     """
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     if modulus < 4:
         raise ValueError("nothing to factor below 4")
     if modulus >= MAX_TASK_MODULUS:

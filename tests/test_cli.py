@@ -5,7 +5,7 @@ import pytest
 
 from qftkit import cli
 from qftkit.netlist import decode as decode_netlist
-from qftkit.qft_pow2 import standard_qft
+from qftkit.qft_pow2 import copy_fourier, prep_approx, prep_exact, standard_qft
 from qftkit.sim import dft_reference
 
 
@@ -73,6 +73,21 @@ class TestBuild:
         assert code == 0
         circ = decode_netlist(path.read_text())
         assert circ.metadata["b"] == 3
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--kind", "prep", "--n", "3"], lambda: prep_exact(3)),
+            (["--kind", "prep-approx", "--n", "3", "--k", "2"], lambda: prep_approx(3, 2)),
+            (["--kind", "copy", "--n", "3"], lambda: copy_fourier(3, 2)),
+            (["--kind", "copy", "--n", "2", "--k", "3"], lambda: copy_fourier(2, 3)),
+        ],
+        ids=["prep", "prep-approx", "copy default k", "copy k=3"],
+    )
+    def test_stage_kinds_emit_their_builders(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, "build", *argv)
+        assert code == 0
+        assert decode_netlist(out) == expected()
 
 
 class TestStats:
@@ -193,6 +208,12 @@ class TestFactor:
         code, _, err = run_cli(capsys, "factor", "13")
         assert code == 2
         assert "prime" in err
+
+    def test_retry_budget_below_one_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "21", "--max-retries", "-1")
+        assert code == 2
+        assert out == ""
+        assert "max_retries must be >= 1" in err
 
 
 class TestAccept:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import qftkit
-from qftkit import phasest, qft_moduli, qft_pow2, shor, sim
+from qftkit import phasest, qft_moduli, qft_pow2, revarith, shor, sim
 from qftkit.circuit import CircuitBuilder
 
 
@@ -41,6 +41,23 @@ REMOVED_PARAMETERS = [
 def test_unused_parameters_stay_removed(owner, name, removed):
     # each had one value in use; the callers get that value and no option
     assert removed not in inspect.signature(getattr(owner, name)).parameters
+
+
+REMOVED_NAMES = [
+    (phasest, "reconstruct_x"),
+    (phasest, "TRANSFER_MATRICES"),
+    (revarith, "emit_or"),
+    (qftkit, "reconstruct_x"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name", REMOVED_NAMES, ids=[f"{o.__name__}.{n}" for o, n in REMOVED_NAMES]
+)
+def test_unused_names_stay_removed(owner, name):
+    # none ran outside the tests: reconstruct_batch is the one decoder, and
+    # emit_maj's general path covers the OR that emit_or gave it
+    assert not hasattr(owner, name)
 
 
 def test_inline_takes_a_sequence_and_returns_nothing():

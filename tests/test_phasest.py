@@ -5,22 +5,38 @@ import numpy as np
 import pytest
 
 from qftkit.circuit import Circuit
-from qftkit.phasest import (
-    _PRODUCT_TABLE,
-    TRANSFER_MATRICES,
-    basis_probs,
-    failure_bound,
-    reconstruct_batch,
-    reconstruct_x,
-)
+from qftkit.phasest import _PRODUCT_TABLE, _STATE_BIT, basis_probs, failure_bound, reconstruct_batch
 from qftkit.qft_pow2 import LogdepthQft, QftPlan
 
 MINMAX = 0.5 + math.sqrt(2.0) / 4.0
+
+# the transfer matrices A_0..A_3, kept here as the reference the decoder's tables encode
+TRANSFER_MATRICES = (
+    np.array([[1, 0], [0, 1]], dtype=np.int64),
+    np.array([[1, 1], [0, 0]], dtype=np.int64),
+    np.array([[0, 1], [1, 0]], dtype=np.int64),
+    np.array([[0, 0], [1, 1]], dtype=np.int64),
+)
 
 
 def channel(n: int, k: int) -> LogdepthQft:
     """The measurement channel of the (n, k) pipeline; it samples without the circuit."""
     return LogdepthQft(Circuit.from_gates([], 1), n, k, min(n, k))
+
+
+def decode_one(ls) -> int:
+    """One row through the decoder."""
+    return int(reconstruct_batch(np.array([ls], dtype=np.int64))[0])
+
+
+def reference_x(ls) -> int:
+    """Bit j is entry [2,1] (1-based) of the saturated product A_{l_j} ... A_{l_1}."""
+    x = 0
+    prod = TRANSFER_MATRICES[0]
+    for j, l in enumerate(ls):
+        prod = np.minimum(TRANSFER_MATRICES[l] @ prod, 1)
+        x |= int(prod[1, 0]) << j
+    return x
 
 
 def promise_options(x: int, j: int) -> list[int]:
@@ -43,6 +59,9 @@ class TestTransferMonoid:
     def test_identity_element(self):
         for s in range(4):
             assert _PRODUCT_TABLE[0, s] == s
+
+    def test_state_bit_reads_entry_two_one(self):
+        assert list(_STATE_BIT) == [int(m[1, 0]) for m in TRANSFER_MATRICES]
 
 
 class TestMeasurementProbs:
@@ -67,19 +86,19 @@ class TestMeasurementProbs:
 
 class TestReconstruct:
     def test_frozen_sequence(self):
-        assert reconstruct_x((2, 1, 3)) == 5
+        assert decode_one((2, 1, 3)) == 5
 
     def test_exhaustive_under_the_promise(self):
         for n in range(1, 7):
             for x in range(1 << n):
                 for ls in product(*(promise_options(x, j) for j in range(1, n + 1))):
-                    assert reconstruct_x(ls) == x
+                    assert decode_one(ls) == x
 
     def test_batch_matches_scalar(self, rng):
         for width in (8, 64):
             rows = rng.integers(0, 4, size=(64, width))
             batch = reconstruct_batch(rows)
-            assert [reconstruct_x(tuple(r)) for r in rows] == list(batch)
+            assert [reference_x(tuple(r)) for r in rows] == list(batch)
 
     def test_batch_shape_validation(self):
         with pytest.raises(ValueError):
@@ -91,7 +110,7 @@ class TestReconstruct:
 
     def test_outcome_validation(self):
         with pytest.raises(ValueError):
-            reconstruct_x((0, 5))
+            decode_one((0, 5))
 
 
 class TestSampling:

@@ -1,9 +1,11 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from qftkit import revarith
+from qftkit.circuit import CircuitBuilder
 from qftkit.revarith import (
     build_adder,
     build_four_two,
@@ -26,6 +28,40 @@ def fields(value: int, widths):
         out.append((value >> shift) & ((1 << w) - 1))
         shift += w
     return out, value >> shift
+
+
+# every reference kind over three wires: live, negated, constant
+REFS = [0, 1, 2, ("not", 0), ("not", 1), revarith.ZERO, revarith.ONE]
+
+
+def ref_value(r, bits: int) -> int:
+    if r == revarith.ZERO or r == revarith.ONE:
+        return int(r == revarith.ONE)
+    if isinstance(r, int):
+        return bits >> r & 1
+    return 1 - (bits >> r[1] & 1)
+
+
+class TestReferenceAlgebra:
+    """The emitters on reference mixes, aliases and constants included, at every wire input."""
+
+    @staticmethod
+    def check(emit, op, arity):
+        for refs in product(REFS, repeat=arity):
+            b = CircuitBuilder(4)
+            revarith.xor_into(b, 3, emit(b, *refs))
+            c = b.build()
+            for bits in range(8):
+                out = run_classical_bits(c, bits)
+                assert out & 0b111 == bits, f"{refs} changed its inputs at {bits:03b}"
+                want = op([ref_value(r, bits) for r in refs])
+                assert out >> 3 & 1 == want, f"{refs} at {bits:03b}"
+
+    def test_and(self):
+        self.check(revarith.emit_and, lambda v: v[0] & v[1], 2)
+
+    def test_majority(self):
+        self.check(revarith.emit_maj, lambda v: int(sum(v) >= 2), 3)
 
 
 class TestAdderSubtractor:

@@ -243,6 +243,9 @@ class TestFactor:
             factor(15, backend="magic")
         with pytest.raises(ValueError):
             factor(15, qft="bogus")
+        for retries in (0, -1):
+            with pytest.raises(ValueError, match="max_retries"):
+                factor(21, max_retries=retries)
 
     def test_divisors_are_real(self):
         for s in range(20):
