@@ -173,6 +173,24 @@ def _copy_error(n: int, k: int, y: int) -> float:
     return math.sqrt(err)
 
 
+def _arithmetic_fault(circ, widths, ranges, contract) -> str | None:
+    """The first input on which ``circ`` leaves an ancilla set or breaks ``contract``, or None.
+
+    ``widths`` splits the data wires into registers, lowest wire first.  The
+    leading registers take every combination of values in ``ranges``, the
+    rest start at 0, and ``contract(inputs, registers)`` reads the registers
+    after the run.
+    """
+    for ins in product(*ranges):
+        out = run_classical_bits(circ, sum(v << sum(widths[:j]) for j, v in enumerate(ins)))
+        if out >> circ.n_qubits:
+            return f"{circ.metadata['kind']} dirty ancillas on input {list(ins)}"
+        regs = [(out >> sum(widths[:j])) & ((1 << w) - 1) for j, w in enumerate(widths)]
+        if not contract(ins, regs):
+            return f"{circ.metadata['kind']}{list(ins)} -> {regs}"
+    return None
+
+
 def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
     name = "component-unitarity"
     min_fid = 1.0
@@ -188,65 +206,25 @@ def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
     if copy_err > EXACTNESS_TOL:
         return _failure(name, f"copy_fourier state error {copy_err:.2e}")
 
-    k, n = 3, 2
-    mask = (1 << n) - 1
-    prefix = revarith.build_prefix_add(k, n)
-    tele = revarith.build_telescoping_subtract(k, n)
-    for packed in range(1 << (k * n)):
-        regs = [(packed >> (j * n)) & mask for j in range(k)]
-        out = run_classical_bits(prefix, packed)
-        if out >> (k * n):
-            return _failure(name, f"prefix_add dirty ancillas on input {packed}")
-        sums = [(out >> (j * n)) & mask for j in range(k)]
-        want = [sum(regs[: j + 1]) & mask for j in range(k)]
-        if sums != want:
-            return _failure(name, f"prefix_add({regs}) -> {sums}, wanted {want}")
-        back = run_classical_bits(tele, out & ((1 << (k * n)) - 1))
-        if back & ((1 << (k * n)) - 1) != packed or back >> (k * n):
-            return _failure(name, f"telescoping failed to invert prefix_add at {packed}")
-
-    na = 3
-    adder = revarith.build_adder(na)
-    sub = revarith.build_subtractor(na)
-    for packed in range(1 << (2 * na)):
-        x, y = packed & 7, (packed >> na) & 7
-        out = run_classical_bits(adder, packed)
-        if out >> (2 * na) or (out >> na) & 7 != (x + y) & 7 or out & 7 != x:
-            return _failure(name, f"adder({x},{y}) -> {out:b}")
-        out = run_classical_bits(sub, packed)
-        if out >> (2 * na) or (out >> na) & 7 != (y - x) & 7 or out & 7 != x:
-            return _failure(name, f"subtractor({x},{y}) -> {out:b}")
-
-    nc = 2
-    three = revarith.build_three_two(nc)
-    for packed in range(1 << (3 * nc)):
-        x, y, z = packed & 3, (packed >> nc) & 3, (packed >> (2 * nc)) & 3
-        out = run_classical_bits(three, packed)
-        s = (out >> (3 * nc)) & 3
-        c = (out >> (4 * nc)) & 7
-        if out >> (5 * nc + 1) or s + c != x + y + z or out & 63 != packed:
-            return _failure(name, f"three_two({x},{y},{z}) -> s={s} c={c}")
-    four = revarith.build_four_two(nc)
-    for packed in range(1 << (4 * nc)):
-        vals = [(packed >> (j * nc)) & 3 for j in range(4)]
-        out = run_classical_bits(four, packed)
-        s = (out >> (4 * nc)) & ((1 << (nc + 1)) - 1)
-        c = (out >> (5 * nc + 1)) & ((1 << (nc + 2)) - 1)
-        if out >> (6 * nc + 3) or s + c != sum(vals) or out & 255 != packed:
-            return _failure(name, f"four_two({vals}) -> s={s} c={c}")
-
-    mult = revarith.build_multiplier(2, 2, 4)
-    for packed in range(1 << 4):
-        x, y = packed & 3, (packed >> 2) & 3
-        out = run_classical_bits(mult, packed)
-        if out >> 8 or (out >> 4) & 15 != (x * y) & 15:
-            return _failure(name, f"multiplier({x},{y}) -> {out:b}")
-    modmul = revarith.build_modmul(5)
-    for u in range(5):
-        for v in range(5):
-            out = run_classical_bits(modmul, u | (v << 3))
-            if out >> 9 or (out >> 6) & 7 != (u * v) % 5:
-                return _failure(name, f"modmul({u},{v}) -> {out:b}")
+    # each block returns the registers it only reads unchanged
+    cases = (
+        (revarith.build_prefix_add(3, 2), [2] * 3, [range(4)] * 3,
+         lambda v, r: r == [sum(v[: j + 1]) % 4 for j in range(3)]),
+        (revarith.build_telescoping_subtract(3, 2), [2] * 3, [range(4)] * 3,
+         lambda v, r: r == [(v[j] - (v[j - 1] if j else 0)) % 4 for j in range(3)]),
+        (revarith.build_adder(3), [3, 3], [range(8)] * 2, lambda v, r: r == [v[0], (v[1] + v[0]) % 8]),
+        (revarith.build_subtractor(3), [3, 3], [range(8)] * 2, lambda v, r: r == [v[0], (v[1] - v[0]) % 8]),
+        (revarith.build_three_two(2), [2, 2, 2, 2, 3], [range(4)] * 3,
+         lambda v, r: r[:3] == list(v) and r[3] + r[4] == sum(v)),
+        (revarith.build_four_two(2), [2, 2, 2, 2, 3, 4], [range(4)] * 4,
+         lambda v, r: r[:4] == list(v) and r[4] + r[5] == sum(v)),
+        (revarith.build_multiplier(2, 2, 4), [2, 2, 4], [range(4)] * 2, lambda v, r: r == [*v, v[0] * v[1] % 16]),
+        (revarith.build_modmul(5), [3, 3, 3], [range(5)] * 2, lambda v, r: r == [*v, v[0] * v[1] % 5]),
+    )
+    for case in cases:
+        fault = _arithmetic_fault(*case)
+        if fault is not None:
+            return _failure(name, fault)
 
     details = (
         f"prep fidelity >= {min_fid:.12f} (all x, n <= {3 if quick else 4}); copy state error "

@@ -136,8 +136,6 @@ class CP(Gate):
     family = "phase"
 
     def __post_init__(self):
-        if self.a == self.b:
-            raise StructuralError("cp needs two distinct wires")
         if self.a > self.b:
             a, b = self.b, self.a
             object.__setattr__(self, "a", a)
@@ -166,10 +164,6 @@ class CNOT(Gate):
     wires = ("control", "target")
     family = "flip"
 
-    def __post_init__(self):
-        if self.control == self.target:
-            raise StructuralError("cnot needs two distinct wires")
-
     def qubits(self):
         return (self.control, self.target)
 
@@ -184,8 +178,6 @@ class Toffoli(Gate):
     family = "flip"
 
     def __post_init__(self):
-        if len({self.c1, self.c2, self.target}) != 3:
-            raise StructuralError("ccx needs three distinct wires")
         if self.c1 > self.c2:
             c1, c2 = self.c2, self.c1
             object.__setattr__(self, "c1", c1)

@@ -139,6 +139,11 @@ def _screen_base(a: int, modulus: int) -> None:
         raise LuckyFactor(a, modulus, d)
 
 
+def _check_gate_cap(modulus: int) -> None:
+    if modulus > MAX_GATE_MODULUS:
+        raise CapacityError(f"modulus {modulus} exceeds gate-backend cap {MAX_GATE_MODULUS}")
+
+
 def build_order_circuit(modulus: int, a: int) -> Circuit:
     """Hadamards, the known-power product tree, then the exact transform.
 
@@ -146,8 +151,7 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
     The transform leaves the x register in bit-reversed wire order, recorded
     in metadata the same way the bare transform builders do.
     """
-    if modulus > MAX_GATE_MODULUS:
-        raise CapacityError(f"modulus {modulus} exceeds gate-backend cap {MAX_GATE_MODULUS}")
+    _check_gate_cap(modulus)
     _screen_base(a, modulus)
     nb = modulus.bit_length()
     n_x = 2 * nb
@@ -273,11 +277,16 @@ def continued_fraction_post(y: int, m: int, modulus: int) -> tuple[int, int] | N
     return best
 
 
-def _resolve_backend(backend: str, modulus: int) -> str:
+def _resolve_knobs(backend: str, qft: str, modulus: int) -> str:
+    """The backend that runs at ``modulus``; refuses an unknown knob and a gate run over the cap."""
+    if qft not in QFT_VARIANTS:
+        raise ValueError(f"qft must be one of {QFT_VARIANTS}")
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}")
     if backend == "auto":
         return "gate" if modulus <= MAX_GATE_MODULUS else "analytic"
+    if backend == "gate":
+        _check_gate_cap(modulus)
     return backend
 
 
@@ -301,10 +310,8 @@ def order_finding_run(
     bound's worst case rather than simulating the transform.  A base that
     shares a divisor with the modulus raises LuckyFactor on either backend.
     """
-    if qft not in QFT_VARIANTS:
-        raise ValueError(f"qft must be one of {QFT_VARIANTS}")
+    resolved = _resolve_knobs(backend, qft, task.modulus)
     _screen_base(task.a, task.modulus)
-    resolved = _resolve_backend(backend, task.modulus)
     if resolved == "gate":
         probs = gate_distribution(task.modulus, task.a)
     else:
@@ -332,8 +339,10 @@ def factor(
     Returns {"divisor", "attempts", "trace"}.  A returned divisor always
     divides the modulus and is nontrivial; an exhausted retry budget returns
     divisor None with the full trace.  Even and prime-power inputs are
-    dispatched classically without any quantum sampling.
+    dispatched classically without any quantum sampling, but only after every
+    knob has been checked.
     """
+    backend = _resolve_knobs(backend, qft, modulus)
     if max_retries < 1:
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     if modulus < 4:

@@ -6,7 +6,9 @@ or ``-s`` to also see the details string of passing criteria.
 
 import pytest
 
-from qftkit.acceptance import CRITERIA, format_line
+from qftkit import revarith
+from qftkit.acceptance import CRITERIA, criterion_component_unitarity, format_line
+from qftkit.circuit import CNOT, Circuit, X
 
 _IDS = [c.__name__.removeprefix("criterion_") for c in CRITERIA]
 
@@ -18,3 +20,27 @@ def test_criterion(index, criterion):
     result = criterion(False)
     print(format_line(index, result))
     assert result.passed, format_line(index, result)
+
+
+
+@pytest.mark.parametrize(
+    "builder, extra, details",
+    [
+        # one ancilla left at 1
+        ("build_multiplier", lambda c: X(c.n_qubits), "multiplier dirty ancillas on input [0, 0]"),
+        # the top product wire copied into an input, which the block must only read
+        ("build_modmul", lambda c: CNOT(c.n_qubits - 1, 1), "modmul[1, 4] -> [3, 4, 4]"),
+    ],
+)
+def test_component_unitarity_names_a_broken_block(monkeypatch, builder, extra, details):
+    build = getattr(revarith, builder)
+
+    def broken(*args):
+        circ = build(*args)
+        gates = [*circ.all_gates(), extra(circ)]
+        return Circuit.from_gates(gates, circ.n_qubits, circ.n_ancilla, circ.n_classical, circ.metadata)
+
+    monkeypatch.setattr(revarith, builder, broken)
+    result = criterion_component_unitarity(quick=True)
+    assert not result.passed
+    assert result.details == details

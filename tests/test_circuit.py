@@ -131,6 +131,12 @@ class TestBuilderAndLayers:
         with pytest.raises(StructuralError, match="classical wire"):
             b.build()
 
+    def test_repeated_wire_in_one_gate_rejected_at_build(self):
+        b = CircuitBuilder(3)
+        b.toffoli(0, 2, 2)
+        with pytest.raises(StructuralError, match="quantum wire 2 used twice"):
+            b.build()
+
     @pytest.mark.parametrize(
         "build, validations",
         [

@@ -152,6 +152,23 @@ class TestSim:
         assert run_cli(capsys, "sim", qft3_path, "--input", "101", "--shots", "0")[0] == 2
 
 
+    def test_measuring_circuit_samples_one_run_per_shot(self, tmp_path, capsys):
+        path = str(tmp_path / "logdepth.qc")
+        assert run_cli(capsys, "build", "--kind", "logdepth", "--n", "2", "--k", "2", "--out", path)[0] == 0
+        argv = ("sim", path, "--input", "0001", "--shots", "40", "--seed", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["shots"] == 40
+        assert sum(payload["counts"].values()) == 40
+        # the measured pipeline leaves the input register as it found it
+        assert all(key.endswith("01") for key in payload["counts"])
+        assert json.loads(run_cli(capsys, *argv)[1]) == payload
+        code, _, err = run_cli(capsys, "sim", path, "--input", "0001")
+        assert code == 2
+        assert "--shots" in err
+
+
 class TestSeedResolution:
     def test_environment_seed_is_honored(self, qft3_path, capsys, monkeypatch):
         monkeypatch.setenv("QFTKIT_SEED", "123")
@@ -214,6 +231,14 @@ class TestFactor:
         assert code == 2
         assert out == ""
         assert "max_retries must be >= 1" in err
+
+
+    def test_gate_backend_over_its_cap_is_a_usage_error(self, capsys):
+        # seed 0 draws a lucky gcd first, so the cap must be checked before any draw
+        code, out, err = run_cli(capsys, "factor", "21", "--backend", "gate", "--seed", "0")
+        assert code == 2
+        assert out == ""
+        assert "gate-backend cap" in err
 
 
 class TestAccept:

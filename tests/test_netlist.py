@@ -105,6 +105,17 @@ class TestRoundTrip:
         c = standard_qft(4)
         assert decode(encode(c)).layers == c.layers
 
+    def test_header_only_is_an_empty_circuit(self):
+        text = "qubits 2 ancilla 1 classical 0\n"
+        c = decode(text)
+        assert (c.width, c.depth, c.size) == (3, 0, 0)
+        assert encode(c) == text
+
+    def test_zero_angle(self):
+        text = "qubits 2 ancilla 0 classical 0\np 0 1\n"
+        assert decode(text).layers[0][0].theta == dyadic(0, 0)
+        assert encode(decode(text)) == text
+
     def test_measurement_line(self):
         b = CircuitBuilder(2)
         b.measure(1, "x")
@@ -161,9 +172,27 @@ class TestDecodeErrors:
             pytest.param("qubits 2 ancilla 0 classical 0\nh 1\n---\nh 0\n# note\ncnot 1 0\n", 6, "quantum wire 0 used twice", id="qubit-reuse"),
             pytest.param("qubits 2 ancilla 0 classical 1\nh 0\nmeas z 1 -> c3\n", 3, "classical wire 3 out of range", id="clbit-range"),
             pytest.param("qubits 2 ancilla 0 classical 1\nmeas z 0 -> c0\nmeas z 1 -> c0\n", 3, "classical wire 0 used twice", id="clbit-reuse"),
+            # a gate that repeats a wire breaks the same rule as two gates sharing one
+            pytest.param("qubits 2 ancilla 0 classical 0\nh 0\ncnot 1 1\n", 3, "quantum wire 1 used twice", id="cnot-repeat"),
+            pytest.param("qubits 3 ancilla 0 classical 0\ncp 1/2^2 2 2\n", 2, "quantum wire 2 used twice", id="cp-repeat"),
+            pytest.param("qubits 2 ancilla 0 classical 0\nh 1\n---\nccx 0 0 1\n", 4, "quantum wire 0 used twice", id="ccx-repeat"),
         ],
     )
     def test_layer_fault_reports_the_gate_line(self, text, line, reason):
+        with pytest.raises(NetlistError, match=reason) as exc:
+            decode(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            pytest.param("qubits 2 ancilla 0 classical 0\nh 0\ncnot a 1\n", 3, "bad wire 'a'", id="bad-wire"),
+            pytest.param("qubits 2 ancilla 0 classical 0\nh -1\n", 2, "wire '-1' must be nonnegative", id="negative-wire"),
+            pytest.param("qubits 1 ancilla 0 classical 0\nh 0\n---\n---\nh 0\n", 4, "empty layer", id="empty-layer"),
+            pytest.param("qubits 1 ancilla 0 classical 0\nh 0\n\nh 0\n", 3, "blank line", id="blank-line"),
+        ],
+    )
+    def test_syntax_error_reports_its_line(self, text, line, reason):
         with pytest.raises(NetlistError, match=reason) as exc:
             decode(text)
         assert exc.value.line == line

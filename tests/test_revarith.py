@@ -187,6 +187,13 @@ class TestIteratedProduct:
             assert ctrl == x
             assert prod == pow(7, x, 15)
 
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_odd_factor_count_carries_the_last_leaf_up(self, m):
+        c = build_iterated_product(15, precompute_powers(7, 15, m))
+        for x in range(1 << m):
+            (ctrl, prod), junk = fields(run_classical_bits(c, x), [m, 4])
+            assert (ctrl, prod, junk) == (x, pow(7, x, 15), 0)
+
     def test_precompute_powers_oracle(self, rng):
         for _ in range(200):
             modulus = int(rng.integers(3, 4096)) | 1

@@ -211,6 +211,10 @@ class TestOrderFindingRun:
                 with pytest.raises(ValueError):
                     build(15, a)
 
+    def test_unseeded_run_draws_from_the_default_seed(self):
+        task = FactorTask(15, 7)
+        assert order_finding_run(task) == order_finding_run(task, rng=np.random.default_rng(shor.DEFAULT_SEED))
+
     def test_task_cap(self):
         with pytest.raises(CapacityError):
             FactorTask(3**13, 2)
@@ -246,6 +250,15 @@ class TestFactor:
         for retries in (0, -1):
             with pytest.raises(ValueError, match="max_retries"):
                 factor(21, max_retries=retries)
+        # knobs are checked before the screens and the first draw: seed 2 draws a lucky
+        # gcd at 15, 9 is a prime power, and seeds 0, 4 and 5 draw a lucky gcd at 21
+        with pytest.raises(ValueError, match="backend"):
+            factor(15, backend="bogus", seed=2)
+        with pytest.raises(ValueError, match="qft"):
+            factor(9, qft="bogus")
+        for s in range(8):
+            with pytest.raises(CapacityError, match="gate-backend cap"):
+                factor(21, backend="gate", seed=s)
 
     def test_divisors_are_real(self):
         for s in range(20):

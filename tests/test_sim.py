@@ -133,6 +133,17 @@ class TestStateConventions:
         assert probs == pytest.approx([0.0, 0.5, 0.0, 0.5])
 
 
+    def test_sparse_keys_past_sixty_four_wires(self):
+        b = CircuitBuilder(70)
+        b.x(66)
+        b.h(65)
+        b.cnot(65, 69)
+        amps = run_sparse(b.build(), x=1).amplitudes
+        assert set(amps) == {1 + 2**66, 1 + 2**65 + 2**66 + 2**69}
+        for amp in amps.values():
+            assert abs(amp - 2**-0.5) < 1e-12
+
+
 class TestPrunedMass:
     def test_exact_transform_prunes_nothing(self):
         for x in (0, 5, 255):
@@ -260,6 +271,15 @@ class TestMeasurement:
         circuits = [measured_random_circuit(np.random.default_rng(seed), 6, 24) for seed in range(10)]
         got = [self._records(run_dense, circuit, x) for x, circuit in enumerate(circuits)]
         assert got == self.RANDOM_RECORDS
+
+    @pytest.mark.parametrize("run", [run_sparse, run_dense])
+    def test_unseeded_runs_draw_from_the_default_seed(self, run):
+        c = measured_random_circuit(np.random.default_rng(5), 6, 24)
+        assert c.has_measurement()
+        bare, seeded = run(c, x=3), run(c, x=3, rng=np.random.default_rng(DEFAULT_SEED))
+        assert bare.classical == seeded.classical
+        assert bare.amplitudes == seeded.amplitudes
+        np.testing.assert_array_equal(bare.state, seeded.state)
 
     def test_seeded_runs_reproduce(self):
         b = CircuitBuilder(2)
