@@ -28,6 +28,7 @@ from .netlist import decode as decode_netlist
 from .netlist import encode as encode_netlist
 from .phasest import (
     basis_probs,
+    erase_failure,
     failure_bound,
     reconstruct_batch,
 )

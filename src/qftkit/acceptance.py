@@ -45,6 +45,7 @@ TRACE_BOUND = 0.7712
 MINMAX_PROB = 0.5 + math.sqrt(2.0) / 4.0
 
 ERASE_N, ERASE_K = 8, 48
+ERASE_PIN = 1e-6  # worst exact erase failure over every x; pinned before it was computed
 
 
 class CriterionResult(NamedTuple):
@@ -249,18 +250,11 @@ def _promise_options(x: int, j: int) -> list[int]:
 
 def criterion_phase_statistics(quick: bool = False) -> CriterionResult:
     name = "phase-estimation-statistics"
-    runner = logdepth_qft(QftPlan(kind="logdepth", n=ERASE_N, k=ERASE_K))
-    per_x = 2 if quick else 8
-    trials = per_x << ERASE_N
-    fails = 0
-    for x in range(1 << ERASE_N):
-        out = runner.run_channel(x, trials=per_x, seed=9000 + x)
-        fails += per_x - out["successes"]
+    worst = max(phasest.erase_failure(ERASE_N, ERASE_K, x) for x in range(1 << ERASE_N))
     bound = phasest.failure_bound(ERASE_N, ERASE_K)
-    slack = 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
-    rate = fails / trials
-    if rate > bound + slack:
-        return _failure(name, f"erase failure {rate:.4f} > {bound:.4f} + 3 sigma {slack:.4f}")
+    erase = f"exact erase failure {worst:.3e} over all {1 << ERASE_N} x at (n={ERASE_N}, k={ERASE_K})"
+    if not worst <= min(ERASE_PIN, bound):
+        return _failure(name, f"{erase} > pin {ERASE_PIN:.0e} or bound {bound:.4f}")
 
     max_n = 8 if quick else 10
     sequences = 0
@@ -272,8 +266,8 @@ def criterion_phase_statistics(quick: bool = False) -> CriterionResult:
                 return _failure(name, f"reconstruct_batch missed x={x} at n={n}")
 
     details = (
-        f"erase failure {rate:.4f} <= {bound:.4f}+3sigma at (n={ERASE_N}, k={ERASE_K}), "
-        f"{trials} trials; reconstruct exact on {sequences} promise-valid sequences (n <= {max_n})"
+        f"{erase} <= pin {ERASE_PIN:.0e} < bound {bound:.4f}; "
+        f"reconstruct exact on {sequences} promise-valid sequences (n <= {max_n})"
     )
     return CriterionResult(name, True, details)
 

@@ -181,7 +181,6 @@ def arbitrary_modulus_estimate(
     m: int,
     x: int,
     *,
-    k_bits: int | None = None,
     copies: int = 25,
     seed: int | None = None,
 ) -> dict:
@@ -191,8 +190,8 @@ def arbitrary_modulus_estimate(
     and rounds the outcome back to Z_m; the mode of the rounded estimates is
     the recovered index.  Reports the exact per-sample success probability
     (from the readout distribution) alongside the empirical one.  The
-    readout register has ``k_bits`` wires, by default ``DEFAULT_PADDING_BITS``
-    more than ``m.bit_length() - 1``.
+    readout register has ``k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS``
+    wires.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
@@ -200,8 +199,7 @@ def arbitrary_modulus_estimate(
         raise CapacityError(f"modulus {m} exceeds estimation cap {MAX_ESTIMATE_MODULUS}")
     if copies < 1:
         raise ValueError("copies must be positive")
-    if k_bits is None:
-        k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS
+    k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS
     probs = padded_fourier_probs(m, x, k_bits)
     rounded = np.array([estimate_from_sample(y, m, k_bits) for y in range(probs.size)])
     success_probability = float(probs[rounded == x].sum())

@@ -28,7 +28,7 @@ import numpy as np
 
 from .circuit import CP, Circuit, CircuitBuilder, Gate, H, dyadic
 from .errors import CapacityError
-from .phasest import basis_probs, failure_bound, reconstruct_batch
+from .phasest import erase_failure, failure_bound
 from .revarith import _emit_multiplier, _emit_prefix_add
 from .sim import DEFAULT_SEED
 
@@ -342,39 +342,27 @@ class LogdepthQft:
     def run_channel(
         self, x: int, trials: int = 1, seed: int | None = None
     ) -> dict:
-        """Monte-Carlo the measure-and-erase stage for input x.
+        """Draw ``trials`` runs of the measure-and-erase stage for input x.
 
-        Per trial, each of the n factor positions is read k/2 times in each
-        basis from its exact phase x/2^j; the per-position modes reconstruct
-        x-hat, and the trial clears the input register iff x-hat equals x.
-        The prepared register is the exact Fourier state, so ``psi_fidelity``
-        is 1.  Sampling is analytic: outcome counts are binomial draws from
-        the exact per-position probabilities.  A truncated window (k < n)
-        entangles the copies, which this model does not describe, so it is
-        refused.
+        A run clears the input register iff the modes of the k/2 readouts per
+        basis and position reconstruct x, so ``successes`` ~ Bin(trials, 1 -
+        ``erase_failure``); ``psi_fidelity`` is 1.  A truncated window (k < n)
+        entangles the copies, which this model does not describe, so it is refused.
         """
         n, k, w = self.n, self.k, self.window
         if w < n:
             raise ValueError(f"run_channel needs the full window, got window {w} < n = {n}")
-        if not 0 <= x < (1 << n):
-            raise ValueError(f"input must be in 0..{(1 << n) - 1}, got {x}")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        failure = erase_failure(n, k, x)
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-        half = k // 2
-        phase = np.array([(x % (1 << j)) / (1 << j) for j in range(1, n + 1)])
-        probs = basis_probs(phase)
-        c0 = rng.binomial(half, probs[:, 0], size=(trials, n))
-        c1 = rng.binomial(half, probs[:, 1], size=(trials, n))
-        counts = np.stack([c0, c1, half - c0, half - c1], axis=-1)
-        modes = np.argmax(counts, axis=-1)  # ties resolve to the smallest outcome
-        xhat = reconstruct_batch(modes)
-        successes = int(np.count_nonzero(xhat == x))
+        successes = int(rng.binomial(trials, 1.0 - failure))
         return {
             "trials": trials,
             "successes": successes,
             "success_rate": successes / trials,
             "psi_fidelity": 1.0,
+            "erase_failure": failure,
             "failure_bound": failure_bound(n, k),
             "window": w,
         }

@@ -6,8 +6,14 @@ or ``-s`` to also see the details string of passing criteria.
 
 import pytest
 
-from qftkit import revarith
-from qftkit.acceptance import CRITERIA, criterion_component_unitarity, format_line
+from qftkit import phasest, revarith
+from qftkit.acceptance import (
+    CRITERIA,
+    ERASE_PIN,
+    criterion_component_unitarity,
+    criterion_phase_statistics,
+    format_line,
+)
 from qftkit.circuit import CNOT, Circuit, X
 
 _IDS = [c.__name__.removeprefix("criterion_") for c in CRITERIA]
@@ -21,6 +27,15 @@ def test_criterion(index, criterion):
     print(format_line(index, result))
     assert result.passed, format_line(index, result)
 
+
+def test_phase_statistics_fails_a_channel_above_its_pin(monkeypatch):
+    # 0.05 is below failure_bound(8, 48) = 0.0793, so only the pin can catch it
+    monkeypatch.setattr(phasest, "erase_failure", lambda n, k, x: 0.05)
+    assert 0.05 < phasest.failure_bound(8, 48)
+    result = criterion_phase_statistics(quick=True)
+    assert not result.passed
+    assert f"pin {ERASE_PIN:.0e}" in result.details
+    assert "5.000e-02" in result.details
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,14 @@ class TestVerify:
         assert "0.7711" in out
         assert "0.8535" in out
 
+    def test_phase_suite_prints_the_exact_erase_failure_and_its_pin(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "phase")
+        assert code == 0
+        assert out.startswith("PASS criterion 5: phase-estimation-statistics")
+        assert "exact erase failure 1.842e-07" in out
+        assert "pin 1e-06" in out
+        assert run_cli(capsys, "verify", "--suite", "phase") == (code, out, "")
+
     def test_unitary_suite_small_cap(self, capsys):
         assert run_cli(capsys, "verify", "--suite", "unitary")[0] == 0
 

@@ -30,6 +30,7 @@ REMOVED_PARAMETERS = [
     (shor, "factor", "samples_per_a"),
     (shor, "FactorTask", "seed"),
     (qft_moduli, "arbitrary_modulus_estimate", "padding_bits"),
+    (qft_moduli, "arbitrary_modulus_estimate", "k_bits"),
     (CircuitBuilder, "measure", "out"),
     (CircuitBuilder, "__init__", "n_classical"),
 ]

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from qftkit.circuit import Circuit
-from qftkit.phasest import _PRODUCT_TABLE, _STATE_BIT, basis_probs, failure_bound, reconstruct_batch
+from qftkit.phasest import (
+    _PRODUCT_TABLE,
+    _STATE_BIT,
+    basis_probs,
+    erase_failure,
+    failure_bound,
+    reconstruct_batch,
+)
 from qftkit.qft_pow2 import LogdepthQft, QftPlan
 
 MINMAX = 0.5 + math.sqrt(2.0) / 4.0
@@ -37,6 +44,27 @@ def reference_x(ls) -> int:
         prod = np.minimum(TRANSFER_MATRICES[l] @ prod, 1)
         x |= int(prod[1, 0]) << j
     return x
+
+
+def brute_force_failure(n: int, k: int, x: int) -> float:
+    """Mass on x-hat != x, summed over every tuple of per-position counts (c0, c1)."""
+    half = k // 2
+    pairs = list(product(range(half + 1), repeat=2))
+    modes, weights = [], []
+    for j in range(1, n + 1):
+        p0, p1 = basis_probs((x % (1 << j)) / (1 << j))[:2]
+        modes.append([int(np.argmax((c0, c1, half - c0, half - c1))) for c0, c1 in pairs])
+        weights.append(
+            [
+                math.comb(half, c0) * p0**c0 * (1 - p0) ** (half - c0)
+                * math.comb(half, c1) * p1**c1 * (1 - p1) ** (half - c1)
+                for c0, c1 in pairs
+            ]
+        )
+    index = np.array(list(product(range(len(pairs)), repeat=n)))
+    rows = np.stack([np.array(modes[j])[index[:, j]] for j in range(n)], axis=1)
+    mass = np.prod([np.array(weights[j])[index[:, j]] for j in range(n)], axis=0)
+    return float(mass[reconstruct_batch(rows) != x].sum())
 
 
 def promise_options(x: int, j: int) -> list[int]:
@@ -113,7 +141,58 @@ class TestReconstruct:
             decode_one((0, 5))
 
 
+class TestEraseFailure:
+    @pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (2, 4), (3, 4), (4, 6)])
+    def test_matches_brute_force_enumeration(self, n, k):
+        for x in range(1 << n):
+            assert erase_failure(n, k, x) == pytest.approx(brute_force_failure(n, k, x), abs=1e-12), x
+
+    def test_never_above_the_union_bound(self):
+        over = [
+            (n, k, x)
+            for n in (1, 2, 3, 8)
+            for k in range(2, 129, 2)
+            for x in range(1 << n)
+            if erase_failure(n, k, x) > failure_bound(n, k)
+        ]
+        assert over == []
+
+    @pytest.mark.parametrize("k", [256, 1024, 2048])
+    def test_large_k_stays_finite_and_bounded(self, k):
+        # C(k/2, k/4) no longer fits an int64 here, so the count law is taken in log space
+        e = erase_failure(64, k, (1 << 64) - 1)
+        assert math.isfinite(e)
+        assert 0.0 <= e <= failure_bound(64, k)
+
+    @pytest.mark.parametrize("n, k, worst", [(3, 4, 0.4965), (8, 16, 1.405e-2), (8, 48, 1.842e-7)])
+    def test_worst_case_pins(self, n, k, worst):
+        assert max(erase_failure(n, k, x) for x in range(1 << n)) == pytest.approx(worst, rel=1e-3)
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError):
+            erase_failure(3, 4, 8)
+        with pytest.raises(ValueError):
+            erase_failure(3, 4, -1)
+        with pytest.raises(ValueError):
+            erase_failure(3, 5, 1)
+        with pytest.raises(ValueError):
+            erase_failure(0, 4, 0)
+
+
 class TestSampling:
+    def test_draw_follows_the_exact_rate(self):
+        # erase_failure(2, 2, 1) is 3/4, so the success count is Bin(10^5, 1/4)
+        trials = 10**5
+        out = channel(2, 2).run_channel(1, trials=trials, seed=3)
+        assert out["erase_failure"] == pytest.approx(0.75, abs=1e-12)
+        sigma = math.sqrt(0.25 * 0.75 / trials)
+        assert abs(out["success_rate"] - 0.25) <= 4.5 * sigma
+
+    def test_trial_count_costs_no_memory(self):
+        out = channel(8, 48).run_channel(5, trials=10**12, seed=1)
+        assert out["trials"] == 10**12
+        assert out["successes"] >= 10**12 - 10**8
+
     def test_seeded_runs_reproduce(self):
         a = channel(2, 2).run_channel(1, trials=64, seed=7)
         b = channel(2, 2).run_channel(1, trials=64, seed=7)

@@ -128,24 +128,26 @@ class TestPaddedEstimation:
             assert estimate_from_sample(8 * x, 8, 6) == x
 
     def test_power_of_two_modulus_is_exact(self):
-        r = arbitrary_modulus_estimate(8, 5, k_bits=3, seed=1)
-        assert r["success_probability"] == pytest.approx(1.0)
-        assert r["empirical_success"] == 1.0
-        assert r["mode"] == 5
+        # with 2^k_bits = m the padded readout is a point mass at x, decoded to x
+        for x in range(8):
+            p = padded_fourier_probs(8, x, 3)
+            assert p[x] == pytest.approx(1.0)
+            assert p.sum() - p[x] == pytest.approx(0.0, abs=1e-12)
+            assert estimate_from_sample(x, 8, 3) == x
 
     def test_general_modulus_beats_a_coin_flip(self):
-        r = arbitrary_modulus_estimate(5, 3, k_bits=6, seed=11)
+        r = arbitrary_modulus_estimate(5, 3, seed=11)
         assert r["success_probability"] > 0.5
         assert r["mode_correct"]
         assert sum(r["counts"]) == r["copies"]
 
     def test_seeded_runs_reproduce(self):
-        a = arbitrary_modulus_estimate(5, 3, k_bits=6, copies=40, seed=2)
-        b = arbitrary_modulus_estimate(5, 3, k_bits=6, copies=40, seed=2)
+        a = arbitrary_modulus_estimate(5, 3, copies=40, seed=2)
+        b = arbitrary_modulus_estimate(5, 3, copies=40, seed=2)
         assert a == b
 
     def test_result_keys_are_stable(self):
-        r = arbitrary_modulus_estimate(6, 1, k_bits=5, seed=0)
+        r = arbitrary_modulus_estimate(6, 1, seed=0)
         assert set(r) == {
             "m",
             "x",
@@ -161,4 +163,4 @@ class TestPaddedEstimation:
 
     def test_dft_cap(self):
         with pytest.raises(CapacityError):
-            arbitrary_modulus_estimate(5, 3, k_bits=40)
+            padded_fourier_probs(5, 3, 40)

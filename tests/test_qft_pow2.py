@@ -5,7 +5,8 @@ import pytest
 
 from qftkit.circuit import Circuit
 from qftkit.errors import CapacityError
-from qftkit.phasest import basis_probs, failure_bound
+from qftkit import sim
+from qftkit.phasest import basis_probs, erase_failure, failure_bound, reconstruct_batch
 from qftkit.qft_pow2 import (
     MAX_SPLIT_N,
     MAX_STANDARD_N,
@@ -25,7 +26,7 @@ from qftkit.qft_pow2 import (
     standard_qft,
     viete_partial,
 )
-from qftkit.sim import dft_reference, extract_unitary, run_sparse
+from qftkit.sim import dft_reference, extract_unitary, run_sparse, sparse_marginal
 
 
 def masked_overlap(circuit, x, n, reference):
@@ -249,6 +250,33 @@ class TestLogdepthChannel:
                     p = basis_probs((x % (1 << j)) / (1 << j))[2 if c < k // 2 else 3]
                     sigma = math.sqrt(p * (1 - p) / runs)
                     assert abs(ones[c * n + i] / runs - p) <= 4.5 * sigma + 1e-12, (x, c, i)
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (1, 4), (2, 2), (2, 4), (3, 4)])
+    def test_gate_level_record_matches_the_channel_model(self, n, k):
+        # each measurement becomes its basis rotation, so one sparse run gives the exact
+        # joint law of the record; bit c*n + i is copy c, wire i, which holds position
+        # j = n - i, and a 1 reads l = 2 in the first k/2 copies (x basis), l = 3 in the rest
+        circuit = logdepth_qft(QftPlan(kind="logdepth", n=n, k=k)).circuit
+        gates, measured = [], []
+        for g in circuit.all_gates():
+            if g.family == "measure":
+                gates += sim._basis_rotation(g)
+                measured.append(g)
+            else:
+                gates.append(g)
+        rotated = Circuit.from_gates(gates, circuit.n_qubits, circuit.n_ancilla)
+        wires = [g.target for g in sorted(measured, key=lambda g: g.out)]
+        records = np.arange(1 << (k * n))
+        bits = ((records[:, None] >> np.arange(k * n)) & 1).reshape(-1, k, n)
+        ls = bits * 2 + (np.arange(k) >= k // 2)[:, None]  # (record, copy, wire) -> outcome l
+        counts = np.stack([(ls == l).sum(axis=1) for l in range(4)], axis=-1)
+        xhat = reconstruct_batch(np.argmax(counts, axis=-1)[:, ::-1])  # position 1 first
+        for x in (0, 5) if n == 3 else range(1 << n):
+            record = sparse_marginal(run_sparse(rotated, x=x).amplitudes, wires)
+            phases = np.array([(x % (1 << (n - i))) / (1 << (n - i)) for i in range(n)])
+            model = np.take_along_axis(basis_probs(phases).T[None], ls, axis=1).prod(axis=(1, 2))
+            assert np.abs(record - model).max() <= 1e-12, x
+            assert abs(record[xhat == x].sum() - (1.0 - erase_failure(n, k, x))) <= 1e-12, x
 
     def test_run_channel_refuses_a_truncated_window(self):
         # k < n truncates the prepared phases, which entangles the copies
