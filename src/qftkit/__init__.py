@@ -58,13 +58,11 @@ from .qft_pow2 import (
     viete_partial,
 )
 from .revarith import (
-    build_adder,
     build_four_two,
     build_iterated_product,
     build_modmul,
     build_multiplier,
     build_prefix_add,
-    build_subtractor,
     build_telescoping_subtract,
     build_three_two,
 )

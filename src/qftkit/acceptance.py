@@ -213,8 +213,9 @@ def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
          lambda v, r: r == [sum(v[: j + 1]) % 4 for j in range(3)]),
         (revarith.build_telescoping_subtract(3, 2), [2] * 3, [range(4)] * 3,
          lambda v, r: r == [(v[j] - (v[j - 1] if j else 0)) % 4 for j in range(3)]),
-        (revarith.build_adder(3), [3, 3], [range(8)] * 2, lambda v, r: r == [v[0], (v[1] + v[0]) % 8]),
-        (revarith.build_subtractor(3), [3, 3], [range(8)] * 2, lambda v, r: r == [v[0], (v[1] - v[0]) % 8]),
+        (revarith.build_prefix_add(2, 3), [3, 3], [range(8)] * 2, lambda v, r: r == [v[0], (v[1] + v[0]) % 8]),
+        (revarith.build_telescoping_subtract(2, 3), [3, 3], [range(8)] * 2,
+         lambda v, r: r == [v[0], (v[1] - v[0]) % 8]),
         (revarith.build_three_two(2), [2, 2, 2, 2, 3], [range(4)] * 3,
          lambda v, r: r[:3] == list(v) and r[3] + r[4] == sum(v)),
         (revarith.build_four_two(2), [2, 2, 2, 2, 3, 4], [range(4)] * 4,
@@ -229,7 +230,7 @@ def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
 
     details = (
         f"prep fidelity >= {min_fid:.12f} (all x, n <= {3 if quick else 4}); copy state error "
-        f"<= {copy_err:.2e}; prefix/telescoping exhaustive at (k=3, n=2); adder/subtractor/"
+        f"<= {copy_err:.2e}; prefix/telescoping exhaustive at (k=3, n=2) and (k=2, n=3); "
         f"carry-save/multiplier/modmul exhaustive at small widths"
     )
     return CriterionResult(name, True, details)

@@ -23,7 +23,7 @@ from .errors import CapacityError, QftkitError
 from .qft_pow2 import PLAN_KINDS, QftPlan, build_from_plan, copy_fourier, prep_approx, prep_exact
 from .sim import DEFAULT_SEED, run_sparse, sparse_marginal
 
-STATS_KEYS = ("n", "size", "depth", "width", "gate_histogram", "error_bound", "measured_error", "seed")
+STATS_KEYS = ("n", "size", "depth", "width", "gate_histogram", "error_bound")
 # suite -> the acceptance criteria it runs (numbered as in ``qftkit accept``)
 VERIFY_SUITES = {
     "unitary": (1, 2),
@@ -69,9 +69,8 @@ def _build_circuit(args: argparse.Namespace) -> Circuit:
         if args.k is None:
             raise UsageError("--kind prep-approx requires --k (phase window)")
         return prep_approx(n, args.k)
-    if kind == "copy":
-        return copy_fourier(n, 2 if args.k is None else args.k)
-    raise UsageError(f"unknown kind {kind!r}")
+    # argparse's choices leave only "copy"
+    return copy_fourier(n, 2 if args.k is None else args.k)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -92,22 +91,20 @@ def _load(path: str) -> Circuit:
         raise UsageError(str(exc)) from None
 
 
-def _stats_payload(circ: Circuit, seed: int) -> dict:
+def _stats_payload(circ: Circuit) -> dict:
     meta = circ.metadata
     return {
         "n": meta.get("n", circ.n_qubits),
         "size": circ.size,
         "depth": circ.depth,
         "width": circ.width,
-        "gate_histogram": dict(sorted(circ.gate_histogram().items())),
+        "gate_histogram": circ.gate_histogram(),
         "error_bound": meta.get("error_bound"),
-        "measured_error": meta.get("measured_error"),
-        "seed": seed,
     }
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    payload = _stats_payload(_load(args.path), _resolve_seed(args.seed))
+    payload = _stats_payload(_load(args.path))
     if args.json:
         print(json.dumps(payload))
     else:
@@ -219,7 +216,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="metrics for a netlist file")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("sim", help="simulate a netlist on a basis input")

@@ -81,24 +81,12 @@ class CrtBasis:
         return cls(m, prime_power_factors(m))
 
     @property
-    def cofactors(self) -> tuple[int, ...]:
-        """f_j = m / m_j."""
-        return tuple(self.m // f for f in self.factors)
-
-    @property
     def inverses(self) -> tuple[int, ...]:
         """g_j = (m / m_j)^(-1) mod m_j."""
         return tuple(pow(self.m // f, -1, f) for f in self.factors)
 
     def residues(self, x: int) -> tuple[int, ...]:
         return tuple(x % f for f in self.factors)
-
-    def reconstruct(self, residues: tuple[int, ...]) -> int:
-        """The x in [0, m) with x = r_j (mod m_j) for every j."""
-        total = 0
-        for f_j, g_j, r_j in zip(self.cofactors, self.inverses, residues):
-            total += f_j * g_j * r_j
-        return total % self.m
 
     def tuple_index(self, residues: tuple[int, ...]) -> int:
         """Mixed-radix index of a residue tuple, coordinate 0 most significant.

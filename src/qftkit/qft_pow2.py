@@ -337,7 +337,11 @@ class LogdepthQft:
     circuit: Circuit
     n: int
     k: int
-    window: int
+
+    @property
+    def window(self) -> int:
+        """Phase contributions prep keeps per factor: all n once k >= n."""
+        return min(self.n, self.k)
 
     def run_channel(
         self, x: int, trials: int = 1, seed: int | None = None
@@ -410,7 +414,7 @@ def logdepth_qft(plan: QftPlan) -> LogdepthQft:
             "measure": k * n,
         },
     }
-    return LogdepthQft(b.build(meta), n, k, window)
+    return LogdepthQft(b.build(meta), n, k)
 
 
 def build_from_plan(plan: QftPlan) -> Circuit:

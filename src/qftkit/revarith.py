@@ -229,31 +229,6 @@ def const_bits(value: int, width: int) -> list[BitRef]:
     return [ONE if (value >> i) & 1 else ZERO for i in range(width)]
 
 
-# --- adders ------------------------------------------------------------------
-
-
-def build_adder(n: int) -> Circuit:
-    """In-place modular add: (x, y) -> (x, y + x mod 2^n) on wires [x | y]."""
-    b = CircuitBuilder(2 * n)
-    x = list(range(n))
-    y = list(range(n, 2 * n))
-    s = b.new_ancillas(n)
-    _emit_addsub_core(b, y, x, outs=s)
-    _emit_addsub_core(b, s, [bnot(w) for w in x], outs=y, carry_in=True)
-    # y is now zero, so two CNOTs move s into y and clear s
-    for i in range(n):
-        b.cnot(s[i], y[i])
-        b.cnot(y[i], s[i])
-    return b.build(metadata={"kind": "adder", "n": n})
-
-
-def build_subtractor(n: int) -> Circuit:
-    """In-place modular subtract: (x, y) -> (x, y - x mod 2^n)."""
-    circ = build_adder(n).inverse()
-    circ.metadata.update({"kind": "subtractor", "n": n})
-    return circ
-
-
 # --- carry-save counters ------------------------------------------------------
 
 

@@ -21,7 +21,7 @@ from . import revarith
 from .circuit import Circuit, CircuitBuilder
 from .errors import CapacityError, QftkitError
 from .phasest import failure_bound
-from .qft_pow2 import bit_reversed_indices, standard_qft
+from .qft_pow2 import _ladder_layers, bit_reversed_indices
 from .sim import DEFAULT_SEED, run_sparse, sparse_marginal
 
 MAX_GATE_MODULUS = 15
@@ -160,7 +160,10 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
     for w in range(n_x):
         b.h(w)
     revarith._emit_iterated_product(b, list(range(n_x)), list(range(n_x, n_x + nb)), modulus, powers)
-    b.inline(standard_qft(n_x), list(range(n_x)))
+    # the exact ladder on the x register, in standard_qft's gate order
+    for layer in _ladder_layers(n_x):
+        for g in layer:
+            b.add(g)
     return b.build(
         metadata={
             "kind": "order_finding",

@@ -102,8 +102,6 @@ class TestStats:
             "width",
             "gate_histogram",
             "error_bound",
-            "measured_error",
-            "seed",
         ]
         assert payload["n"] == 3
         assert payload["size"] == 6
@@ -121,6 +119,17 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", "/nonexistent/path.qc")
         assert code == 2
         assert "error" in err
+
+    def test_draws_nothing_so_reads_no_seed(self, qft3_path, capsys, monkeypatch):
+        monkeypatch.setenv("QFTKIT_SEED", "abc")
+        code, out, _ = run_cli(capsys, "stats", qft3_path, "--json")
+        assert code == 0
+        assert json.loads(out)["size"] == 6
+
+    def test_takes_no_seed_flag(self, qft3_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "stats", qft3_path, "--seed", "5")
+        assert exc.value.code == 2
 
 
 class TestSim:

@@ -31,6 +31,7 @@ REMOVED_PARAMETERS = [
     (shor, "FactorTask", "seed"),
     (qft_moduli, "arbitrary_modulus_estimate", "padding_bits"),
     (qft_moduli, "arbitrary_modulus_estimate", "k_bits"),
+    (qft_pow2, "LogdepthQft", "window"),
     (CircuitBuilder, "measure", "out"),
     (CircuitBuilder, "__init__", "n_classical"),
 ]
@@ -49,6 +50,12 @@ REMOVED_NAMES = [
     (phasest, "TRANSFER_MATRICES"),
     (revarith, "emit_or"),
     (qftkit, "reconstruct_x"),
+    (revarith, "build_adder"),
+    (revarith, "build_subtractor"),
+    (qftkit, "build_adder"),
+    (qftkit, "build_subtractor"),
+    (qft_moduli.CrtBasis, "reconstruct"),
+    (qft_moduli.CrtBasis, "cofactors"),
 ]
 
 
@@ -56,8 +63,10 @@ REMOVED_NAMES = [
     "owner, name", REMOVED_NAMES, ids=[f"{o.__name__}.{n}" for o, n in REMOVED_NAMES]
 )
 def test_unused_names_stay_removed(owner, name):
-    # none ran outside the tests: reconstruct_batch is the one decoder, and
-    # emit_maj's general path covers the OR that emit_or gave it
+    # none ran outside the tests: reconstruct_batch is the one decoder,
+    # emit_maj's general path covers the OR that emit_or gave it, and
+    # build_prefix_add / build_telescoping_subtract at k = 2 are the adder
+    # and subtractor
     assert not hasattr(owner, name)
 
 

@@ -28,7 +28,7 @@ TRANSFER_MATRICES = (
 
 def channel(n: int, k: int) -> LogdepthQft:
     """The measurement channel of the (n, k) pipeline; it samples without the circuit."""
-    return LogdepthQft(Circuit.from_gates([], 1), n, k, min(n, k))
+    return LogdepthQft(Circuit.from_gates([], 1), n, k)
 
 
 def decode_one(ls) -> int:

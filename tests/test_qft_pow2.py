@@ -293,7 +293,7 @@ class TestLogdepthChannel:
 
     def test_run_channel_keeps_bit_63(self):
         # the channel alone, without its n = k = 64 circuit; x >= 2^63 needs all 64 bits of x-hat
-        ld = LogdepthQft(Circuit.from_gates([], 1), 64, 64, 64)
+        ld = LogdepthQft(Circuit.from_gates([], 1), 64, 64)
         for x in ((1 << 63) + 5, (1 << 64) - 1, (1 << 63) - 1):
             out = ld.run_channel(x, trials=200, seed=1)
             assert out["success_rate"] >= 1.0 - out["failure_bound"]

@@ -7,13 +7,11 @@ import pytest
 from qftkit import revarith
 from qftkit.circuit import CircuitBuilder
 from qftkit.revarith import (
-    build_adder,
     build_four_two,
     build_iterated_product,
     build_modmul,
     build_multiplier,
     build_prefix_add,
-    build_subtractor,
     build_telescoping_subtract,
     build_three_two,
     precompute_powers,
@@ -65,9 +63,11 @@ class TestReferenceAlgebra:
 
 
 class TestAdderSubtractor:
+    """The in-place adder and subtractor are the prefix builders at k = 2."""
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_adder_exhaustive(self, n):
-        c = build_adder(n)
+        c = build_prefix_add(2, n)
         for packed in range(1 << (2 * n)):
             (x0, y0), _ = fields(packed, [n, n])
             (x, y), junk = fields(run_classical_bits(c, packed), [n, n])
@@ -77,13 +77,13 @@ class TestAdderSubtractor:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_subtractor_inverts_adder(self, n):
-        add, sub = build_adder(n), build_subtractor(n)
+        add, sub = build_prefix_add(2, n), build_telescoping_subtract(2, n)
         for packed in range(1 << (2 * n)):
             assert run_classical_bits(sub, run_classical_bits(add, packed)) == packed
 
     def test_adder_depth_logarithmic(self):
-        # carry lookahead: doubling the width should add O(1) tree levels
-        d4, d16 = build_adder(4).depth, build_adder(16).depth
+        # carry lookahead: each doubling of the width adds O(1) tree levels
+        d4, d16 = build_prefix_add(2, 4).depth, build_prefix_add(2, 16).depth
         assert d16 < 2 * d4
 
 
@@ -210,7 +210,7 @@ class TestFourierDomain:
     def test_subtractor_adds_in_the_fourier_basis(self):
         """A computational-basis subtraction acts as addition on phase registers."""
         n, m = 3, 8
-        c = build_subtractor(n)
+        c = build_telescoping_subtract(2, n)
         omega = np.exp(2j * np.pi / m)
         phase = lambda a: omega ** (a * np.arange(m)) / math.sqrt(m)
         for a, b in ((1, 2), (3, 7), (5, 5), (0, 4)):
