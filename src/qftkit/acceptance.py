@@ -35,7 +35,7 @@ OPERATOR_TOL = 1e-9
 EXACTNESS_TOL = 1e-10
 
 # fitted over the full sweep of the three-stage pipeline: depth/(log2 n + log2 k)
-# peaks at 16.7 (n=8, k=16) and size/(n k) at 77.3 (n=32, k=16)
+# peaks at 14.9 (n=8, k=16) and size/(n k) at 29.1 (n=32, k=4)
 C_DEPTH = 20.0
 C_SIZE = 90.0
 # depth(n=32)/depth(n=4) measured 1.44..1.56 per k; linear growth would be 8
@@ -201,7 +201,7 @@ def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
     if min_fid < 1.0 - EXACTNESS_TOL:
         return _failure(name, f"prep_exact fidelity {min_fid} below 1 - {EXACTNESS_TOL:.0e}")
     copy_err = 0.0
-    for n, k in ((1, 2), (1, 3), (2, 2), (2, 3)):
+    for n, k in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)):
         for y in range(1 << n):
             copy_err = max(copy_err, _copy_error(n, k, y))
     if copy_err > EXACTNESS_TOL:
@@ -230,7 +230,7 @@ def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
 
     details = (
         f"prep fidelity >= {min_fid:.12f} (all x, n <= {3 if quick else 4}); copy state error "
-        f"<= {copy_err:.2e}; prefix/telescoping exhaustive at (k=3, n=2) and (k=2, n=3); "
+        f"<= {copy_err:.2e} (n <= 2, k <= 4); prefix/telescoping exhaustive at (k=3, n=2) and (k=2, n=3); "
         f"carry-save/multiplier/modmul exhaustive at small widths"
     )
     return CriterionResult(name, True, details)

@@ -470,10 +470,6 @@ class CircuitBuilder:
         """
         self._gates.extend(g.inverse() for g in reversed(self._gates[start:stop]))
 
-    def invert_since(self, mark: int) -> None:
-        """Replace the gates added since ``mark`` by their inverse, in reverse order."""
-        self._gates[mark:] = [g.inverse() for g in reversed(self._gates[mark:])]
-
     def inline(self, sub: Circuit, qmap: Sequence[int]) -> None:
         """Append ``sub``'s gates with wires remapped into this builder.
 

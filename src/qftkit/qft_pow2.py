@@ -29,7 +29,14 @@ import numpy as np
 from .circuit import CP, Circuit, CircuitBuilder, Gate, H, dyadic
 from .errors import CapacityError
 from .phasest import erase_failure, failure_bound
-from .revarith import _emit_multiplier, _emit_prefix_add
+from .revarith import (
+    ONE,
+    _emit_addsub_core,
+    _emit_multiplier,
+    _emit_three_two_refs,
+    _emit_wallace,
+    bnot,
+)
 from .sim import DEFAULT_SEED
 
 __all__ = [
@@ -302,9 +309,9 @@ def prep_exact(n: int) -> Circuit:
 def copy_fourier(n: int, k: int) -> Circuit:
     """|0^n>^{k-1}|psi_x> -> |psi_x>^{k} on k n-wire registers, source last.
 
-    H on the first (k-1)n wires then one telescoping subtraction across the
-    registers; the final register's phase parameter telescopes into every
-    register exactly.
+    H on the first (k-1)n wires, then the source loses the sum of the blanks:
+    src <- src - sum_j blank_j mod 2^n.  That basis map sends the source's
+    phase parameter x to every register, so each ends holding |psi_x>.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got ({n}, {k})")
@@ -317,14 +324,37 @@ def copy_fourier(n: int, k: int) -> Circuit:
 def _emit_copy(b: CircuitBuilder, regs: Sequence[Sequence[int]]) -> None:
     """copy_fourier on the registers ``regs``, source last.
 
-    The telescoping subtraction is the prefix-add network, inverted in place.
+    The blanks' sum stays in carry-save form, as the Wallace tree's rows
+    (s, c).  With ~v = -v - 1, one 3-2 step and one adder give
+    t = src + ~s + ~c + 2 = src - (s + c) on fresh wires; the +2 is the
+    adder's carry-in plus the free low bit of the step's carry row.  A second
+    step and adder clear src ^= t + s + c, and two CNOTs move t into src.
+    The second step is emitted before the first is undone, so it reads s and
+    c while the first adder unwinds.
     """
-    for reg in regs[:-1]:
+    *blanks, src = regs
+    n = len(src)
+    for reg in blanks:
         for w in reg:
             b.h(w)
-    mark = b.mark()
-    _emit_prefix_add(b, regs)
-    b.invert_since(mark)
+    start = b.mark()
+    s, c = _emit_wallace(b, blanks, n)
+    tree = b.mark()
+    a_sum, a_carry = _emit_three_two_refs(b, src, [bnot(r) for r in s], [bnot(r) for r in c])
+    a_carry[0] = ONE
+    a_stop = b.mark()
+    t = b.new_ancillas(n)
+    _emit_addsub_core(b, a_sum, a_carry[:n], outs=t, carry_in=True)
+    b_start = b.mark()
+    b_sum, b_carry = _emit_three_two_refs(b, t, s, c)
+    b_stop = b.mark()
+    b.uncompute(tree, a_stop)
+    _emit_addsub_core(b, b_sum, b_carry[:n], outs=src)
+    b.uncompute(b_start, b_stop)
+    for ti, si in zip(t, src):
+        b.cnot(ti, si)
+        b.cnot(si, ti)
+    b.uncompute(start, tree)
 
 
 # --- the three-stage shallow pipeline --------------------------------------------

@@ -262,6 +262,30 @@ def _emit_four_two_refs(
     return s2[:width], c2[:width]
 
 
+def _emit_wallace(
+    b: CircuitBuilder, rows: Sequence[Sequence[BitRef]], width: int
+) -> tuple[list[BitRef], list[BitRef]]:
+    """Wallace tree of 3-2 steps: two rows whose sum is that of ``rows`` mod 2^width.
+
+    Each level groups the rows in threes and keeps the leftover one or two;
+    every row is cut to ``width``, and both returned rows have exactly that
+    width.  The tree is left behind for the caller's uncompute.
+    """
+    rows = list(rows)
+    while len(rows) > 2:
+        nxt = []
+        i = 0
+        while i + 3 <= len(rows):
+            s, c = _emit_three_two_refs(b, rows[i], rows[i + 1], rows[i + 2])
+            nxt.append(s[:width])
+            nxt.append(c[:width])
+            i += 3
+        nxt.extend(rows[i:])
+        rows = nxt
+    rows += [[ZERO] * width] * (2 - len(rows))
+    return _pad(rows[0], width)[:width], _pad(rows[1], width)[:width]
+
+
 def build_three_two(n: int) -> Circuit:
     """3-2 counter on wires [x | y | z | s(n) | c(n+1)]: s ^= x^y^z, c ^= carries.
 
@@ -378,22 +402,11 @@ def _emit_multiplier(
                 break
             row.append(emit_and(b, xs[i], ys[j]))
         rows.append(row)
-    while len(rows) > 2:
-        nxt = []
-        i = 0
-        while i + 3 <= len(rows):
-            s, c = _emit_three_two_refs(b, rows[i], rows[i + 1], rows[i + 2])
-            nxt.append(s[:n_out])
-            nxt.append(c[:n_out])
-            i += 3
-        nxt.extend(rows[i:])
-        rows = nxt
     if not rows:
         return
-    if len(rows) == 1:
-        rows.append([ZERO] * n_out)
+    s, c = _emit_wallace(b, rows, n_out)
     stop = b.mark()
-    _emit_addsub_core(b, _pad(rows[0], n_out)[:n_out], _pad(rows[1], n_out)[:n_out], outs=outs)
+    _emit_addsub_core(b, s, c, outs=outs)
     b.uncompute(start, stop)
 
 

@@ -148,8 +148,9 @@ class TestPrep:
 
 
 class TestCopy:
-    def test_copies_fourier_register(self):
-        n, k = 2, 3
+    # k >= 4 registers means three or more blanks, so the Wallace tree runs 3-2 levels
+    @pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 8), (2, 3), (2, 4), (2, 5)])
+    def test_copies_fourier_register(self, n, k):
         c = copy_fourier(n, k)
         for y in range(1 << n):
             psi = fourier_state(n, y)
@@ -301,6 +302,21 @@ class TestLogdepthChannel:
     def test_failure_bound_formula(self):
         assert failure_bound(8, 48) == pytest.approx(32 * math.exp(-6.0))
         assert failure_bound(64, 1) == 1.0
+
+    # depths before the copy became one carry-save subtraction, over criterion 3's grid
+    # and the benchmark's build plans; no plan may get deeper
+    DEPTH_CEILINGS = {
+        (4, 4): 59, (4, 8): 77, (4, 16): 97,
+        (8, 4): 74, (8, 8): 96, (8, 16): 117,
+        (16, 4): 83, (16, 8): 105, (16, 16): 131,
+        (32, 4): 92, (32, 8): 114, (32, 16): 140,
+        (12, 4): 76, (8, 32): 137, (16, 48): 164,
+    }
+
+    @pytest.mark.parametrize("n, k", list(DEPTH_CEILINGS))
+    def test_depth_never_above_its_ceiling(self, n, k):
+        depth = logdepth_qft(QftPlan(kind="logdepth", n=n, k=k)).circuit.depth
+        assert depth <= self.DEPTH_CEILINGS[n, k]
 
     def test_depth_scales_logarithmically(self):
         depths = {

@@ -246,9 +246,9 @@ class TestMeasurement:
     # classical records as strings, one per (circuit, x), "seed 0 seed 1";
     # any change to the draw order or to the measurement sequence moves them
     LOGDEPTH_RECORDS = {
-        (1, 2): ["01 00", "11 10"],
-        (2, 2): ["0011 0010", "0101 0100", "1011 1010", "0111 0110"],
-        (2, 4): ["00000000 00001101", "01110000 01110101", "10100000 10101101", "01111010 01111111"],
+        (1, 2): ["00 00", "10 10"],
+        (2, 2): ["0010 0010", "1100 0100", "1010 1010", "1110 0110"],
+        (2, 4): ["00000101 00001100", "01010101 11010100", "10100101 10101100", "01011111 11011110"],
     }
     RANDOM_RECORDS = [
         "01111000010 00000111000", "011110010 001011100", "000101000 000011001", "000010 000111",
