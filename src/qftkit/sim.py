@@ -7,10 +7,15 @@ after, and an integer input ``x`` loads the data wires with ancillas at 0.
 One loop, ``_evolve``, applies gates to an amplitude state: it dispatches on
 the gate family, runs the measurement sequence (rotate into z, collapse,
 rotate back) and seeds the default generator.  It drives two state types
-with the same four kernels (``h``, ``phase``, ``flip``, ``collapse``):
+through the same kernels (``h``, ``phase``, ``flip``, ``collapse``), and
+calls ``settle_all`` once after the last gate:
 
 * ``_DenseState`` is a tensor with one axis of length 2 per wire; axes past
-  the wires (a batch of columns in ``extract_unitary``) ride along.
+  the wires (a batch of columns in ``extract_unitary``) ride along.  Its
+  ``phase`` only adds the gate's exact angle to a per-wire table of held
+  terms.  A wire's terms are applied in one broadcast multiply just before
+  a Hadamard, a flip on it as target or a collapse needs the wire, and the
+  rest by ``settle_all``.  A Hadamard is an in-place butterfly.
 * ``_SparseState`` keeps the nonzero amplitudes in arrays: a boolean bit
   matrix with one row per wire and one column per amplitude, beside a
   complex amplitude vector.  A flip XORs one row with the AND of its control
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, H, P, dyadic
+from .circuit import MAX_LOG_DENOMINATOR, Circuit, DyadicAngle, Gate, H, P, dyadic
 from .errors import CapacityError, SimulationError
 
 DEFAULT_SEED = 1729
@@ -40,6 +45,7 @@ UNITARY_TOL = 1e-9
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _PRUNE = 1e-13
 _S_DAGGER = dyadic(3, 2)
+_TURN_BITS = MAX_LOG_DENOMINATOR  # a held angle is an integer number of 2**-64 turns
 
 
 def _basis_rotation(gate: Gate) -> tuple[Gate, ...]:
@@ -100,35 +106,89 @@ def _draw(p1: float, rng: np.random.Generator) -> tuple[int, float]:
     return outcome, p
 
 
+def _turn_phase(turns: int) -> complex:
+    """exp(2*pi*i * turns / 2**64) for an exact angle held as an integer mod 2**64."""
+    return DyadicAngle(turns, _TURN_BITS).phase()
+
+
 class _DenseState:
     """Amplitudes as a tensor ``psi`` with wire ``w`` on axis ``nq - 1 - w``.
 
     Axes past the first ``nq`` are left alone, so a trailing batch axis of
     columns is carried through every kernel.
+
+    Phase gates are held, not applied: ``pending[w]`` maps a wire to the
+    summed angle, as an integer mod 2**64, of the terms on ``w``.  ``P(w)``
+    sits under ``pending[w][w]`` and ``CP(a, b)`` under both
+    ``pending[a][b]`` and ``pending[b][a]``.  Before a Hadamard, a collapse
+    or a flip with target ``w`` acts, ``settle(w)`` applies every term on
+    ``w``: each holds ``w``, so the ``w = 1`` slice is multiplied by
+    ``p_w * (x)_b [1, q_b]`` over ``w``'s partners ``b``, one broadcast
+    multiply, and the terms leave the partners' tables.  A flip's controls
+    need no settling: a term without the target commutes with the flip.
+    ``settle_all`` applies what is left after the last gate.
     """
 
     def __init__(self, psi: np.ndarray, nq: int):
         self.psi = psi
         self.nq = nq
+        self.pending: list[dict[int, int]] = [{} for _ in range(nq)]
 
     def _at(self, *fixed: tuple[int, int]) -> tuple:
-        """Basic index that holds wire ``w`` at ``bit`` for each ``(w, bit)``."""
+        """Basic index that holds wire ``w`` at ``bit`` for each ``(w, bit)``.
+
+        The trailing ``...`` makes it select a view even when every axis is fixed.
+        """
         idx: list = [slice(None)] * self.psi.ndim
         for w, bit in fixed:
             idx[self.nq - 1 - w] = bit
-        return tuple(idx)
+        return (*idx, ...)
+
+    def _hold(self, w: int, partner: int, turns: int) -> None:
+        terms = self.pending[w]
+        total = (terms.get(partner, 0) + turns) % (1 << _TURN_BITS)
+        if total:
+            terms[partner] = total
+        else:
+            terms.pop(partner, None)
+
+    def settle(self, w: int) -> None:
+        """Apply and clear every held term on ``w``."""
+        terms = self.pending[w]
+        if not terms:
+            return
+        self.pending[w] = {}
+        table = np.array(_turn_phase(terms.pop(w, 0)))
+        shape = [1] * self.psi.ndim
+        for b in sorted(terms, reverse=True):  # ascending axis order
+            table = np.multiply.outer(table, [1.0, _turn_phase(terms[b])])
+            shape[self.nq - 1 - b] = 2
+            del self.pending[b][w]
+        del shape[self.nq - 1 - w]
+        self.psi[self._at((w, 1))] *= table.reshape(shape)
+
+    def settle_all(self) -> None:
+        for w in range(self.nq):
+            self.settle(w)
 
     def h(self, w: int) -> None:
-        psi, lo, hi = self.psi, self._at((w, 0)), self._at((w, 1))
-        a = psi[lo].copy()
-        b = psi[hi].copy()
-        psi[lo] = (a + b) * _SQRT_HALF
-        psi[hi] = (a - b) * _SQRT_HALF
+        self.settle(w)
+        psi = self.psi
+        a, b = psi[self._at((w, 0))], psi[self._at((w, 1))]
+        total = a + b
+        np.subtract(a, b, out=b)
+        np.multiply(total, _SQRT_HALF, out=a)
+        b *= _SQRT_HALF
 
-    def phase(self, wires, phase: complex) -> None:
-        self.psi[self._at(*((w, 1) for w in wires))] *= phase
+    def phase(self, wires, theta: DyadicAngle) -> None:
+        turns = theta.numerator << (_TURN_BITS - theta.log_denominator)
+        a, b = wires[0], wires[-1]
+        self._hold(a, b, turns)
+        if b != a:
+            self._hold(b, a, turns)
 
     def flip(self, wires) -> None:
+        self.settle(wires[-1])
         psi = self.psi
         on = [(c, 1) for c in wires[:-1]]
         lo, hi = self._at(*on, (wires[-1], 0)), self._at(*on, (wires[-1], 1))
@@ -137,6 +197,7 @@ class _DenseState:
         psi[hi] = tmp
 
     def collapse(self, w: int, rng: np.random.Generator) -> int:
+        self.settle(w)
         psi = self.psi
         outcome, p = _draw(float(np.sum(np.abs(psi[self._at((w, 1))]) ** 2)), rng)
         psi[self._at((w, 1 - outcome))] = 0.0
@@ -224,8 +285,8 @@ class _SparseState:
         self.amps = self.amps[kept] * (1.0 / np.sqrt(p))
         return outcome
 
-    def phase(self, wires, phase: complex) -> None:
-        np.multiply(self.amps, phase, out=self.amps, where=self._all_set(wires))
+    def phase(self, wires, theta: DyadicAngle) -> None:
+        np.multiply(self.amps, theta.phase(), out=self.amps, where=self._all_set(wires))
 
     def flip(self, wires) -> None:
         target = self.bits[wires[-1]]
@@ -233,6 +294,9 @@ class _SparseState:
             target ^= self._all_set(wires[:-1])
         else:
             np.logical_not(target, out=target)
+
+    def settle_all(self) -> None:
+        """Nothing to do: every sparse kernel acts at once."""
 
 
 # --- the gate loop ------------------------------------------------------------
@@ -251,7 +315,7 @@ def _evolve(state: _DenseState | _SparseState, circuit: Circuit, rng: np.random.
         if family == "h":
             state.h(gate.target)
         elif family == "phase":
-            state.phase(gate.qubits(), gate.theta.phase())
+            state.phase(gate.qubits(), gate.theta)
         else:
             state.flip(gate.qubits())
 
@@ -268,6 +332,7 @@ def _evolve(state: _DenseState | _SparseState, circuit: Circuit, rng: np.random.
         classical[gate.out] = state.collapse(gate.target, rng)
         for g in reversed(rotation):
             apply(g.inverse())
+    state.settle_all()
     return classical
 
 
@@ -320,10 +385,13 @@ def run_sparse(
 
 
 def sparse_to_dense(amps: dict[int, complex], num_wires: int) -> np.ndarray:
+    """The flat statevector of ``amps``; an index outside ``0 <= k < 2**num_wires`` is refused."""
     if num_wires > MAX_DENSE_QUBITS:
         raise CapacityError(f"{num_wires} qubits exceeds dense cap {MAX_DENSE_QUBITS}")
     state = np.zeros(1 << num_wires, dtype=np.complex128)
     for idx, amp in amps.items():
+        if not 0 <= idx < state.size:
+            raise SimulationError(f"index {idx} out of range for {num_wires} wires")
         state[idx] = amp
     return state
 

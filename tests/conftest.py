@@ -11,7 +11,10 @@ def rng():
 
 @pytest.fixture
 def random_circuit():
-    """Factory for small random circuits over the full gate set."""
+    """Factory for small random circuits of H, CNOT, Toffoli, X and CP gates.
+
+    ``phases=False`` leaves out X and CP.  No draw emits ``P``.
+    """
 
     def make(rng, n_qubits: int = 4, n_gates: int = 12, phases: bool = True):
         b = CircuitBuilder(n_qubits)

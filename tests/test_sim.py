@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qftkit import sim
-from qftkit.circuit import Circuit, CircuitBuilder, dyadic
+from qftkit.circuit import CNOT, CP, Circuit, CircuitBuilder, H, P, dyadic
 from qftkit.errors import CapacityError, SimulationError
 from qftkit.qft_pow2 import QftPlan, bit_reversed_indices, logdepth_qft, standard_qft
 from qftkit.sim import (
@@ -39,6 +39,126 @@ def measured_random_circuit(rng, n_wires: int, n_gates: int) -> Circuit:
         else:
             b.measure(a, "zxy"[int(rng.integers(0, 3))])
     return b.build()
+
+
+def phase_heavy_circuit(rng, n_wires: int, n_gates: int, measure: bool = True) -> Circuit:
+    """Random gates, most of them P and CP on the three lowest wires, mixed with
+    H, flips and (when ``measure``) x, y and z measurements.  Angles reach
+    denominators up to 2^64."""
+    b = CircuitBuilder(n_wires)
+    kinds = ("p", "cp", "p", "cp", "cp", "h", "x", "cnot", "ccx") + (("meas",) if measure else ())
+    for _ in range(n_gates):
+        kind = kinds[int(rng.integers(0, len(kinds)))]
+        shared = [int(w) for w in rng.choice(3, size=2, replace=False)]
+        a, c, t = (int(w) for w in rng.choice(n_wires, size=3, replace=False))
+        theta = dyadic(int(rng.integers(0, 1 << 62)), int(rng.choice([1, 2, 3, 7, 30, 64])))
+        if kind == "p":
+            b.p(shared[0] if rng.random() < 0.7 else a, theta)
+        elif kind == "cp":
+            b.cp(*(shared if rng.random() < 0.7 else (a, t)), theta)
+        elif kind == "h":
+            b.h(a)
+        elif kind == "x":
+            b.x(a)
+        elif kind == "cnot":
+            b.cnot(a, t)
+        elif kind == "ccx":
+            b.toffoli(a, c, t)
+        else:
+            b.measure(a, "zxy"[int(rng.integers(0, 3))])
+    return b.build()
+
+
+def reference_run(circuit: Circuit, x: int, rng: np.random.Generator) -> tuple[np.ndarray, list]:
+    """Gate by gate with explicit 2^n x 2^n matrices; a measurement projects onto
+    the basis's eigenvectors and reads 1 when ``rng.random()`` falls below its
+    probability, the draw the simulators make."""
+    n = circuit.width
+    dim = 1 << n
+    idx = np.arange(dim)
+
+    def on_wire(w: int, m: np.ndarray) -> np.ndarray:
+        full = np.eye(1)
+        for v in reversed(range(n)):  # wire n - 1 is the leftmost factor
+            full = np.kron(full, m if v == w else np.eye(2))
+        return full
+
+    def ones(wires) -> np.ndarray:
+        return np.all([(idx >> w) & 1 for w in wires], axis=0)
+
+    eigen = {  # basis -> (outcome 0, outcome 1) eigenvectors
+        "z": (np.array([1, 0]), np.array([0, 1])),
+        "x": (np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)),
+        "y": (np.array([1, 1j]) / np.sqrt(2), np.array([1, -1j]) / np.sqrt(2)),
+    }
+    state = np.zeros(dim, dtype=np.complex128)
+    state[x] = 1.0
+    classical: list = [None] * circuit.n_classical
+    for gate in circuit.all_gates():
+        wires = gate.qubits()
+        if gate.name == "h":
+            state = on_wire(wires[0], np.array([[1, 1], [1, -1]]) / np.sqrt(2)) @ state
+        elif gate.name in ("p", "cp"):
+            angle = 2 * np.pi * gate.theta.numerator / 2.0**gate.theta.log_denominator
+            state = np.diag(np.where(ones(wires), np.exp(1j * angle), 1.0)) @ state
+        elif gate.name in ("x", "cnot", "ccx"):
+            *ctrls, t = wires
+            perm = np.zeros((dim, dim))
+            perm[np.where(ones(ctrls), idx ^ (1 << t), idx), idx] = 1.0
+            state = perm @ state
+        else:
+            projectors = [on_wire(gate.target, np.outer(v, v.conj())) for v in eigen[gate.basis]]
+            p1 = float(np.linalg.norm(projectors[1] @ state) ** 2)
+            outcome = 1 if rng.random() < p1 else 0
+            state = projectors[outcome] @ state
+            state /= np.linalg.norm(state)
+            classical[gate.out] = outcome
+    return state, classical
+
+
+class TestHeldPhases:
+    """The dense simulator holds P and CP per wire until a gate needs the wire."""
+
+    @pytest.mark.parametrize("n_wires", [5, 6])
+    def test_dense_matches_a_per_gate_matrix_reference(self, n_wires):
+        rng = np.random.default_rng(170 + n_wires)
+        for trial in range(20):
+            circuit = phase_heavy_circuit(rng, n_wires, 40)
+            x = int(rng.integers(0, 1 << n_wires))
+            got = run_dense(circuit, x=x, rng=np.random.default_rng(trial))
+            want, classical = reference_run(circuit, x, np.random.default_rng(trial))
+            assert got.classical == classical
+            assert np.max(np.abs(got.state - want)) < 1e-12
+
+    def test_one_wire_state(self):
+        # with every axis fixed, the butterfly still writes through views
+        circuit = Circuit.from_gates([H(0), P(0, dyadic(1, 3)), H(0), P(0, dyadic(3, 4))], 1)
+        for x in (0, 1):
+            want, _ = reference_run(circuit, x, np.random.default_rng(0))
+            assert np.max(np.abs(run_dense(circuit, x=x).state - want)) < 1e-12
+
+    def test_unitary_batch_matches_the_reference(self):
+        rng = np.random.default_rng(1717)
+        for _ in range(6):
+            circuit = phase_heavy_circuit(rng, 5, 40, measure=False)
+            want = np.stack([reference_run(circuit, x, rng)[0] for x in range(32)], axis=1)
+            assert np.max(np.abs(extract_unitary(circuit) - want)) < 1e-12
+
+    def test_opposite_angles_cancel_exactly(self):
+        # the held exponents sum to 0 mod 2^64, so no multiply is left on wires 0 and 1
+        rng = np.random.default_rng(1718)
+        theta = dyadic(int(rng.integers(1, 1 << 62)) | 1, 64)
+        between = [H(2), CP(2, 3, dyadic(5, 7)), CNOT(4, 3), P(4, dyadic(1, 3)), H(3)]
+        with_pair = Circuit.from_gates([P(0, dyadic(3, 9)), CP(0, 1, theta), *between, CP(0, 1, -theta)], 5)
+        without = Circuit.from_gates([P(0, dyadic(3, 9)), *between], 5)
+        psi = rng.normal(size=32) + 1j * rng.normal(size=32)
+        psi /= np.linalg.norm(psi)
+        finals = []
+        for circuit in (with_pair, without):
+            state = sim._DenseState(psi.copy().reshape([2] * 5), 5)
+            sim._evolve(state, circuit, None)
+            finals.append(state.psi)
+        assert np.array_equal(*finals)
 
 
 class TestBackendsAgree:
@@ -112,6 +232,11 @@ class TestStateConventions:
         b.cnot(0, 1)
         with pytest.raises(SimulationError):
             run_sparse(b.build(), initial=initial)
+
+    @pytest.mark.parametrize("amps", [{-1: 1.0}, {8: 1.0}], ids=["key-neg1", "key-8"])
+    def test_sparse_to_dense_refuses_indices_outside_the_wires(self, amps):
+        with pytest.raises(SimulationError, match="out of range"):
+            sparse_to_dense(amps, 3)
 
     @pytest.mark.parametrize("initial", [{0: 0.1}, {0: 2.0}], ids=["norm-0.01", "norm-4"])
     def test_unnormalised_initial_state_is_refused(self, initial):
