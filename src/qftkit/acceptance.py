@@ -328,25 +328,15 @@ def criterion_crt_identities(quick: bool = False) -> CriterionResult:
         worst_ident = max(worst_ident, err)
     if worst_ident > 1e-10:
         return _failure(name, f"mixed-radix identity error {worst_ident:.2e} > 1e-10")
-    seeds = 30 if quick else 100
-    min_success = 1.0
-    min_rate = 1.0
-    for m in (5, 7, 12):
-        for x in range(m):
-            r = qft_moduli.arbitrary_modulus_estimate(m, x, copies=1, seed=0)
-            min_success = min(min_success, r["success_probability"])
-        ok = 0
-        for seed in range(seeds):
-            ok += all(
-                qft_moduli.arbitrary_modulus_estimate(m, x, copies=25, seed=seed * 7919 + x)["mode_correct"]
-                for x in range(m)
-            )
-        min_rate = min(min_rate, ok / seeds)
-    passed = min_success > 0.5 and min_rate >= 0.99
+    runs = [[qft_moduli.arbitrary_modulus_estimate(m, x) for x in range(m)] for m in (5, 7, 12)]
+    min_success = min(r["success_probability"] for row in runs for r in row)
+    # the chance that every x of m is recovered by its own run
+    recovery = [math.prod(r["mode_probability"] for r in row) for row in runs]
+    passed = min_success > 0.5 and min(recovery) >= 0.99
     details = (
         f"mixed-radix identity error <= {worst_ident:.2e} (tol 1e-10) for m in (6,12,15,30,105); "
-        f"per-sample success >= {min_success:.4f} > 1/2; mode recovery {min_rate:.0%} of {seeds} seeds "
-        f"(need 99%), 25 copies, m in (5,7,12)"
+        f"per-sample success >= {min_success:.4f} > 1/2; exact P(every x is the mode of its 25 copies) "
+        f"{', '.join(f'{p:.5f}' for p in recovery)} >= 0.99 for m in (5,7,12)"
     )
     return CriterionResult(name, passed, details)
 
@@ -362,30 +352,15 @@ def criterion_factoring(quick: bool = False) -> CriterionResult:
             out = shor.factor(15, seed=seed, backend="gate", qft=qft)
             if out["divisor"] not in (3, 5):
                 return _failure(name, f"factor(15, seed={seed}, qft={qft}) -> {out['divisor']}")
-    seeds = 30 if quick else 100
-    min_rate = 1.0
-    for n in (21, 33, 35):
-        wins = 0
-        for seed in range(seeds):
-            out = shor.factor(n, seed=seed, backend="analytic", max_retries=10)
-            if out["divisor"] is not None and n % out["divisor"] == 0 and 1 < out["divisor"] < n:
-                wins += 1
-        min_rate = min(min_rate, wins / seeds)
-    if min_rate < 0.95:
-        return _failure(name, f"analytic factoring success {min_rate:.0%} of {seeds} seeds < 95%")
-    samples = 1000 if quick else 2000
-    rng = np.random.default_rng(424242)
-    pg = shor.gate_distribution(15, 7)
-    pa = shor.analytic_distribution(15, 7)
-    eg = np.bincount(rng.choice(pg.size, size=samples, p=pg), minlength=pg.size) / samples
-    ea = np.bincount(rng.choice(pa.size, size=samples, p=pa), minlength=pa.size) / samples
-    tv = 0.5 * float(np.abs(eg - ea).sum())
+    rates = [1.0 - (1.0 - shor._attempt_success(n, "analytic", "standard")) ** 10 for n in (21, 33, 35)]
+    units = (2, 4, 7, 8, 11, 13, 14)  # every unit of 15 in [2, 14]
+    tv = max(np.abs(shor.gate_distribution(15, a) - shor.analytic_distribution(15, a)).sum() / 2 for a in units)
     details = (
         f"factor(15) gate backend in {{3, 5}} for {n15_seeds} seeds x both transform variants; "
-        f"N in (21, 33, 35) analytic success {min_rate:.0%} of {seeds} seeds (need 95%) within 10 "
-        f"retries; gate-vs-analytic TV {tv:.4f} <= 0.08 at {samples} samples"
+        f"N in (21, 33, 35) exact analytic success within 10 retries {', '.join(f'{r:.5f}' for r in rates)} "
+        f">= 0.95; gate-vs-analytic TV {tv:.1e} <= {EXACTNESS_TOL:.0e} over all {len(units)} units of 15"
     )
-    return CriterionResult(name, tv <= 0.08, details)
+    return CriterionResult(name, min(rates) >= 0.95 and tv <= EXACTNESS_TOL, details)
 
 
 # --- battery ---------------------------------------------------------------------

@@ -136,6 +136,10 @@ def cmd_sim(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     perm = circ.metadata.get("output_permutation")
+    if perm is not None and not (
+        isinstance(perm, list) and all(type(w) is int for w in perm) and sorted(perm) == list(range(circ.n_qubits))
+    ):
+        raise UsageError(f"output_permutation {perm!r} is not a permutation of 0..{circ.n_qubits - 1}")
     if args.shots is None:
         if circ.has_measurement():
             raise UsageError("circuit contains measurement; amplitudes need --shots")

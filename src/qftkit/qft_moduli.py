@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import CapacityError
-from .sim import DEFAULT_SEED, MAX_DFT_DIM, dft_reference
+from .sim import MAX_DFT_DIM, dft_reference
 
 MAX_CRT_MODULUS = 4096
 MAX_MIXED_RADIX_MODULUS = 1024
@@ -165,21 +165,34 @@ def estimate_from_sample(y: int, m: int, k_bits: int) -> int:
     return ((y * m + (1 << (k_bits - 1))) >> k_bits) % m
 
 
-def arbitrary_modulus_estimate(
-    m: int,
-    x: int,
-    *,
-    copies: int = 25,
-    seed: int | None = None,
-) -> dict:
+def _mode_probability(q: np.ndarray, x: int, copies: int) -> float:
+    """P(np.argmax of the outcome counts of ``copies`` draws from ``q`` is x).
+
+    argmax breaks ties to the smallest index, so with x counted c times every
+    j < x needs fewer than c and every j > x at most c.  For each c the other
+    outcomes' series sum_t q_j^t / t!, truncated so, are multiplied out.
+    """
+    fact = np.array([math.factorial(t) for t in range(copies + 1)], dtype=float)
+    total = 0.0
+    for c in range(1, copies + 1):
+        rest = np.ones(1)
+        for j, qj in enumerate(q):
+            if j != x:
+                top = c if j > x else c - 1
+                rest = np.convolve(rest, qj ** np.arange(top + 1) / fact[: top + 1])[: copies - c + 1]
+        if rest.size > copies - c:
+            total += q[x] ** c / fact[c] * rest[copies - c]
+    return float(total * fact[copies])
+
+
+def arbitrary_modulus_estimate(m: int, x: int, *, copies: int = 25) -> dict:
     """Recover a Fourier phase index by repeated padded power-of-2 readout.
 
     Each of ``copies`` samples measures an independent padded Fourier state
     and rounds the outcome back to Z_m; the mode of the rounded estimates is
     the recovered index.  Reports the exact per-sample success probability
-    (from the readout distribution) alongside the empirical one.  The
-    readout register has ``k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS``
-    wires.
+    and the exact probability that the mode is x.  The readout register has
+    ``k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS`` wires.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
@@ -190,22 +203,12 @@ def arbitrary_modulus_estimate(
     k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS
     probs = padded_fourier_probs(m, x, k_bits)
     rounded = np.array([estimate_from_sample(y, m, k_bits) for y in range(probs.size)])
-    success_probability = float(probs[rounded == x].sum())
-    used_seed = DEFAULT_SEED if seed is None else seed
-    rng = np.random.default_rng(used_seed)
-    samples = rng.choice(probs.size, size=copies, p=probs)
-    estimates = rounded[samples]
-    counts = np.bincount(estimates, minlength=m)
-    mode = int(np.argmax(counts))
+    q = np.bincount(rounded, weights=probs, minlength=m)
     return {
         "m": m,
         "x": x,
         "k_bits": k_bits,
         "copies": copies,
-        "mode": mode,
-        "mode_correct": mode == x,
-        "success_probability": success_probability,
-        "empirical_success": float((estimates == x).mean()),
-        "counts": tuple(int(c) for c in counts),
-        "seed": used_seed,
+        "success_probability": float(q[x]),
+        "mode_probability": _mode_probability(q, x, copies),
     }

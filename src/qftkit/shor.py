@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -110,10 +109,6 @@ class FactorTask:
             raise ValueError("modulus must be composite")
         if not 2 <= self.a <= self.modulus - 1:
             raise ValueError(f"base {self.a} not in [2, {self.modulus - 1}]")
-
-    @property
-    def n_bits(self) -> int:
-        return self.modulus.bit_length()
 
 
 @dataclass(frozen=True)
@@ -262,8 +257,6 @@ def continued_fraction_post(y: int, m: int, modulus: int) -> tuple[int, int] | N
         raise ValueError(f"sample {y} not in [0, {m})")
     if y == 0:
         return 0, 1
-    target = Fraction(y, m)
-    bound = Fraction(1, m)
     best = None
     h2, h1, k2, k1 = 0, 1, 1, 0
     num, den = y, m
@@ -273,7 +266,7 @@ def continued_fraction_post(y: int, m: int, modulus: int) -> tuple[int, int] | N
         k = q * k1 + k2
         if k >= modulus:
             break
-        if 0 <= h < k and abs(target - Fraction(h, k)) <= bound:
+        if 0 <= h < k and abs(y * k - h * m) <= k:
             best = (h, k)
         h2, h1, k2, k1 = h1, h, k1, k
         num, den = den, rest
@@ -293,6 +286,32 @@ def _resolve_knobs(backend: str, qft: str, modulus: int) -> str:
     return backend
 
 
+def _read_attempt(modulus: int, a: int, convergent: tuple[int, int] | None) -> tuple[int | None, str, int | None]:
+    """(verified order, outcome, divisor) of an attempt with base ``a`` whose y read as ``convergent``.
+
+    The outcome is no_convergent, unverified_order, odd_order, trivial_gcd or
+    divisor.  The factoring loop and the exact success sum both read here.
+    """
+    if convergent is None:
+        return None, "no_convergent", None
+    r = convergent[1]
+    if pow(a, r, modulus) != 1:
+        return None, "unverified_order", None
+    if r % 2:
+        return r, "odd_order", None
+    d = math.gcd(pow(a, r // 2, modulus) - 1, modulus)
+    return (r, "divisor", d) if 1 < d < modulus else (r, "trivial_gcd", None)
+
+
+def _y_distribution(modulus: int, a: int, backend: str, qft: str) -> np.ndarray:
+    """The y law an attempt samples on a resolved backend, with the logdepth floor mixed in."""
+    probs = gate_distribution(modulus, a) if backend == "gate" else analytic_distribution(modulus, a)
+    if qft == "logdepth":
+        miss = failure_bound(2 * modulus.bit_length(), LOGDEPTH_CHANNEL_K)
+        probs = (1.0 - miss) * probs + miss / probs.size
+    return probs
+
+
 def order_finding_run(
     task: FactorTask,
     backend: str = "auto",
@@ -307,27 +326,42 @@ def order_finding_run(
     With the measured-transform variant (qft="logdepth") selected, the exact
     distribution is mixed with a uniform floor: a failed erase leaves which-x
     information behind, which dephases the coset superposition and makes the
-    readout uniform.  The floor's weight is the bound
-    failure_bound(2 * n_bits, LOGDEPTH_CHANNEL_K), not a measured erase rate:
-    no channel and no log-depth circuit is run, so this variant models the
+    readout uniform.  The floor's weight is the bound failure_bound(2 nb,
+    LOGDEPTH_CHANNEL_K) at nb modulus bits, not a measured erase rate: no
+    channel and no log-depth circuit is run, so this variant models the
     bound's worst case rather than simulating the transform.  A base that
     shares a divisor with the modulus raises LuckyFactor on either backend.
     """
     resolved = _resolve_knobs(backend, qft, task.modulus)
     _screen_base(task.a, task.modulus)
-    if resolved == "gate":
-        probs = gate_distribution(task.modulus, task.a)
-    else:
-        probs = analytic_distribution(task.modulus, task.a)
-    if qft == "logdepth":
-        miss = failure_bound(2 * task.n_bits, LOGDEPTH_CHANNEL_K)
-        probs = (1.0 - miss) * probs + miss / probs.size
+    probs = _y_distribution(task.modulus, task.a, resolved, qft)
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
     y = int(rng.choice(probs.size, p=probs))
     conv = continued_fraction_post(y, probs.size, task.modulus)
-    verified = conv is not None and pow(task.a, conv[1], task.modulus) == 1
+    verified = _read_attempt(task.modulus, task.a, conv)[0] is not None
     return OrderResult(y=y, m=probs.size, convergent=conv, verified=verified)
+
+
+def _attempt_success(modulus: int, backend: str, qft: str) -> float:
+    """Exact chance that one of ``factor``'s attempts returns a divisor, the base uniform on [2, N - 1].
+
+    A base sharing a divisor with the modulus wins by its gcd.  Each y's
+    convergent is computed once and shared across the bases.
+    """
+    backend = _resolve_knobs(backend, qft, modulus)
+    m = 1 << (2 * modulus.bit_length())
+    convergents = [continued_fraction_post(y, m, modulus) for y in range(m)]
+    slots = {c: i for i, c in enumerate(dict.fromkeys(convergents))}
+    slot = np.fromiter((slots[c] for c in convergents), dtype=np.int64, count=m)
+    total = 0.0
+    for a in range(2, modulus):
+        if math.gcd(a, modulus) > 1:
+            total += 1.0
+            continue
+        mass = np.bincount(slot, weights=_y_distribution(modulus, a, backend, qft), minlength=len(slots))
+        total += sum(mass[i] for c, i in slots.items() if _read_attempt(modulus, a, c)[2] is not None)
+    return total / (modulus - 2)
 
 
 def factor(
@@ -369,25 +403,9 @@ def factor(
             trace.append({"attempt": attempt, "a": a, "outcome": "lucky_gcd", "divisor": d})
             return {"divisor": d, "attempts": attempt, "trace": trace}
         res = order_finding_run(FactorTask(modulus, a), backend=backend, qft=qft, rng=rng)
-        rec: dict = {"attempt": attempt, "a": a, "y": res.y}
-        if not res.verified:
-            rec["outcome"] = "unverified_order" if res.convergent else "no_convergent"
-            trace.append(rec)
-            continue
-        r = res.convergent[1]
-        rec["order"] = r
-        if r % 2:
-            rec["outcome"] = "odd_order"
-            trace.append(rec)
-            continue
-        d = math.gcd(pow(a, r // 2, modulus) - 1, modulus)
-        if 1 < d < modulus:
-            if modulus % d:
-                raise QftkitError(f"internal: {d} does not divide {modulus}")
-            rec["outcome"] = "divisor"
-            rec["divisor"] = d
-            trace.append(rec)
-            return {"divisor": d, "attempts": attempt, "trace": trace}
-        rec["outcome"] = "trivial_gcd"
-        trace.append(rec)
+        order, outcome, divisor = _read_attempt(modulus, a, res.convergent)
+        rec = {"attempt": attempt, "a": a, "y": res.y, "order": order, "outcome": outcome, "divisor": divisor}
+        trace.append({key: value for key, value in rec.items() if value is not None})
+        if divisor is not None:
+            return {"divisor": divisor, "attempts": attempt, "trace": trace}
     return {"divisor": None, "attempts": max_retries, "trace": trace}

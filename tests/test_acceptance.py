@@ -4,13 +4,16 @@ Run with ``pytest -v tests/test_acceptance.py`` for one line per criterion,
 or ``-s`` to also see the details string of passing criteria.
 """
 
+import numpy as np
 import pytest
 
-from qftkit import phasest, revarith
+from qftkit import phasest, qft_moduli, revarith, shor
 from qftkit.acceptance import (
     CRITERIA,
     ERASE_PIN,
     criterion_component_unitarity,
+    criterion_crt_identities,
+    criterion_factoring,
     criterion_phase_statistics,
     format_line,
 )
@@ -59,3 +62,31 @@ def test_component_unitarity_names_a_broken_block(monkeypatch, builder, extra, d
     result = criterion_component_unitarity(quick=True)
     assert not result.passed
     assert result.details == details
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("the exact criteria draw no random numbers")
+
+
+def test_estimation_criterion_is_exact_and_fails_below_its_threshold(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
+    result = criterion_crt_identities(quick=True)
+    assert result.passed
+    assert "0.99991, 0.99973, 0.99984 >= 0.99 " in result.details
+    # 0.995 per x leaves 0.995^5 = 0.975 for m = 5, below 0.99
+    monkeypatch.setattr(qft_moduli, "_mode_probability", lambda q, x, copies: 0.995)
+    assert not criterion_crt_identities(quick=True).passed
+
+
+def test_factoring_criterion_is_exact_outside_its_smoke_runs(monkeypatch):
+    monkeypatch.setattr(shor, "factor", lambda n, **kw: {"divisor": 3})
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
+    result = criterion_factoring(quick=True)
+    assert result.passed
+    assert "0.99951, 0.99920, 0.99897 >= 0.95" in result.details
+    assert "<= 1e-10 over all 7 units of 15" in result.details
+    # 1 - 0.8^10 = 0.893 < 0.95
+    monkeypatch.setattr(shor, "_attempt_success", lambda n, backend, qft: 0.2)
+    result = criterion_factoring(quick=True)
+    assert not result.passed
+    assert "0.89263, 0.89263, 0.89263 >= 0.95" in result.details

@@ -160,6 +160,22 @@ class TestSim:
         assert run_cli(capsys, "sim", qft3_path, "--input", "10x")[0] == 2
         assert run_cli(capsys, "sim", qft3_path, "--input", "101", "--shots", "0")[0] == 2
 
+    @pytest.mark.parametrize(
+        "n, perm",
+        [(3, [0]), (2, "ab"), (2, [0, 0])],
+        ids=["too-short", "not-a-list", "repeated-wire"],
+    )
+    def test_output_permutation_from_the_file_is_checked(self, tmp_path, capsys, n, perm):
+        # a repeated wire would merge amplitudes: H on both wires of [0, 0] printed 2 of 4
+        path = tmp_path / "bad_perm.qc"
+        gates = "".join(f"h {w}\n" for w in range(n))
+        path.write_text(f"qubits {n} ancilla 0 classical 0\n# meta {json.dumps({'output_permutation': perm})}\n{gates}")
+        for shots in ((), ("--shots", "4")):
+            code, out, err = run_cli(capsys, "sim", str(path), "--input", "0" * n, *shots)
+            assert code == 2
+            assert out == ""
+            assert "output_permutation" in err
+
 
     def test_measuring_circuit_samples_one_run_per_shot(self, tmp_path, capsys):
         path = str(tmp_path / "logdepth.qc")

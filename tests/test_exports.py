@@ -31,6 +31,7 @@ REMOVED_PARAMETERS = [
     (shor, "FactorTask", "seed"),
     (qft_moduli, "arbitrary_modulus_estimate", "padding_bits"),
     (qft_moduli, "arbitrary_modulus_estimate", "k_bits"),
+    (qft_moduli, "arbitrary_modulus_estimate", "seed"),
     (qft_pow2, "LogdepthQft", "window"),
     (CircuitBuilder, "measure", "out"),
     (CircuitBuilder, "__init__", "n_classical"),
@@ -56,6 +57,7 @@ REMOVED_NAMES = [
     (qftkit, "build_subtractor"),
     (qft_moduli.CrtBasis, "reconstruct"),
     (qft_moduli.CrtBasis, "cofactors"),
+    (shor.FactorTask, "n_bits"),
 ]
 
 

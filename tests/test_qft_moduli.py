@@ -1,11 +1,14 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from qftkit.errors import CapacityError
 from qftkit.qft_moduli import (
+    DEFAULT_PADDING_BITS,
     CrtBasis,
+    _mode_probability,
     arbitrary_modulus_estimate,
     crt_maps,
     estimate_from_sample,
@@ -121,31 +124,52 @@ class TestPaddedEstimation:
             assert estimate_from_sample(x, 8, 3) == x
 
     def test_general_modulus_beats_a_coin_flip(self):
-        r = arbitrary_modulus_estimate(5, 3, seed=11)
+        r = arbitrary_modulus_estimate(5, 3)
         assert r["success_probability"] > 0.5
-        assert r["mode_correct"]
-        assert sum(r["counts"]) == r["copies"]
-
-    def test_seeded_runs_reproduce(self):
-        a = arbitrary_modulus_estimate(5, 3, copies=40, seed=2)
-        b = arbitrary_modulus_estimate(5, 3, copies=40, seed=2)
-        assert a == b
+        assert r["mode_probability"] > 0.99
 
     def test_result_keys_are_stable(self):
-        r = arbitrary_modulus_estimate(6, 1, seed=0)
-        assert set(r) == {
-            "m",
-            "x",
-            "k_bits",
-            "copies",
-            "mode",
-            "mode_correct",
-            "success_probability",
-            "empirical_success",
-            "counts",
-            "seed",
-        }
+        r = arbitrary_modulus_estimate(6, 1)
+        assert set(r) == {"m", "x", "k_bits", "copies", "success_probability", "mode_probability"}
+
+    def test_one_copy_recovers_with_the_per_sample_success(self):
+        r = arbitrary_modulus_estimate(7, 2, copies=1)
+        assert r["mode_probability"] == pytest.approx(r["success_probability"], abs=1e-15)
 
     def test_dft_cap(self):
         with pytest.raises(CapacityError):
             padded_fourier_probs(5, 3, 40)
+
+
+def _rounded_law(m: int, x: int) -> np.ndarray:
+    k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS
+    probs = padded_fourier_probs(m, x, k_bits)
+    rounded = [estimate_from_sample(y, m, k_bits) for y in range(probs.size)]
+    return np.bincount(rounded, weights=probs, minlength=m)
+
+
+def _brute_mode_probability(q: np.ndarray, x: int, copies: int) -> float:
+    total = 0.0
+    for draws in product(range(q.size), repeat=copies):
+        if np.argmax(np.bincount(draws, minlength=q.size)) == x:
+            total += math.prod(q[d] for d in draws)
+    return total
+
+
+class TestModeProbability:
+    @pytest.mark.parametrize("m, copies", [(5, 5), (7, 4)])
+    def test_matches_enumeration_for_every_x(self, m, copies):
+        for x in range(m):
+            q = _rounded_law(m, x)
+            got = _mode_probability(q, x, copies)
+            assert abs(got - _brute_mode_probability(q, x, copies)) <= 1e-12
+
+    def test_ties_go_to_the_smaller_index(self):
+        # counts (2,0) and the ties (1,1) read 0; only (0,2) reads 1
+        q = np.array([0.5, 0.5])
+        assert _mode_probability(q, 0, 2) == pytest.approx(0.75, abs=1e-15)
+        assert _mode_probability(q, 1, 2) == pytest.approx(0.25, abs=1e-15)
+
+    def test_the_modes_of_one_law_sum_to_one(self):
+        q = _rounded_law(12, 5)
+        assert sum(_mode_probability(q, x, 25) for x in range(12)) == pytest.approx(1.0, abs=1e-12)

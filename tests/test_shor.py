@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 
 from qftkit import shor
 from qftkit.errors import CapacityError
+from qftkit.phasest import failure_bound
 from qftkit.revarith import precompute_powers
 from qftkit.shor import (
     FactorTask,
@@ -287,3 +290,69 @@ class TestFactor:
         z = (wins_std - wins_log) / (n_arm * se)
         p_value = math.erfc(abs(z) / math.sqrt(2))
         assert p_value > 0.01, f"variants disagree: {wins_std} vs {wins_log}, p={p_value:.4f}"
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of factor(N, seed=s) for s = 0..9: a change to the draws or
+# to the reading of an attempt moves them.  Equal prefixes are equal traces
+FACTOR_TRACE_PINS = {
+    (15, "gate", "standard"): [
+        "18968f46dbe0a6a7", "35f5c8eeea87257d", "70a337ba45317b9f", "70a337ba45317b9f", "2e93858caf944f78",
+        "fe8ff867c3081bfb", "26e3492ec8e28fcb", "bb21088f7d70d28d", "2e93858caf944f78", "26e3492ec8e28fcb",
+    ],
+    (15, "gate", "logdepth"): [
+        "18968f46dbe0a6a7", "35f5c8eeea87257d", "70a337ba45317b9f", "70a337ba45317b9f", "2e93858caf944f78",
+        "fe8ff867c3081bfb", "26e3492ec8e28fcb", "bb21088f7d70d28d", "2e93858caf944f78", "26e3492ec8e28fcb",
+    ],
+    (21, "analytic", "standard"): [
+        "3ba828be9c75727f", "1efbee68c046e848", "b0be37046a67d504", "8935096cb7cded0d", "4a9d1a5ae04da14b",
+        "01e36225029dca87", "4c9c34180e9dfbe8", "083699f7c2295723", "4a9d1a5ae04da14b", "e7d63a74b8db03c9",
+    ],
+    (33, "analytic", "standard"): [
+        "c8e7b23ef7d263f4", "3cb6d0510afd9b3d", "983d12aec413d75d", "983d12aec413d75d", "cd7da2d06450d88e",
+        "30cda7ecc2027038", "4a9d1a5ae04da14b", "d0fdf18b5fb5033b", "cd7da2d06450d88e", "4a9d1a5ae04da14b",
+    ],
+    (35, "analytic", "standard"): [
+        "33396f74ae131dcb", "e7011d62fdcb7388", "82c5e843dbea8be1", "aafa7169a9ac42bc", "6c82ec0ed462a519",
+        "8997cc72f8fc9aab", "cdf235ac79f742a9", "b98ef91bd237bf62", "6c82ec0ed462a519", "6928b7db30b6e625",
+    ],
+}
+
+
+class TestSeededTraces:
+    @pytest.mark.parametrize("modulus, backend, qft", list(FACTOR_TRACE_PINS), ids=lambda v: str(v))
+    def test_factor_traces_are_pinned(self, modulus, backend, qft):
+        got = [_digest(factor(modulus, seed=s, backend=backend, qft=qft)) for s in range(10)]
+        assert got == FACTOR_TRACE_PINS[modulus, backend, qft]
+
+    def test_order_finding_results_are_pinned(self):
+        runs = []
+        for modulus, a, backend, qft in [
+            (15, 7, "gate", "standard"),
+            (15, 2, "gate", "logdepth"),
+            (21, 2, "analytic", "standard"),
+            (35, 3, "analytic", "logdepth"),
+        ]:
+            for s in range(10):
+                r = order_finding_run(FactorTask(modulus, a), backend=backend, qft=qft, rng=np.random.default_rng(s))
+                runs.append([r.y, r.m, r.convergent, r.verified])
+        assert _digest(runs) == "07b188624cb13dda"
+
+
+class TestAttemptSuccess:
+    def test_fifteen_by_hand(self):
+        # 6 of the 13 bases share a factor with 15; bases 2, 7, 8, 13 (order 4)
+        # win on y in {64, 192} and 4, 11 (order 2) on y = 128; 14 never wins
+        assert shor._attempt_success(15, "gate", "standard") == pytest.approx(9 / 13, abs=1e-12)
+
+    def test_logdepth_mixture_moves_it_by_at_most_its_floor(self):
+        # the variant mixes weight failure_bound(8, 64) of uniform into each y law
+        gap = shor._attempt_success(15, "gate", "standard") - shor._attempt_success(15, "gate", "logdepth")
+        assert abs(gap) <= failure_bound(8, shor.LOGDEPTH_CHANNEL_K)
+
+    def test_analytic_backend_agrees_with_the_gate_backend(self):
+        gate = shor._attempt_success(15, "gate", "standard")
+        assert shor._attempt_success(15, "analytic", "standard") == pytest.approx(gate, abs=1e-12)
