@@ -58,13 +58,12 @@ from .qft_pow2 import (
     viete_partial,
 )
 from .revarith import (
-    build_four_two,
+    build_carry_save,
     build_iterated_product,
     build_modmul,
     build_multiplier,
     build_prefix_add,
     build_telescoping_subtract,
-    build_three_two,
 )
 from .shor import (
     FactorTask,

@@ -216,10 +216,9 @@ def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
         (revarith.build_prefix_add(2, 3), [3, 3], [range(8)] * 2, lambda v, r: r == [v[0], (v[1] + v[0]) % 8]),
         (revarith.build_telescoping_subtract(2, 3), [3, 3], [range(8)] * 2,
          lambda v, r: r == [v[0], (v[1] - v[0]) % 8]),
-        (revarith.build_three_two(2), [2, 2, 2, 2, 3], [range(4)] * 3,
-         lambda v, r: r[:3] == list(v) and r[3] + r[4] == sum(v)),
-        (revarith.build_four_two(2), [2, 2, 2, 2, 3, 4], [range(4)] * 4,
-         lambda v, r: r[:4] == list(v) and r[4] + r[5] == sum(v)),
+        *((revarith.build_carry_save(rows, 2), [2] * rows + [2 + (rows - 1).bit_length()] * 2,
+           [range(4)] * rows, lambda v, r: r[:-2] == list(v) and r[-2] + r[-1] == sum(v))
+          for rows in (3, 4, 5)),
         (revarith.build_multiplier(2, 2, 4), [2, 2, 4], [range(4)] * 2, lambda v, r: r == [*v, v[0] * v[1] % 16]),
         (revarith.build_modmul(5), [3, 3, 3], [range(5)] * 2, lambda v, r: r == [*v, v[0] * v[1] % 5]),
     )
@@ -231,7 +230,7 @@ def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
     details = (
         f"prep fidelity >= {min_fid:.12f} (all x, n <= {3 if quick else 4}); copy state error "
         f"<= {copy_err:.2e} (n <= 2, k <= 4); prefix/telescoping exhaustive at (k=3, n=2) and (k=2, n=3); "
-        f"carry-save/multiplier/modmul exhaustive at small widths"
+        f"carry-save reducer at 3, 4 and 5 rows (n=2), multiplier and modmul exhaustive at small widths"
     )
     return CriterionResult(name, True, details)
 

@@ -144,7 +144,8 @@ def padded_fourier_probs(m: int, x: int, k_bits: int) -> np.ndarray:
 
     The modulus-m Fourier state with phase index x is embedded into 2^k_bits
     dimensions (zero amplitude above m) and passed through the inverse
-    power-of-2 transform; entry y is the probability of observing y.
+    power-of-2 transform, one FFT of the padded vector; entry y is the
+    probability of observing y.
     """
     if not 0 <= x < m:
         raise ValueError(f"phase index {x} not in [0, {m})")
@@ -153,11 +154,8 @@ def padded_fourier_probs(m: int, x: int, k_bits: int) -> np.ndarray:
         raise CapacityError(f"2^{k_bits} exceeds DFT cap {MAX_DFT_DIM}")
     if dim < m:
         raise ValueError(f"2^{k_bits} must be at least the modulus {m}")
-    psi = np.zeros(dim, dtype=np.complex128)
-    ys = np.arange(m)
-    psi[:m] = np.exp(2j * np.pi * x * ys / m) / np.sqrt(m)
-    out = dft_reference(dim).conj().T @ psi
-    return np.abs(out) ** 2
+    psi = np.exp(2j * np.pi * x * np.arange(m) / m) / np.sqrt(m)
+    return np.abs(np.fft.fft(psi, dim) / np.sqrt(dim)) ** 2
 
 
 def estimate_from_sample(y: int, m: int, k_bits: int) -> int:

@@ -29,14 +29,7 @@ import numpy as np
 from .circuit import CP, Circuit, CircuitBuilder, Gate, H, dyadic
 from .errors import CapacityError
 from .phasest import erase_failure, failure_bound
-from .revarith import (
-    ONE,
-    _emit_addsub_core,
-    _emit_multiplier,
-    _emit_three_two_refs,
-    _emit_wallace,
-    bnot,
-)
+from .revarith import ONE, _emit_addsub_core, _emit_multiplier, _emit_wallace, bnot
 from .sim import DEFAULT_SEED
 
 __all__ = [
@@ -340,16 +333,16 @@ def _emit_copy(b: CircuitBuilder, regs: Sequence[Sequence[int]]) -> None:
     start = b.mark()
     s, c = _emit_wallace(b, blanks, n)
     tree = b.mark()
-    a_sum, a_carry = _emit_three_two_refs(b, src, [bnot(r) for r in s], [bnot(r) for r in c])
+    a_sum, a_carry = _emit_wallace(b, [src, [bnot(r) for r in s], [bnot(r) for r in c]], n)
     a_carry[0] = ONE
     a_stop = b.mark()
     t = b.new_ancillas(n)
-    _emit_addsub_core(b, a_sum, a_carry[:n], outs=t, carry_in=True)
+    _emit_addsub_core(b, a_sum, a_carry, outs=t, carry_in=True)
     b_start = b.mark()
-    b_sum, b_carry = _emit_three_two_refs(b, t, s, c)
+    b_sum, b_carry = _emit_wallace(b, [t, s, c], n)
     b_stop = b.mark()
     b.uncompute(tree, a_stop)
-    _emit_addsub_core(b, b_sum, b_carry[:n], outs=src)
+    _emit_addsub_core(b, b_sum, b_carry, outs=src)
     b.uncompute(b_start, b_stop)
     for ti, si in zip(t, src):
         b.cnot(ti, si)

@@ -229,37 +229,7 @@ def const_bits(value: int, width: int) -> list[BitRef]:
     return [ONE if (value >> i) & 1 else ZERO for i in range(width)]
 
 
-# --- carry-save counters ------------------------------------------------------
-
-
-def _pad(row: Sequence[BitRef], width: int) -> list[BitRef]:
-    return list(row) + [ZERO] * (width - len(row))
-
-
-def _emit_three_two_refs(
-    b: CircuitBuilder, xs: Sequence[BitRef], ys: Sequence[BitRef], zs: Sequence[BitRef]
-) -> tuple[list[BitRef], list[BitRef]]:
-    """Carry-save step on reference rows; returns (sum row, carry row)."""
-    width = max(len(xs), len(ys), len(zs))
-    xs, ys, zs = _pad(xs, width), _pad(ys, width), _pad(zs, width)
-    s = [emit_xor(b, [xs[i], ys[i], zs[i]]) for i in range(width)]
-    c: list[BitRef] = [ZERO] + [emit_maj(b, xs[i], ys[i], zs[i]) for i in range(width)]
-    return s, c
-
-
-def _emit_four_two_refs(
-    b: CircuitBuilder,
-    hi: tuple[Sequence[BitRef], Sequence[BitRef]],
-    lo: tuple[Sequence[BitRef], Sequence[BitRef]],
-    width: int,
-) -> tuple[list[BitRef], list[BitRef]]:
-    """4-2 step on two carry-save row pairs: two 3-2 steps, rows cut to ``width``.
-
-    The four rows sum to the returned (sum row, carry row) mod 2^width.
-    """
-    s1, c1 = _emit_three_two_refs(b, hi[0], hi[1], lo[0])
-    s2, c2 = _emit_three_two_refs(b, s1[:width], c1[:width], lo[1])
-    return s2[:width], c2[:width]
+# --- carry-save reduction ------------------------------------------------------
 
 
 def _emit_wallace(
@@ -267,56 +237,42 @@ def _emit_wallace(
 ) -> tuple[list[BitRef], list[BitRef]]:
     """Wallace tree of 3-2 steps: two rows whose sum is that of ``rows`` mod 2^width.
 
-    Each level groups the rows in threes and keeps the leftover one or two;
-    every row is cut to ``width``, and both returned rows have exactly that
-    width.  The tree is left behind for the caller's uncompute.
+    Every row is padded with ZERO or cut to ``width`` on entry.  Each level
+    groups the rows in threes and keeps the leftover one or two; a 3-2 step
+    emits the sum bits, then the majorities below the top position, so no
+    carry at or above ``width`` is computed.  The tree is left behind for the
+    caller's uncompute.
     """
-    rows = list(rows)
+    rows = [(list(row) + [ZERO] * width)[:width] for row in rows]
     while len(rows) > 2:
         nxt = []
-        i = 0
-        while i + 3 <= len(rows):
-            s, c = _emit_three_two_refs(b, rows[i], rows[i + 1], rows[i + 2])
-            nxt.append(s[:width])
-            nxt.append(c[:width])
-            i += 3
-        nxt.extend(rows[i:])
+        for xs, ys, zs in zip(rows[0::3], rows[1::3], rows[2::3]):
+            nxt.append([emit_xor(b, [xs[j], ys[j], zs[j]]) for j in range(width)])
+            nxt.append([ZERO] + [emit_maj(b, xs[j], ys[j], zs[j]) for j in range(width - 1)])
+        nxt.extend(rows[len(rows) - len(rows) % 3 :])
         rows = nxt
     rows += [[ZERO] * width] * (2 - len(rows))
-    return _pad(rows[0], width)[:width], _pad(rows[1], width)[:width]
+    return rows[0], rows[1]
 
 
-def build_three_two(n: int) -> Circuit:
-    """3-2 counter on wires [x | y | z | s(n) | c(n+1)]: s ^= x^y^z, c ^= carries.
+def build_carry_save(rows: int, n: int) -> Circuit:
+    """Carry-save sum on [rows x n | s(w) | c(w)], w = n + (rows - 1).bit_length().
 
-    Wraps the carry-save step the multiplier runs: compute, copy out,
-    uncompute.  Constant depth: every bit position is handled independently.
+    s ^= sum row, c ^= carry row of the Wallace tree over the ``rows``
+    registers, the tree the multiplier, the prefix adder and the Fourier copy
+    run: compute, copy out, uncompute.  w bits hold the whole sum, so
+    s + c equals it exactly.
     """
-    b = CircuitBuilder(5 * n + 1)
-    x, y, z = (list(range(j * n, (j + 1) * n)) for j in range(3))
+    w = n + (rows - 1).bit_length()
+    b = CircuitBuilder(rows * n + 2 * w)
+    regs = [list(range(j * n, (j + 1) * n)) for j in range(rows)]
     start = b.mark()
-    s, c = _emit_three_two_refs(b, x, y, z)
+    s, c = _emit_wallace(b, regs, w)
     stop = b.mark()
-    for out, r in zip(range(3 * n, 5 * n + 1), s + c, strict=True):
+    for out, r in zip(range(rows * n, rows * n + 2 * w), s + c, strict=True):
         xor_into(b, out, r)
     b.uncompute(start, stop)
-    return b.build(metadata={"kind": "three_two", "n": n})
-
-
-def build_four_two(n: int) -> Circuit:
-    """4-2 counter on [x | y | z | w | s(n+1) | c(n+2)] with x+y+z+w = s+c.
-
-    Wraps the 4-2 step the prefix adder runs: compute, copy out, uncompute.
-    """
-    b = CircuitBuilder(6 * n + 3)
-    x, y, z, w = (list(range(j * n, (j + 1) * n)) for j in range(4))
-    start = b.mark()
-    s, c = _emit_four_two_refs(b, (x, y), (z, w), n + 2)
-    stop = b.mark()
-    for out, r in zip(range(4 * n, 6 * n + 3), s + c, strict=True):
-        xor_into(b, out, r)
-    b.uncompute(start, stop)
-    return b.build(metadata={"kind": "four_two", "n": n})
+    return b.build(metadata={"kind": "carry_save", "rows": rows, "n": n})
 
 
 # --- register prefix networks --------------------------------------------------
@@ -326,7 +282,7 @@ def build_prefix_add(k: int, n: int) -> Circuit:
     """In-place prefix sums mod 2^n over k registers, in logarithmic depth.
 
     Register rows travel the prefix tree in carry-save form (two reference
-    rows per node, combined 4->2 by a pair of counter steps), are
+    rows per node, combined 4->2 by the Wallace tree), are
     canonicalized by carry-lookahead taps into fresh registers, and the
     original registers are erased by parallel subtract taps before the final
     swap.  Ancillas all return to zero.
@@ -343,12 +299,12 @@ def _emit_prefix_add(b: CircuitBuilder, regs: Sequence[Sequence[int]]) -> None:
     rows: list[tuple[list[BitRef], list[BitRef]]] = [
         (list(regs[j]), [ZERO] * n) for j in range(k)
     ]
-    prows = _brent_kung(rows, lambda hi, lo: _emit_four_two_refs(b, hi, lo, n))
+    prows = _brent_kung(rows, lambda hi, lo: _emit_wallace(b, [*hi, *lo], n))
     stop = b.mark()
     qs = []
     for j in range(k):
         q = b.new_ancillas(n)
-        _emit_addsub_core(b, _pad(prows[j][0], n)[:n], _pad(prows[j][1], n)[:n], outs=q)
+        _emit_addsub_core(b, *prows[j], outs=q)
         qs.append(q)
     b.uncompute(start, stop)
     # erase the original registers: regs[j] ^= q_j - q_{j-1}.  Each subtract

@@ -20,7 +20,7 @@ from . import revarith
 from .circuit import Circuit, CircuitBuilder
 from .errors import CapacityError, QftkitError
 from .phasest import failure_bound
-from .qft_pow2 import _ladder_layers, bit_reversed_indices
+from .qft_pow2 import _ladder_layers, _output_permutation, bit_reversed_indices
 from .sim import DEFAULT_SEED, run_sparse, sparse_marginal
 
 MAX_GATE_MODULUS = 15
@@ -144,7 +144,8 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
 
     Data wires: x register on [0, 2n), product register on [2n, 2n + nb).
     The transform leaves the x register in bit-reversed wire order, recorded
-    in metadata the same way the bare transform builders do.
+    in metadata the same way the bare transform builders do; the product
+    register keeps its order.
     """
     _check_gate_cap(modulus)
     _screen_base(a, modulus)
@@ -165,7 +166,7 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
             "modulus": modulus,
             "a": a,
             "n_x": n_x,
-            "output_permutation": list(reversed(range(n_x))),
+            "output_permutation": _output_permutation(n_x) + list(range(n_x, n_x + nb)),
         }
     )
 

@@ -48,6 +48,8 @@ def test_phase_statistics_fails_a_channel_above_its_pin(monkeypatch):
         ("build_multiplier", lambda c: X(c.n_qubits), "multiplier dirty ancillas on input [0, 0]"),
         # the top product wire copied into an input, which the block must only read
         ("build_modmul", lambda c: CNOT(c.n_qubits - 1, 1), "modmul[1, 4] -> [3, 4, 4]"),
+        # the carry row's top bit set, so s + c misses the rows' sum
+        ("build_carry_save", lambda c: X(c.n_qubits - 1), "carry_save[0, 0, 0] -> [0, 0, 0, 0, 8]"),
     ],
 )
 def test_component_unitarity_names_a_broken_block(monkeypatch, builder, extra, details):

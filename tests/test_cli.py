@@ -5,7 +5,9 @@ import pytest
 
 from qftkit import cli
 from qftkit.netlist import decode as decode_netlist
+from qftkit.netlist import encode as encode_netlist
 from qftkit.qft_pow2 import copy_fourier, prep_approx, prep_exact, standard_qft
+from qftkit.shor import build_order_circuit
 from qftkit.sim import dft_reference
 
 
@@ -176,6 +178,17 @@ class TestSim:
             assert out == ""
             assert "output_permutation" in err
 
+    def test_order_circuit_netlist_samples(self, tmp_path, capsys):
+        # the permutation covers all 12 data wires: x register reversed, product register kept
+        path = tmp_path / "order.qc"
+        path.write_text(encode_netlist(build_order_circuit(15, 7)))
+        code, out, _ = run_cli(capsys, "sim", str(path), "--input", "0" * 12, "--shots", "20")
+        assert code == 0
+        counts = json.loads(out)["counts"]
+        assert sum(counts.values()) == 20
+        # 7 has order 4 mod 15, so y is a multiple of 256 / 4
+        assert {int(key, 2) & 0xFF for key in counts} <= {0, 64, 128, 192}
+        assert {int(key, 2) >> 8 for key in counts} <= {1, 7, 4, 13}
 
     def test_measuring_circuit_samples_one_run_per_shot(self, tmp_path, capsys):
         path = str(tmp_path / "logdepth.qc")

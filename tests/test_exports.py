@@ -58,6 +58,12 @@ REMOVED_NAMES = [
     (qft_moduli.CrtBasis, "reconstruct"),
     (qft_moduli.CrtBasis, "cofactors"),
     (shor.FactorTask, "n_bits"),
+    (revarith, "build_three_two"),
+    (revarith, "build_four_two"),
+    (qftkit, "build_three_two"),
+    (qftkit, "build_four_two"),
+    (revarith, "_emit_three_two_refs"),
+    (revarith, "_emit_four_two_refs"),
 ]
 
 
@@ -68,7 +74,8 @@ def test_unused_names_stay_removed(owner, name):
     # none ran outside the tests: reconstruct_batch is the one decoder,
     # emit_maj's general path covers the OR that emit_or gave it, and
     # build_prefix_add / build_telescoping_subtract at k = 2 are the adder
-    # and subtractor
+    # and subtractor; build_carry_save certifies the one Wallace tree that
+    # the 3-2 and 4-2 counters wrapped
     assert not hasattr(owner, name)
 
 

@@ -140,6 +140,20 @@ class TestPaddedEstimation:
         with pytest.raises(CapacityError):
             padded_fourier_probs(5, 3, 40)
 
+    @pytest.mark.parametrize("m", [2, 5, 12, 100, 512])
+    def test_fft_matches_the_matrix_transform(self, m):
+        k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS
+        dim = 1 << k_bits
+        # psi vanishes above m, so only the first m columns of the inverse DFT
+        # matrix enter; at m = 512 the whole 4096-point matrix takes 0.5 GB
+        cols = np.exp(-2j * np.pi * np.outer(np.arange(dim), np.arange(m)) / dim) / np.sqrt(dim)
+        if dim <= 1024:
+            assert np.abs(cols - dft_reference(dim).conj().T[:, :m]).max() < 1e-12
+        for x in {0, m // 3, m - 1}:
+            psi = np.exp(2j * np.pi * x * np.arange(m) / m) / np.sqrt(m)
+            want = np.abs(cols @ psi) ** 2
+            assert np.abs(padded_fourier_probs(m, x, k_bits) - want).max() < 1e-12
+
 
 def _rounded_law(m: int, x: int) -> np.ndarray:
     k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS

@@ -311,6 +311,9 @@ class TestLogdepthChannel:
         (16, 4): 83, (16, 8): 105, (16, 16): 131,
         (32, 4): 92, (32, 8): 114, (32, 16): 140,
         (12, 4): 76, (8, 32): 137, (16, 48): 164,
+        # k = 2: the inverted prefix network's depths at (1,2) and (2,4), the
+        # first carry-save copy's at (2,2) and (32,2), which that network beat
+        (1, 2): 22, (2, 4): 37, (2, 2): 44, (32, 2): 81,
     }
 
     @pytest.mark.parametrize("n, k", list(DEPTH_CEILINGS))

@@ -4,16 +4,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qftkit import revarith
+from qftkit import qft_pow2, revarith
 from qftkit.circuit import CircuitBuilder
 from qftkit.revarith import (
-    build_four_two,
+    build_carry_save,
     build_iterated_product,
     build_modmul,
     build_multiplier,
     build_prefix_add,
     build_telescoping_subtract,
-    build_three_two,
     precompute_powers,
 )
 from qftkit.sim import run_classical_bits, run_sparse
@@ -88,48 +87,62 @@ class TestAdderSubtractor:
 
 
 class TestCarrySave:
+    """build_carry_save(rows, n): the Wallace tree at the width that holds the sum."""
+
+    @staticmethod
+    def check_exact_sum(rows, n):
+        c = build_carry_save(rows, n)
+        w = n + (rows - 1).bit_length()
+        for packed in range(1 << (rows * n)):
+            out = run_classical_bits(c, packed)
+            (*regs, s, carry), junk = fields(out, [n] * rows + [w, w])
+            assert junk == 0, "ancillas must return to zero"
+            assert regs == fields(packed, [n] * rows)[0]
+            assert s + carry == sum(regs)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_three_two_preserves_sum(self, n):
-        c = build_three_two(n)
-        for packed in range(1 << (3 * n)):
-            out = run_classical_bits(c, packed)
-            (x, y, z, s, carry), junk = fields(out, [n, n, n, n, n + 1])
-            assert junk == 0
-            assert (x, y, z) == tuple(fields(packed, [n, n, n])[0])
-            assert s + carry == x + y + z
+        self.check_exact_sum(3, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_four_two_preserves_sum(self, n):
-        c = build_four_two(n)
-        for packed in range(1 << (4 * n)):
-            out = run_classical_bits(c, packed)
-            (x, y, z, w, s, carry), junk = fields(out, [n, n, n, n, n + 1, n + 2])
-            assert junk == 0
-            assert s + carry == x + y + z + w
+        self.check_exact_sum(4, n)
+
+    @pytest.mark.parametrize("rows, n", [(5, 2), (6, 1)])
+    def test_deeper_trees_preserve_sum(self, rows, n):
+        self.check_exact_sum(rows, n)
 
     def test_public_counters_run_the_live_emitters(self, monkeypatch):
-        # the exhaustive checks above certify the counters the multiplier and
-        # the prefix adder call, not a copy of them
-        calls = {"three_two": 0, "four_two": 0}
+        # the exhaustive checks above certify the tree the copy and the
+        # prefix adder call, not a copy of it
+        calls = []
 
-        def counted(name, emit):
-            def wrapped(*args):
-                calls[name] += 1
-                return emit(*args)
+        def counted(b, rows, width):
+            calls.append(len(rows))
+            return emit(b, rows, width)
 
-            return wrapped
-
-        for name in calls:
-            emitter = f"_emit_{name}_refs"
-            monkeypatch.setattr(revarith, emitter, counted(name, getattr(revarith, emitter)))
-        build_three_two(2)
-        assert calls == {"three_two": 1, "four_two": 0}
-        build_four_two(2)
-        assert calls == {"three_two": 3, "four_two": 1}
+        emit = revarith._emit_wallace
+        monkeypatch.setattr(revarith, "_emit_wallace", counted)
+        monkeypatch.setattr(qft_pow2, "_emit_wallace", counted)
+        build_carry_save(5, 2)
+        assert calls == [5]
+        calls.clear()
+        qft_pow2.copy_fourier(2, 4)
+        assert calls == [3, 3, 3]
+        calls.clear()
+        build_prefix_add(3, 2)
+        assert calls == [4, 4]
 
     def test_three_two_depth_constant_in_width(self):
         # no carry chain: the depth must not grow with n
-        assert build_three_two(8).depth == build_three_two(2).depth
+        assert build_carry_save(3, 8).depth == build_carry_save(3, 2).depth
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_a_cut_level_emits_no_carry_at_the_width(self, n):
+        # n sums and n - 1 majorities: the carry into position n is never built
+        b = CircuitBuilder(3 * n)
+        revarith._emit_wallace(b, [range(j * n, (j + 1) * n) for j in range(3)], n)
+        assert b.build().n_ancilla == 2 * n - 1
 
 
 class TestPrefixAdd:
