@@ -33,7 +33,6 @@ from .phasest import (
     reconstruct_batch,
 )
 from .qft_moduli import (
-    CrtBasis,
     arbitrary_modulus_estimate,
     crt_maps,
     estimate_from_sample,

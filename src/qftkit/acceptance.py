@@ -322,8 +322,7 @@ def criterion_crt_identities(quick: bool = False) -> CriterionResult:
     name = "crt-and-estimation"
     worst_ident = 0.0
     for m in (6, 12, 15, 30, 105):
-        basis = qft_moduli.CrtBasis.for_modulus(m)
-        err = float(np.abs(qft_moduli.mixed_radix_qft(basis) - dft_reference(m)).max())
+        err = float(np.abs(qft_moduli.mixed_radix_qft(m) - dft_reference(m)).max())
         worst_ident = max(worst_ident, err)
     if worst_ident > 1e-10:
         return _failure(name, f"mixed-radix identity error {worst_ident:.2e} > 1e-10")
@@ -334,7 +333,8 @@ def criterion_crt_identities(quick: bool = False) -> CriterionResult:
     passed = min_success > 0.5 and min(recovery) >= 0.99
     details = (
         f"mixed-radix identity error <= {worst_ident:.2e} (tol 1e-10) for m in (6,12,15,30,105); "
-        f"per-sample success >= {min_success:.4f} > 1/2; exact P(every x is the mode of its 25 copies) "
+        f"per-sample success >= {min_success:.4f} > 1/2; "
+        f"exact P(every x is the mode of its {qft_moduli.ESTIMATE_COPIES} copies) "
         f"{', '.join(f'{p:.5f}' for p in recovery)} >= 0.99 for m in (5,7,12)"
     )
     return CriterionResult(name, passed, details)

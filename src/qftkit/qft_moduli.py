@@ -1,18 +1,18 @@
 """Chinese-remainder factorizations of the DFT and estimation for other moduli.
 
 Everything in this module lives at the matrix / statevector level.  The CRT
-side checks that conjugating a tensor product of small DFTs by the residue
-permutation (and a per-coordinate unit multiplication) reproduces the full
-transform exactly.  The estimation side checks that a Fourier state for an
-arbitrary modulus, read out through an inverse power-of-2 transform, lets the
-phase index be recovered by rounding, with per-sample success above one half.
+side re-indexes a tensor product of small DFTs by two index permutations, the
+residue map and a per-coordinate unit multiplication (``crt_maps``), and
+checks that this reproduces the full transform exactly; no matrix product is
+formed.  The estimation side checks that a Fourier state for an arbitrary
+modulus, read out through an inverse power-of-2 transform, lets the phase
+index be recovered by rounding, with per-sample success above one half, and
+that the mode of ``ESTIMATE_COPIES`` rounded readouts is x.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -23,6 +23,7 @@ MAX_CRT_MODULUS = 4096
 MAX_MIXED_RADIX_MODULUS = 1024
 MAX_ESTIMATE_MODULUS = 512
 DEFAULT_PADDING_BITS = 3
+ESTIMATE_COPIES = 25
 
 # every composite below MAX_CRT_MODULUS has a prime factor <= 61, so trial
 # division by this list leaves a prime (or 1) behind
@@ -51,89 +52,41 @@ def prime_power_factors(m: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class CrtBasis:
-    """A modulus together with a pairwise coprime factorization of it."""
+def crt_maps(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index permutations (c, a) of the residue-space factorization of Z_m.
 
-    m: int
-    factors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(int(f) for f in self.factors))
-        if self.m < 2:
-            raise ValueError("modulus must be at least 2")
-        if not self.factors:
-            raise ValueError("factorization must be nonempty")
-        prod = 1
-        for f in self.factors:
-            if f < 2:
-                raise ValueError(f"factor {f} must be at least 2")
-            prod *= f
-        if prod != self.m:
-            raise ValueError(f"factors multiply to {prod}, not {self.m}")
-        for i, fi in enumerate(self.factors):
-            for fj in self.factors[i + 1 :]:
-                if math.gcd(fi, fj) != 1:
-                    raise ValueError(f"factors {fi} and {fj} share a divisor")
-
-    @classmethod
-    def for_modulus(cls, m: int) -> CrtBasis:
-        return cls(m, prime_power_factors(m))
-
-    @property
-    def inverses(self) -> tuple[int, ...]:
-        """g_j = (m / m_j)^(-1) mod m_j."""
-        return tuple(pow(self.m // f, -1, f) for f in self.factors)
-
-    def residues(self, x: int) -> tuple[int, ...]:
-        return tuple(x % f for f in self.factors)
-
-    def tuple_index(self, residues: tuple[int, ...]) -> int:
-        """Mixed-radix index of a residue tuple, coordinate 0 most significant.
-
-        Matches the row ordering of a Kronecker product over the factors.
-        """
-        idx = 0
-        for f, r in zip(self.factors, residues):
-            idx = idx * f + (r % f)
-        return idx
-
-
-def crt_maps(basis: CrtBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation matrices (C, A) of the residue-space factorization.
-
-    C sends basis vector x to the mixed-radix index of its residue tuple;
-    A multiplies coordinate j by g_j modulo m_j.  Both are exact 0/1
-    matrices, and both are bijections (each g_j is a unit mod m_j).
+    Over the factors m_j of ``prime_power_factors(m)``, ``c[x]`` is the
+    Kronecker row of x's residue tuple, coordinate 0 most significant, and
+    ``a[i]`` is the row of tuple i after coordinate j is multiplied by
+    g_j = (m / m_j)^(-1) mod m_j.  Both are bijections (each g_j is a unit
+    mod m_j); this is the Good-Thomas prime-factor index map.
     """
-    m = basis.m
-    if m > MAX_CRT_MODULUS:
-        raise CapacityError(f"modulus {m} exceeds CRT cap {MAX_CRT_MODULUS}")
-    c_mat = np.zeros((m, m))
-    for x in range(m):
-        c_mat[basis.tuple_index(basis.residues(x)), x] = 1.0
-    a_mat = np.zeros((m, m))
-    gs = basis.inverses
-    for idx, tup in enumerate(product(*(range(f) for f in basis.factors))):
-        mapped = tuple((g * r) % f for g, r, f in zip(gs, tup, basis.factors))
-        a_mat[basis.tuple_index(mapped), idx] = 1.0
-    return c_mat, a_mat
+    factors = prime_power_factors(m)
+    rows = np.arange(m)
+    c = np.zeros(m, dtype=np.int64)
+    a = np.zeros(m, dtype=np.int64)
+    stride = m
+    for f in factors:
+        stride //= f
+        c = c * f + rows % f
+        a += (pow(m // f, -1, f) * (rows // stride % f) % f) * stride
+    return c, a
 
 
-def mixed_radix_qft(basis: CrtBasis) -> np.ndarray:
+def mixed_radix_qft(m: int) -> np.ndarray:
     """Assemble the m-point transform from per-factor transforms.
 
-    Returns C^T (F_{m_1} x ... x F_{m_k}) A C, which equals
-    ``dft_reference(m)`` exactly up to floating point.
+    With K = F_{m_1} x ... x F_{m_k} and C, A the permutation matrices of
+    ``crt_maps(m)``, C^T K A C has entry K[c[x], a[c[y]]] at (x, y), which
+    equals ``dft_reference(m)`` exactly up to floating point.
     """
-    m = basis.m
     if m > MAX_MIXED_RADIX_MODULUS:
         raise CapacityError(f"modulus {m} exceeds mixed-radix cap {MAX_MIXED_RADIX_MODULUS}")
-    c_mat, a_mat = crt_maps(basis)
+    c, a = crt_maps(m)
     kron = np.ones((1, 1), dtype=np.complex128)
-    for f in basis.factors:
+    for f in prime_power_factors(m):
         kron = np.kron(kron, dft_reference(f))
-    return c_mat.T @ kron @ a_mat @ c_mat
+    return kron[np.ix_(c, a[c])]
 
 
 # --- arbitrary-modulus estimation --------------------------------------------
@@ -183,21 +136,19 @@ def _mode_probability(q: np.ndarray, x: int, copies: int) -> float:
     return float(total * fact[copies])
 
 
-def arbitrary_modulus_estimate(m: int, x: int, *, copies: int = 25) -> dict:
+def arbitrary_modulus_estimate(m: int, x: int) -> dict:
     """Recover a Fourier phase index by repeated padded power-of-2 readout.
 
-    Each of ``copies`` samples measures an independent padded Fourier state
-    and rounds the outcome back to Z_m; the mode of the rounded estimates is
-    the recovered index.  Reports the exact per-sample success probability
-    and the exact probability that the mode is x.  The readout register has
-    ``k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS`` wires.
+    Each of ``ESTIMATE_COPIES`` samples measures an independent padded Fourier
+    state and rounds the outcome back to Z_m; the mode of the rounded
+    estimates is the recovered index.  Reports the exact per-sample success
+    probability and the exact probability that the mode is x.  The readout
+    register has ``k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS`` wires.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
     if m > MAX_ESTIMATE_MODULUS:
         raise CapacityError(f"modulus {m} exceeds estimation cap {MAX_ESTIMATE_MODULUS}")
-    if copies < 1:
-        raise ValueError("copies must be positive")
     k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS
     probs = padded_fourier_probs(m, x, k_bits)
     rounded = np.array([estimate_from_sample(y, m, k_bits) for y in range(probs.size)])
@@ -206,7 +157,7 @@ def arbitrary_modulus_estimate(m: int, x: int, *, copies: int = 25) -> dict:
         "m": m,
         "x": x,
         "k_bits": k_bits,
-        "copies": copies,
+        "copies": ESTIMATE_COPIES,
         "success_probability": float(q[x]),
-        "mode_probability": _mode_probability(q, x, copies),
+        "mode_probability": _mode_probability(q, x, ESTIMATE_COPIES),
     }

@@ -125,21 +125,23 @@ def _output_permutation(n: int) -> list[int]:
     return [n - 1 - i for i in range(n)]
 
 
-def _ladder_layers(n: int, band: int | None = None) -> list[list[Gate]]:
-    """The fixed schedule: H(i) at layer 2(n-1-i), CP(i,t) at (n-1-i)+(n-1-t).
+def _ladder_layers(wires: Sequence[int], band: int | None = None) -> list[list[Gate]]:
+    """The fixed ladder schedule on ``wires``, n = len(wires).
 
-    Wire i ends carrying the factor with denominator 2^{i+1}.  The layer
-    assignment packs everything into 2n-1 layers; CP gates sharing a layer
-    have constant wire-index sum, hence are disjoint.
+    H(wires[i]) sits at layer 2(n-1-i) and CP(wires[i], wires[t]) at
+    (n-1-i)+(n-1-t).  wires[i] ends carrying the factor with denominator
+    2^{i+1}.  The layer assignment packs everything into 2n-1 layers; CP
+    gates sharing a layer have constant index sum i + t, hence are disjoint.
     """
+    n = len(wires)
     layers: list[list[Gate]] = [[] for _ in range(2 * n - 1)]
     for i in range(n):
-        layers[2 * (n - 1 - i)].append(H(i))
+        layers[2 * (n - 1 - i)].append(H(wires[i]))
         for t in range(i):
             d = i - t
             if band is not None and d > band:
                 continue
-            layers[(n - 1 - i) + (n - 1 - t)].append(CP(i, t, dyadic(1, d + 1)))
+            layers[(n - 1 - i) + (n - 1 - t)].append(CP(wires[i], wires[t], dyadic(1, d + 1)))
     return [layer for layer in layers if layer]
 
 
@@ -148,7 +150,7 @@ def standard_qft(n: int) -> Circuit:
     if not 1 <= n <= MAX_STANDARD_N:
         raise CapacityError(f"standard_qft supports 1 <= n <= {MAX_STANDARD_N}")
     meta = {"kind": "standard", "n": n, "output_permutation": _output_permutation(n)}
-    return Circuit.from_layers(_ladder_layers(n), n, metadata=meta)
+    return Circuit.from_layers(_ladder_layers(range(n)), n, metadata=meta)
 
 
 def banded_qft(n: int, b: int) -> Circuit:
@@ -171,18 +173,10 @@ def banded_qft(n: int, b: int) -> Circuit:
         "error_bound": bound,
         "output_permutation": _output_permutation(n),
     }
-    return Circuit.from_layers(_ladder_layers(n, band=b_eff), n, metadata=meta)
+    return Circuit.from_layers(_ladder_layers(range(n), band=b_eff), n, metadata=meta)
 
 
 # --- split (multiply-based) exact transform -------------------------------------
-
-
-def _emit_ladder_on(b: CircuitBuilder, wires: Sequence[int]) -> None:
-    n = len(wires)
-    for i in range(n - 1, -1, -1):
-        b.h(wires[i])
-        for t in range(i - 1, -1, -1):
-            b.cp(wires[i], wires[t], dyadic(1, i - t + 1))
 
 
 def _emit_split(b: CircuitBuilder, wires: list[int]) -> int:
@@ -196,7 +190,9 @@ def _emit_split(b: CircuitBuilder, wires: list[int]) -> int:
     """
     n = len(wires)
     if n <= 3:
-        _emit_ladder_on(b, wires)
+        for layer in _ladder_layers(wires):
+            for g in layer:
+                b.add(g)
         return 0
     m = n // 2
     lo, hi = wires[:m], wires[m:]

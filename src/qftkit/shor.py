@@ -20,7 +20,7 @@ from . import revarith
 from .circuit import Circuit, CircuitBuilder
 from .errors import CapacityError, QftkitError
 from .phasest import failure_bound
-from .qft_pow2 import _ladder_layers, _output_permutation, bit_reversed_indices
+from .qft_pow2 import _ladder_layers, _output_permutation
 from .sim import DEFAULT_SEED, run_sparse, sparse_marginal
 
 MAX_GATE_MODULUS = 15
@@ -157,7 +157,7 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
         b.h(w)
     revarith._emit_iterated_product(b, list(range(n_x)), list(range(n_x, n_x + nb)), modulus, powers)
     # the exact ladder on the x register, in standard_qft's gate order
-    for layer in _ladder_layers(n_x):
+    for layer in _ladder_layers(range(n_x)):
         for g in layer:
             b.add(g)
     return b.build(
@@ -183,10 +183,10 @@ def gate_distribution(modulus: int, a: int) -> np.ndarray:
     key = (modulus, a)
     if key not in _GATE_CACHE:
         circuit = build_order_circuit(modulus, a)
-        n_x = 2 * modulus.bit_length()
-        res = run_sparse(circuit, x=0)
-        probs = sparse_marginal(res.amplitudes, list(range(n_x)))
-        probs = probs[bit_reversed_indices(n_x)]
+        # bit j of y sits on the wire that the output permutation sends to j
+        perm = circuit.metadata["output_permutation"]
+        wires = [perm.index(j) for j in range(circuit.metadata["n_x"])]
+        probs = sparse_marginal(run_sparse(circuit, x=0).amplitudes, wires)
         probs.setflags(write=False)
         _GATE_CACHE[key] = probs
     return _GATE_CACHE[key]

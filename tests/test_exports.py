@@ -32,6 +32,7 @@ REMOVED_PARAMETERS = [
     (qft_moduli, "arbitrary_modulus_estimate", "padding_bits"),
     (qft_moduli, "arbitrary_modulus_estimate", "k_bits"),
     (qft_moduli, "arbitrary_modulus_estimate", "seed"),
+    (qft_moduli, "arbitrary_modulus_estimate", "copies"),
     (qft_pow2, "LogdepthQft", "window"),
     (CircuitBuilder, "measure", "out"),
     (CircuitBuilder, "__init__", "n_classical"),
@@ -55,8 +56,8 @@ REMOVED_NAMES = [
     (revarith, "build_subtractor"),
     (qftkit, "build_adder"),
     (qftkit, "build_subtractor"),
-    (qft_moduli.CrtBasis, "reconstruct"),
-    (qft_moduli.CrtBasis, "cofactors"),
+    (qft_moduli, "CrtBasis"),
+    (qftkit, "CrtBasis"),
     (shor.FactorTask, "n_bits"),
     (revarith, "build_three_two"),
     (revarith, "build_four_two"),
@@ -64,6 +65,7 @@ REMOVED_NAMES = [
     (qftkit, "build_four_two"),
     (revarith, "_emit_three_two_refs"),
     (revarith, "_emit_four_two_refs"),
+    (qft_pow2, "_emit_ladder_on"),
 ]
 
 
@@ -75,7 +77,8 @@ def test_unused_names_stay_removed(owner, name):
     # emit_maj's general path covers the OR that emit_or gave it, and
     # build_prefix_add / build_telescoping_subtract at k = 2 are the adder
     # and subtractor; build_carry_save certifies the one Wallace tree that
-    # the 3-2 and 4-2 counters wrapped
+    # the 3-2 and 4-2 counters wrapped; crt_maps' two index maps replace
+    # CrtBasis, and _ladder_layers is the one ladder
     assert not hasattr(owner, name)
 
 

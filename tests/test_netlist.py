@@ -13,7 +13,7 @@ from qftkit.shor import build_order_circuit
 PINNED_NETLISTS = [
     pytest.param(lambda: standard_qft(5), "270ac160f4e615ef", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "b6767a9134503abd", id="banded_qft(6,2)"),
-    pytest.param(lambda: split_qft(6), "50457228047fe47a", id="split_qft(6)"),
+    pytest.param(lambda: split_qft(6), "db9d1136e5a2d6d2", id="split_qft(6)"),
     pytest.param(lambda: lower(split_qft(4)), "5462f77cccc0e0f9", id="lower(split_qft(4))"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "fad15897a4f4b854", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "bf05975279ad6daf", id="telescoping_subtract(3,4)"),

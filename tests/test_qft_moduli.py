@@ -7,7 +7,7 @@ import pytest
 from qftkit.errors import CapacityError
 from qftkit.qft_moduli import (
     DEFAULT_PADDING_BITS,
-    CrtBasis,
+    ESTIMATE_COPIES,
     _mode_probability,
     arbitrary_modulus_estimate,
     crt_maps,
@@ -37,69 +37,84 @@ class TestPrimePowerFactors:
     def test_cap(self):
         with pytest.raises(CapacityError):
             prime_power_factors(1 << 22)
+        # the one home of the factorization cap, which crt_maps reaches first
+        with pytest.raises(CapacityError):
+            crt_maps(4097)
+
+
+def _permutation_matrix(p: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix that sends basis vector i to basis vector p[i]."""
+    mat = np.zeros((p.size, p.size))
+    mat[p, np.arange(p.size)] = 1.0
+    return mat
 
 
 class TestCrtBasis:
     def test_residues_of_the_generator(self):
-        b = CrtBasis.for_modulus(15)
-        assert b.factors == (3, 5)
-        assert b.inverses == (2, 2)
-        assert b.residues(7) == (1, 2)
+        # 15 = 3 * 5 with units g = (5^-1 mod 3, 3^-1 mod 5) = (2, 2): a scales
+        # the unit tuples (1, 0), (0, 1) to (2, 0), (0, 2), and x = 7, with
+        # residues (1, 2), to (2, 4)
+        assert prime_power_factors(15) == (3, 5)
+        c, a = crt_maps(15)
+        assert (a[5], a[1]) == (5 * 2, 2)
+        assert c[7] == 5 * 1 + 2
+        assert a[c[7]] == 5 * 2 + 4
 
     def test_reconstruct_and_tuple_index_disagree_off_diagonal(self):
-        # tuple_index is the Kronecker row of a residue tuple, not the x it
-        # came from: 1*5 + 2 == 7 makes x = 7 a misleading probe, so use x = 8 too
-        b = CrtBasis.for_modulus(15)
-        assert b.tuple_index((1, 2)) == 7
-        assert b.tuple_index(b.residues(8)) == 13
-
-    def test_rejects_non_coprime_factors(self):
-        with pytest.raises(ValueError):
-            CrtBasis(12, (2, 6))
-
-    def test_rejects_wrong_product(self):
-        with pytest.raises(ValueError):
-            CrtBasis(15, (3, 4))
+        # c[x] is the Kronecker row of x's residue tuple, not x itself:
+        # 1*5 + 2 == 7 makes x = 7 a misleading probe, so use x = 8 too
+        c, _ = crt_maps(15)
+        assert c[7] == 7
+        assert c[8] == 5 * 2 + 3
 
 
 class TestCrtMaps:
     def test_both_maps_are_permutations(self):
-        for m in (6, 15, 30):
-            c_mat, a_mat = crt_maps(CrtBasis.for_modulus(m))
-            for p in (c_mat, a_mat):
-                assert set(np.unique(p)) <= {0.0, 1.0}
-                assert np.array_equal(p @ p.T, np.eye(m))
+        for m in (6, 15, 30, 4095):
+            for p in crt_maps(m):
+                assert p.shape == (m,) and p.dtype.kind == "i"
+                assert np.array_equal(np.sort(p), np.arange(m))
 
     def test_column_x_lands_on_its_residue_tuple(self):
-        b = CrtBasis.for_modulus(15)
-        c_mat, _ = crt_maps(b)
-        for x in range(15):
-            assert c_mat[b.tuple_index(b.residues(x)), x] == 1.0
+        # 15 = 3 * 5: x's residue tuple (x mod 3, x mod 5) is Kronecker row
+        # 5 (x mod 3) + x mod 5, which is not x itself (x = 8 lands on 13)
+        c, _ = crt_maps(15)
+        assert [int(c[x]) for x in range(15)] == [5 * (x % 3) + x % 5 for x in range(15)]
 
     def test_unit_map_scales_each_coordinate(self):
-        b = CrtBasis.for_modulus(15)
-        _, a_mat = crt_maps(b)
-        for x in range(15):
-            tup = b.residues(x)
-            scaled = tuple((g * r) % f for g, r, f in zip(b.inverses, tup, b.factors))
-            assert a_mat[b.tuple_index(scaled), b.tuple_index(tup)] == 1.0
+        # g = (5^-1 mod 3, 3^-1 mod 5) = (2, 2)
+        _, a = crt_maps(15)
+        for r3, r5 in product(range(3), range(5)):
+            assert a[5 * r3 + r5] == 5 * (2 * r3 % 3) + 2 * r5 % 5
 
     def test_single_factor_maps_are_trivial(self):
-        c_mat, a_mat = crt_maps(CrtBasis.for_modulus(7))
-        assert np.array_equal(c_mat, np.eye(7))
-        assert np.array_equal(a_mat, np.eye(7))
+        c, a = crt_maps(7)
+        assert np.array_equal(c, np.arange(7))
+        assert np.array_equal(a, np.arange(7))
 
 
 class TestMixedRadixQft:
     @pytest.mark.parametrize("m", [6, 12, 15, 30, 105])
     def test_matches_the_dft(self, m):
-        U = mixed_radix_qft(CrtBasis.for_modulus(m))
+        U = mixed_radix_qft(m)
         assert np.abs(U - dft_reference(m)).max() < 1e-12
 
+    @pytest.mark.parametrize("m", [6, 12, 105, 1020])
+    def test_is_the_permuted_kronecker_product(self, m):
+        # the matrix form C^T K A C of the factorization, built from the maps
+        c_mat, a_mat = map(_permutation_matrix, crt_maps(m))
+        kron = np.ones((1, 1), dtype=np.complex128)
+        for f in prime_power_factors(m):
+            kron = np.kron(kron, dft_reference(f))
+        assert np.array_equal(mixed_radix_qft(m), c_mat.T @ kron @ a_mat @ c_mat)
+
     def test_single_factor_is_a_plain_dft(self):
-        b = CrtBasis.for_modulus(7)
-        assert b.factors == (7,)
-        assert np.abs(mixed_radix_qft(b) - dft_reference(7)).max() == 0.0
+        assert prime_power_factors(7) == (7,)
+        assert np.abs(mixed_radix_qft(7) - dft_reference(7)).max() == 0.0
+
+    def test_cap(self):
+        with pytest.raises(CapacityError):
+            mixed_radix_qft(1025)
 
 
 class TestPaddedEstimation:
@@ -131,10 +146,12 @@ class TestPaddedEstimation:
     def test_result_keys_are_stable(self):
         r = arbitrary_modulus_estimate(6, 1)
         assert set(r) == {"m", "x", "k_bits", "copies", "success_probability", "mode_probability"}
+        assert r["copies"] == ESTIMATE_COPIES == 25
 
     def test_one_copy_recovers_with_the_per_sample_success(self):
-        r = arbitrary_modulus_estimate(7, 2, copies=1)
-        assert r["mode_probability"] == pytest.approx(r["success_probability"], abs=1e-15)
+        q = _rounded_law(7, 2)
+        assert _mode_probability(q, 2, 1) == pytest.approx(q[2], abs=1e-15)
+        assert q[2] == arbitrary_modulus_estimate(7, 2)["success_probability"]
 
     def test_dft_cap(self):
         with pytest.raises(CapacityError):

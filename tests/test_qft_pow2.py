@@ -70,6 +70,11 @@ class TestSplit:
         u = extract_unitary(split_qft(n))[bit_reversed_indices(n), :]
         assert np.linalg.norm(u - dft_reference(1 << n), 2) < 1e-10
 
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_base_case_is_the_standard_ladder(self, n):
+        # below four wires the recursion emits _ladder_layers' gates, in its order
+        assert split_qft(n) == standard_qft(n)
+
     def test_uses_fanout_arithmetic(self):
         hist = split_qft(4).gate_histogram()
         assert "ccx" in hist and "cnot" in hist
