@@ -82,6 +82,7 @@ from .sim import (
     DEFAULT_SEED,
     dft_reference,
     extract_unitary,
+    run_classical_batch,
     run_classical_bits,
     run_dense,
     run_sparse,

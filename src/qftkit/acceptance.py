@@ -29,7 +29,7 @@ from .qft_pow2 import (
     standard_qft,
     viete_partial,
 )
-from .sim import dft_reference, extract_unitary, run_classical_bits, run_sparse, sparse_to_dense
+from .sim import dft_reference, extract_unitary, run_classical_batch, run_sparse, sparse_to_dense
 
 OPERATOR_TOL = 1e-9
 EXACTNESS_TOL = 1e-10
@@ -180,10 +180,11 @@ def _arithmetic_fault(circ, widths, ranges, contract) -> str | None:
     ``widths`` splits the data wires into registers, lowest wire first.  The
     leading registers take every combination of values in ``ranges``, the
     rest start at 0, and ``contract(inputs, registers)`` reads the registers
-    after the run.
+    after the run.  Every input runs in one ``run_classical_batch`` call.
     """
-    for ins in product(*ranges):
-        out = run_classical_bits(circ, sum(v << sum(widths[:j]) for j, v in enumerate(ins)))
+    inputs = list(product(*ranges))
+    outs = run_classical_batch(circ, [sum(v << sum(widths[:j]) for j, v in enumerate(ins)) for ins in inputs])
+    for ins, out in zip(inputs, outs):
         if out >> circ.n_qubits:
             return f"{circ.metadata['kind']} dirty ancillas on input {list(ins)}"
         regs = [(out >> sum(widths[:j])) & ((1 << w) - 1) for j, w in enumerate(widths)]
@@ -220,6 +221,7 @@ def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
            [range(4)] * rows, lambda v, r: r[:-2] == list(v) and r[-2] + r[-1] == sum(v))
           for rows in (3, 4, 5)),
         (revarith.build_multiplier(2, 2, 4), [2, 2, 4], [range(4)] * 2, lambda v, r: r == [*v, v[0] * v[1] % 16]),
+        (revarith.build_multiplier(4, 4, 8), [4, 4, 8], [range(16)] * 2, lambda v, r: r == [*v, v[0] * v[1] % 256]),
         (revarith.build_modmul(5), [3, 3, 3], [range(5)] * 2, lambda v, r: r == [*v, v[0] * v[1] % 5]),
     )
     for case in cases:
@@ -230,7 +232,8 @@ def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
     details = (
         f"prep fidelity >= {min_fid:.12f} (all x, n <= {3 if quick else 4}); copy state error "
         f"<= {copy_err:.2e} (n <= 2, k <= 4); prefix/telescoping exhaustive at (k=3, n=2) and (k=2, n=3); "
-        f"carry-save reducer at 3, 4 and 5 rows (n=2), multiplier and modmul exhaustive at small widths"
+        f"carry-save reducer at 3, 4 and 5 rows (n=2), multiplier exhaustive at 2x2->4 and 4x4->8, "
+        "modmul exhaustive at N=5"
     )
     return CriterionResult(name, True, details)
 

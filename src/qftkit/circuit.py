@@ -13,8 +13,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import NonInvertibleError, StructuralError
+import numpy as np
+
+from .errors import NonInvertibleError, SimulationError, StructuralError
 
 MAX_LOG_DENOMINATOR = 64
 
@@ -347,6 +350,27 @@ class Circuit:
 
     def has_measurement(self) -> bool:
         return any(g.family == "measure" for g in self.all_gates())
+
+    @cached_property
+    def flip_layers(self) -> tuple[np.ndarray, ...]:
+        """Each layer as an int32 array of rows ``(a, b, t)``: gate ``j`` XORs ``a[j] AND b[j]`` into ``t[j]``.
+
+        Row ``width`` stands for a wire held at 1, which pads X and CNOT up to
+        the Toffoli form.  Compiled on first use and kept with the circuit;
+        a gate outside the ``flip`` family raises ``SimulationError``.
+        """
+        one = self.width
+        pads = {cls: (one,) * (3 - len(cls.wires)) for cls in GATES.values() if cls.family == "flip"}
+        compiled = []
+        for layer in self.layers:
+            flat: list[int] = []
+            for g in layer:
+                pad = pads.get(type(g))
+                if pad is None:
+                    raise SimulationError(f"not a classical gate: {g!r}")
+                flat.extend(pad + g.qubits())
+            compiled.append(np.array(flat, dtype=np.int32).reshape(-1, 3).T)
+        return tuple(compiled)
 
     # structure
 

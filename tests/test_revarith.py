@@ -15,7 +15,7 @@ from qftkit.revarith import (
     build_telescoping_subtract,
     precompute_powers,
 )
-from qftkit.sim import run_classical_bits, run_sparse
+from qftkit.sim import run_classical_batch, run_sparse
 
 
 def fields(value: int, widths):
@@ -47,9 +47,8 @@ class TestReferenceAlgebra:
         for refs in product(REFS, repeat=arity):
             b = CircuitBuilder(4)
             revarith.xor_into(b, 3, emit(b, *refs))
-            c = b.build()
-            for bits in range(8):
-                out = run_classical_bits(c, bits)
+            outs = run_classical_batch(b.build(), range(8))
+            for bits, out in enumerate(outs):
                 assert out & 0b111 == bits, f"{refs} changed its inputs at {bits:03b}"
                 want = op([ref_value(r, bits) for r in refs])
                 assert out >> 3 & 1 == want, f"{refs} at {bits:03b}"
@@ -66,10 +65,10 @@ class TestAdderSubtractor:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_adder_exhaustive(self, n):
-        c = build_prefix_add(2, n)
-        for packed in range(1 << (2 * n)):
+        outs = run_classical_batch(build_prefix_add(2, n), range(1 << (2 * n)))
+        for packed, out in enumerate(outs):
             (x0, y0), _ = fields(packed, [n, n])
-            (x, y), junk = fields(run_classical_bits(c, packed), [n, n])
+            (x, y), junk = fields(out, [n, n])
             assert junk == 0, "ancillas must return to zero"
             assert x == x0
             assert y == (x0 + y0) & ((1 << n) - 1)
@@ -77,8 +76,8 @@ class TestAdderSubtractor:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_subtractor_inverts_adder(self, n):
         add, sub = build_prefix_add(2, n), build_telescoping_subtract(2, n)
-        for packed in range(1 << (2 * n)):
-            assert run_classical_bits(sub, run_classical_bits(add, packed)) == packed
+        inputs = list(range(1 << (2 * n)))
+        assert run_classical_batch(sub, run_classical_batch(add, inputs)) == inputs
 
     def test_adder_depth_logarithmic(self):
         # carry lookahead: each doubling of the width adds O(1) tree levels
@@ -91,10 +90,9 @@ class TestCarrySave:
 
     @staticmethod
     def check_exact_sum(rows, n):
-        c = build_carry_save(rows, n)
         w = n + (rows - 1).bit_length()
-        for packed in range(1 << (rows * n)):
-            out = run_classical_bits(c, packed)
+        outs = run_classical_batch(build_carry_save(rows, n), range(1 << (rows * n)))
+        for packed, out in enumerate(outs):
             (*regs, s, carry), junk = fields(out, [n] * rows + [w, w])
             assert junk == 0, "ancillas must return to zero"
             assert regs == fields(packed, [n] * rows)[0]
@@ -148,11 +146,10 @@ class TestCarrySave:
 class TestPrefixAdd:
     @pytest.mark.parametrize("k,n", [(2, 2), (3, 2), (4, 1)])
     def test_prefix_sums_exhaustive(self, k, n):
-        c = build_prefix_add(k, n)
         mask = (1 << n) - 1
-        for packed in range(1 << (k * n)):
+        outs = run_classical_batch(build_prefix_add(k, n), range(1 << (k * n)))
+        for packed, out in enumerate(outs):
             regs, _ = fields(packed, [n] * k)
-            out = run_classical_bits(c, packed)
             sums, junk = fields(out, [n] * k)
             assert junk == 0
             assert sums == [sum(regs[: j + 1]) & mask for j in range(k)]
@@ -160,8 +157,8 @@ class TestPrefixAdd:
     def test_telescoping_is_inverse(self):
         k, n = 3, 2
         fwd, back = build_prefix_add(k, n), build_telescoping_subtract(k, n)
-        for packed in range(1 << (k * n)):
-            assert run_classical_bits(back, run_classical_bits(fwd, packed)) == packed
+        inputs = list(range(1 << (k * n)))
+        assert run_classical_batch(back, run_classical_batch(fwd, inputs)) == inputs
 
     def test_depth_sublinear_in_register_count(self):
         d2 = build_prefix_add(2, 2).depth
@@ -172,29 +169,29 @@ class TestPrefixAdd:
 class TestMultipliers:
     @pytest.mark.parametrize("nx,ny,n_out", [(2, 2, 4), (2, 3, 5)])
     def test_multiplier_exhaustive(self, nx, ny, n_out):
-        c = build_multiplier(nx, ny, n_out)
-        for packed in range(1 << (nx + ny)):
-            (x, y, out), junk = fields(run_classical_bits(c, packed), [nx, ny, n_out])
+        outs = run_classical_batch(build_multiplier(nx, ny, n_out), range(1 << (nx + ny)))
+        for bits in outs:
+            (x, y, out), junk = fields(bits, [nx, ny, n_out])
             assert junk == 0
             assert out == (x * y) % (1 << n_out)
 
-    @pytest.mark.parametrize("modulus", [3, 5, 7])
+    @pytest.mark.parametrize("modulus", range(3, 32, 2))
     def test_modmul_exhaustive(self, modulus):
-        c = build_modmul(modulus)
+        # every odd modulus up to 31: 5,455 (u, v) pairs over the fifteen cases
         nb = modulus.bit_length()
-        for u in range(modulus):
-            for v in range(modulus):
-                (_, _, out), junk = fields(run_classical_bits(c, u | (v << nb)), [nb, nb, nb])
-                assert junk == 0
-                assert out == (u * v) % modulus
+        pairs = list(product(range(modulus), repeat=2))
+        outs = run_classical_batch(build_modmul(modulus), [u | (v << nb) for u, v in pairs])
+        for (u, v), out in zip(pairs, outs):
+            (u_out, v_out, prod), junk = fields(out, [nb, nb, nb])
+            assert junk == 0
+            assert (u_out, v_out, prod) == (u, v, (u * v) % modulus)
 
 
 class TestIteratedProduct:
     def test_matches_modular_exponentiation(self):
         powers = precompute_powers(7, 15, 8)
-        c = build_iterated_product(15, powers)
-        for x in range(256):
-            out = run_classical_bits(c, x)
+        outs = run_classical_batch(build_iterated_product(15, powers), range(256))
+        for x, out in enumerate(outs):
             (ctrl, prod), junk = fields(out, [8, 4])
             assert junk == 0
             assert ctrl == x
@@ -202,9 +199,9 @@ class TestIteratedProduct:
 
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_odd_factor_count_carries_the_last_leaf_up(self, m):
-        c = build_iterated_product(15, precompute_powers(7, 15, m))
-        for x in range(1 << m):
-            (ctrl, prod), junk = fields(run_classical_bits(c, x), [m, 4])
+        outs = run_classical_batch(build_iterated_product(15, precompute_powers(7, 15, m)), range(1 << m))
+        for x, out in enumerate(outs):
+            (ctrl, prod), junk = fields(out, [m, 4])
             assert (ctrl, prod, junk) == (x, pow(7, x, 15), 0)
 
     def test_precompute_powers_oracle(self, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qftkit import sim
+from qftkit import netlist, sim
 from qftkit.circuit import CNOT, CP, Circuit, CircuitBuilder, H, P, dyadic
 from qftkit.errors import CapacityError, SimulationError
 from qftkit.qft_pow2 import QftPlan, bit_reversed_indices, logdepth_qft, standard_qft
@@ -12,6 +12,7 @@ from qftkit.sim import (
     basis_state,
     dft_reference,
     extract_unitary,
+    run_classical_batch,
     run_classical_bits,
     run_dense,
     run_sparse,
@@ -299,6 +300,80 @@ class TestClassicalPath:
     def test_rejects_non_classical_gates(self):
         with pytest.raises(Exception):
             run_classical_bits(standard_qft(2), 0)
+
+
+def per_gate_walk(circuit: Circuit, x: int) -> int:
+    """Oracle for the layered kernel: one Python-int XOR per flip gate, in gate order."""
+    bits = x
+    for gate in circuit.all_gates():
+        *ctrls, target = gate.qubits()
+        if all(bits >> c & 1 for c in ctrls):
+            bits ^= 1 << target
+    return bits
+
+
+class TestClassicalBatch:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_singles_and_per_gate_walk_agree(self, seed, random_circuit):
+        # the draw's flip gates over 7 data wires and 2 ancillas; H and CP dropped
+        draw = random_circuit(np.random.default_rng(seed), n_qubits=9, n_gates=80)
+        c = Circuit.from_gates([g for g in draw.all_gates() if g.family == "flip"], 7, n_ancilla=2)
+        xs = list(range(1 << 7))
+        batch = run_classical_batch(c, xs)
+        assert batch == [run_classical_bits(c, x) for x in xs]
+        assert batch == [per_gate_walk(c, x) for x in xs]
+
+    def test_empty_circuit_returns_its_inputs(self):
+        assert run_classical_batch(CircuitBuilder(3).build(), [0, 5, 7]) == [0, 5, 7]
+
+    def test_one_wire_x(self):
+        b = CircuitBuilder(1)
+        b.x(0)
+        c = b.build()
+        assert run_classical_batch(c, [0, 1, 1, 0]) == [1, 0, 0, 1]
+        assert (run_classical_bits(c, 0), run_classical_bits(c, 1)) == (1, 0)
+
+    def test_zero_and_all_ones_past_sixty_four_wires(self):
+        b = CircuitBuilder(70)
+        anc = b.new_ancilla()
+        b.toffoli(0, 69, anc)
+        b.cnot(anc, 3)
+        b.x(64)
+        c = b.build()
+        top = (1 << 70) - 1
+        assert run_classical_batch(c, [0, top]) == [1 << 64, (top ^ (1 << 3) ^ (1 << 64)) | (1 << 70)]
+        assert [run_classical_bits(c, x) for x in (0, top)] == [per_gate_walk(c, x) for x in (0, top)]
+
+    def test_empty_batch(self):
+        assert run_classical_batch(standard_qft(2), []) == []
+
+    @pytest.mark.parametrize("bad", [-1, 8, 1 << 70])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_input_out_of_range_anywhere_is_refused(self, bad, at):
+        b = CircuitBuilder(3)
+        b.cnot(0, 1)
+        b.new_ancilla()
+        xs = [0, 1, 2, 3]
+        xs.insert(at, bad)
+        with pytest.raises(SimulationError, match="out of range"):
+            run_classical_batch(b.build(), xs)
+
+    def test_non_flip_gate_is_refused(self):
+        b = CircuitBuilder(2)
+        b.cnot(0, 1)
+        b.h(0)
+        with pytest.raises(SimulationError, match="not a classical gate"):
+            run_classical_batch(b.build(), [0, 1])
+
+    def test_compiled_layers_leave_the_circuit_equal(self):
+        c = logdepth_qft(QftPlan("logdepth", 2, k=2)).circuit
+        flips = Circuit.from_gates([g for g in c.all_gates() if g.family == "flip"], c.n_qubits, c.n_ancilla)
+        before = netlist.encode(flips)
+        run_classical_batch(flips, [0, 1, 2, 3])
+        assert flips.flip_layers is flips.flip_layers  # compiled once, kept
+        assert netlist.encode(flips) == before
+        assert netlist.decode(before) == flips
+        assert flips == Circuit.from_gates(flips.all_gates(), flips.n_qubits, flips.n_ancilla)
 
 
 class TestExtractUnitary:
