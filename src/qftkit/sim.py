@@ -13,9 +13,10 @@ calls ``settle_all`` once after the last gate:
 * ``_DenseState`` is a tensor with one axis of length 2 per wire; axes past
   the wires (a batch of columns in ``extract_unitary``) ride along.  Its
   ``phase`` only adds the gate's exact angle to a per-wire table of held
-  terms.  A wire's terms are applied in one broadcast multiply just before
-  a Hadamard, a flip on it as target or a collapse needs the wire, and the
-  rest by ``settle_all``.  A Hadamard is an in-place butterfly.
+  terms.  A Hadamard folds its wire's terms into a three-pass butterfly
+  through one preallocated half state and counts its 1/sqrt(2) instead of
+  applying it; a flip on the wire as target or a collapse applies them in
+  one broadcast multiply, and ``settle_all`` applies what is still held.
 * ``_SparseState`` keeps the nonzero amplitudes in arrays: a boolean bit
   matrix with one row per wire and one column per amplitude, beside a
   complex amplitude vector.  A flip XORs one row with the AND of its control
@@ -48,6 +49,7 @@ MAX_UNITARY_QUBITS = 12
 SPARSE_SUPPORT_CAP = 1 << 21
 UNITARY_TOL = 1e-9
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+_RESCALE_HALVINGS = 64  # dense Hadamards between exact 2**-32 rescales
 _PRUNE = 1e-13
 _S_DAGGER = dyadic(3, 2)
 _TURN_BITS = MAX_LOG_DENOMINATOR  # a held angle is an integer number of 2**-64 turns
@@ -125,19 +127,23 @@ class _DenseState:
     Phase gates are held, not applied: ``pending[w]`` maps a wire to the
     summed angle, as an integer mod 2**64, of the terms on ``w``.  ``P(w)``
     sits under ``pending[w][w]`` and ``CP(a, b)`` under both
-    ``pending[a][b]`` and ``pending[b][a]``.  Before a Hadamard, a collapse
-    or a flip with target ``w`` acts, ``settle(w)`` applies every term on
-    ``w``: each holds ``w``, so the ``w = 1`` slice is multiplied by
-    ``p_w * (x)_b [1, q_b]`` over ``w``'s partners ``b``, one broadcast
-    multiply, and the terms leave the partners' tables.  A flip's controls
+    ``pending[a][b]`` and ``pending[b][a]``.  ``_table(w)`` pops every term
+    on ``w`` as one factor ``p_w * (x)_b [1, q_b]`` over its partners ``b``
+    for the ``w = 1`` slice, which a Hadamard folds into its butterfly and a
+    collapse or a flip with target ``w`` applies first.  A flip's controls
     need no settling: a term without the target commutes with the flip.
-    ``settle_all`` applies what is left after the last gate.
+    ``psi`` is the true state times 2**(halvings / 2), since a Hadamard
+    counts its 1/sqrt(2): every ``_RESCALE_HALVINGS`` halvings it is scaled
+    by an exact power of two, and a collapse folds in the rest.
+    ``settle_all`` applies what is left of both after the last gate.
     """
 
     def __init__(self, psi: np.ndarray, nq: int):
         self.psi = psi
         self.nq = nq
         self.pending: list[dict[int, int]] = [{} for _ in range(nq)]
+        self.halvings = 0
+        self.scratch = np.empty(psi.shape[1:], dtype=psi.dtype)  # one half state, for h and flip
 
     def _at(self, *fixed: tuple[int, int]) -> tuple:
         """Basic index that holds wire ``w`` at ``bit`` for each ``(w, bit)``.
@@ -157,33 +163,47 @@ class _DenseState:
         else:
             terms.pop(partner, None)
 
-    def settle(self, w: int) -> None:
-        """Apply and clear every held term on ``w``."""
+    def _table(self, w: int) -> np.ndarray | None:
+        """Pop every held term on ``w``; the factor for its ``w = 1`` slice, or ``None``."""
         terms = self.pending[w]
         if not terms:
-            return
+            return None
         self.pending[w] = {}
-        table = np.array(_turn_phase(terms.pop(w, 0)))
+        table = np.array([_turn_phase(terms.pop(w, 0))])
         shape = [1] * self.psi.ndim
-        for b in sorted(terms, reverse=True):  # ascending axis order
-            table = np.multiply.outer(table, [1.0, _turn_phase(terms[b])])
+        for b in sorted(terms):  # the fastest axis first, each partner a new slower one
+            table = np.concatenate((table, table * _turn_phase(terms[b])))
             shape[self.nq - 1 - b] = 2
             del self.pending[b][w]
         del shape[self.nq - 1 - w]
-        self.psi[self._at((w, 1))] *= table.reshape(shape)
+        return table.reshape(shape)
+
+    def settle(self, w: int) -> None:
+        """Apply and clear every held term on ``w``."""
+        table = self._table(w)
+        if table is not None:
+            self.psi[self._at((w, 1))] *= table
 
     def settle_all(self) -> None:
         for w in range(self.nq):
             self.settle(w)
+        if self.halvings:
+            self.psi *= 2.0 ** (-self.halvings / 2)
+            self.halvings = 0
 
     def h(self, w: int) -> None:
-        self.settle(w)
-        psi = self.psi
+        psi, t = self.psi, self.scratch
         a, b = psi[self._at((w, 0))], psi[self._at((w, 1))]
-        total = a + b
-        np.subtract(a, b, out=b)
-        np.multiply(total, _SQRT_HALF, out=a)
-        b *= _SQRT_HALF
+        table = self._table(w)
+        if table is None:
+            np.copyto(t, b)
+        else:
+            np.multiply(b, table, out=t)
+        np.subtract(a, t, out=b)
+        a += t
+        self.halvings = (self.halvings + 1) % _RESCALE_HALVINGS
+        if not self.halvings:
+            psi *= 2.0 ** (-_RESCALE_HALVINGS // 2)
 
     def phase(self, wires, theta: DyadicAngle) -> None:
         turns = theta.numerator << (_TURN_BITS - theta.log_denominator)
@@ -197,16 +217,18 @@ class _DenseState:
         psi = self.psi
         on = [(c, 1) for c in wires[:-1]]
         lo, hi = self._at(*on, (wires[-1], 0)), self._at(*on, (wires[-1], 1))
-        tmp = psi[lo].copy()
+        tmp = self.scratch[(*[0] * len(on), ...)]  # a corner of the half, shaped like psi[lo]
+        np.copyto(tmp, psi[lo])
         psi[lo] = psi[hi]
         psi[hi] = tmp
 
     def collapse(self, w: int, rng: np.random.Generator) -> int:
         self.settle(w)
-        psi = self.psi
-        outcome, p = _draw(float(np.sum(np.abs(psi[self._at((w, 1))]) ** 2)), rng)
+        psi, scale = self.psi, 2.0 ** -self.halvings
+        outcome, p = _draw(scale * float(np.sum(np.abs(psi[self._at((w, 1))]) ** 2)), rng)
         psi[self._at((w, 1 - outcome))] = 0.0
-        psi *= 1.0 / np.sqrt(p)
+        psi *= np.sqrt(scale / p)
+        self.halvings = 0
         return outcome
 
 

@@ -70,6 +70,31 @@ def phase_heavy_circuit(rng, n_wires: int, n_gates: int, measure: bool = True) -
     return b.build()
 
 
+def halving_circuit(rng, n_wires: int, n_h: int, measure_after: dict[int, str]) -> Circuit:
+    """``n_h`` Hadamards, each on a random wire just given a P term and CP
+    terms with one partner below it and one above it (where it has them),
+    with a CNOT after every tenth, and a measurement in basis
+    ``measure_after[i]`` on a random wire after the ``i``-th Hadamard."""
+    b = CircuitBuilder(n_wires)
+
+    def angle():
+        return dyadic(int(rng.integers(1, 1 << 62)), int(rng.choice([3, 30, 64])))
+
+    for i in range(1, n_h + 1):
+        t = int(rng.integers(0, n_wires))
+        b.p(t, angle())
+        if t > 0:
+            b.cp(int(rng.integers(0, t)), t, angle())
+        if t < n_wires - 1:
+            b.cp(t, int(rng.integers(t + 1, n_wires)), angle())
+        b.h(t)
+        if i % 10 == 0:
+            b.cnot(t, (t + 1) % n_wires)
+        if i in measure_after:
+            b.measure(int(rng.integers(0, n_wires)), measure_after[i])
+    return b.build()
+
+
 def reference_run(circuit: Circuit, x: int, rng: np.random.Generator) -> tuple[np.ndarray, list]:
     """Gate by gate with explicit 2^n x 2^n matrices; a measurement projects onto
     the basis's eigenvectors and reads 1 when ``rng.random()`` falls below its
@@ -144,6 +169,23 @@ class TestHeldPhases:
             circuit = phase_heavy_circuit(rng, 5, 40, measure=False)
             want = np.stack([reference_run(circuit, x, rng)[0] for x in range(32)], axis=1)
             assert np.max(np.abs(extract_unitary(circuit) - want)) < 1e-12
+
+    def test_held_halvings_cross_the_rescale(self):
+        # 131 Hadamards: two exact rescales and an odd rest; the x, y and z
+        # measurements after the 64th read probabilities under held halvings
+        rng = np.random.default_rng(2201)
+        circuit = halving_circuit(rng, 7, 131, {70: "x", 100: "y", 120: "z"})
+        assert sum(g.name == "h" for g in circuit.all_gates()) == 131
+        for seed in range(2):
+            x = int(rng.integers(0, 1 << 7))
+            got = run_dense(circuit, x=x, rng=np.random.default_rng(seed))
+            want, classical = reference_run(circuit, x, np.random.default_rng(seed))
+            assert got.classical == classical
+            assert np.max(np.abs(got.state - want)) < 1e-12
+        unmeasured = Circuit.from_gates([g for g in circuit.all_gates() if g.family != "measure"], 7)
+        xs = [int(x) for x in rng.choice(1 << 7, size=8, replace=False)]
+        want = np.stack([reference_run(unmeasured, x, rng)[0] for x in xs], axis=1)
+        assert np.max(np.abs(extract_unitary(unmeasured)[:, xs] - want)) < 1e-12
 
     def test_opposite_angles_cancel_exactly(self):
         # the held exponents sum to 0 mod 2^64, so no multiply is left on wires 0 and 1
