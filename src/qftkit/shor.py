@@ -35,6 +35,9 @@ LOGDEPTH_CHANNEL_K = 64
 BACKENDS = ("gate", "analytic", "auto")
 QFT_VARIANTS = ("standard", "logdepth")
 
+# rng.choice's tolerance on the total of p
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -200,14 +203,18 @@ def analytic_distribution(modulus: int, a: int) -> np.ndarray:
     sin^2(pi c theta)/sin^2(pi theta) at theta = r y / M (c^2 where theta is
     an integer).
 
-    The kernels are evaluated once per phase class.  With g the largest
-    power of two dividing r, M' = M/g and r' = r/g, theta = u/M' for
-    u = r' y mod M', so P(y) depends on u alone, has period M' in y, and is
-    mirror-symmetric, K(u) = K(M' - u).  Both kernels are computed for
-    u = 0..M'/2 only, mirrored to length M', gathered at u = r' y mod M'
-    for y < M', normalised, and tiled g times.  Every sine argument is
-    reduced in exact integers to pi v / M' with 0 <= v <= M'/2, so no sine
-    is taken near pi.
+    With g the largest power of two dividing r, M' = M/g, r' = r/g and
+    rem' = (M mod r)/g, theta = r' y / M', so P(y) has period M' in y and is
+    mirror-symmetric, P(y) = P(M' - y).  Since M' = c r' + rem', the two
+    numerator phases are c r' y = -rem' y and (c + 1) r' y = (r' - rem') y
+    (mod M'), and all three sines are evaluated straight in y order for
+    y = 0..M'/2: sin^2(pi v / M') at v = s y mod M' for s = r', rem' and
+    r' - rem'.  Each v is folded in exact integers to min(v, M' - v), so no
+    sine is taken near pi, and the folded v equals the one that the phase
+    u = r' y mod M' yields, so evaluating per phase class and gathering at u
+    would give the same floats.  No gather is made: its stride of r' words
+    misses cache on almost every read.  The half period is normalised,
+    mirrored to length M' and tiled g times.
 
     The result is cached and read-only; copy it before writing to it.
     """
@@ -220,28 +227,38 @@ def analytic_distribution(modulus: int, a: int) -> np.ndarray:
         r = multiplicative_order(a, modulus)
         full, rem = divmod(big_m, r)
         g = r & -r
-        period, r_odd = big_m // g, r // g
+        period, r_odd, rem_odd = big_m // g, r // g, rem // g
         mask, half = period - 1, period // 2
-        u = np.arange(half + 1, dtype=np.int64)
+        y = np.arange(half + 1, dtype=np.int64)
 
-        def sin2(v: np.ndarray) -> np.ndarray:
-            v = np.minimum(v, period - v)
-            return np.sin(np.pi * (v / period)) ** 2
+        def sin2(step: int) -> np.ndarray:
+            v = step * y
+            v &= mask
+            np.minimum(v, period - v, out=v)
+            s = v / period
+            s *= np.pi
+            np.sin(s, out=s)
+            return np.square(s, out=s)
 
-        denom = sin2(u)
+        denom = sin2(r_odd)
         denom[0] = 1.0
 
-        def kernel(c: int) -> np.ndarray:
-            k = sin2((c * u) & mask) / denom
+        def kernel(step: int, c: int) -> np.ndarray:
+            k = sin2(step)
+            k /= denom
             k[0] = float(c) ** 2
             return k
 
-        kernels = rem * kernel(full + 1) + (r - rem) * kernel(full)
-        mirrored = np.concatenate((kernels, kernels[half - 1 : 0 : -1]))
-        phase_class = (r_odd * np.arange(period, dtype=np.int64)) & mask
-        one_period = mirrored[phase_class] / float(big_m) ** 2
+        kernels = kernel(r_odd - rem_odd, full + 1)
+        kernels *= rem
+        kernels += (r - rem) * kernel(rem_odd, full)
+        kernels /= float(big_m) ** 2
+        probs = np.empty(big_m)
+        one_period = probs[:period]
+        one_period[: half + 1] = kernels
+        one_period[half + 1 :] = kernels[half - 1 : 0 : -1]
         one_period /= g * one_period.sum()
-        probs = np.tile(one_period, g)
+        probs.reshape(g, period)[1:] = one_period
         probs.setflags(write=False)
         _ANALYTIC_CACHE[key] = probs
     return _ANALYTIC_CACHE[key]
@@ -322,7 +339,11 @@ def order_finding_run(
     """Sample one y and post-process it into a candidate order.
 
     The sample is drawn from ``rng``, or from a generator seeded with
-    ``DEFAULT_SEED`` when none is given.
+    ``DEFAULT_SEED`` when none is given, by the steps that
+    ``rng.choice(m, p=probs)`` takes: one ``rng.random()`` searched in the
+    cumulative sum normalised by its last entry, so y equals what that call
+    would return.  Its refusals are kept: a negative or NaN probability, or
+    a total more than sqrt(eps) = 1.49e-8 away from 1, raises ValueError.
 
     With the measured-transform variant (qft="logdepth") selected, the exact
     distribution is mixed with a uniform floor: a failed erase leaves which-x
@@ -338,7 +359,15 @@ def order_finding_run(
     probs = _y_distribution(task.modulus, task.a, resolved, qft)
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-    y = int(rng.choice(probs.size, p=probs))
+    # rng.choice(probs.size, p=probs) without its Kahan sum and p < 0 pass;
+    # min() is NaN when any entry is
+    if not probs.min() >= 0.0:
+        raise ValueError("probabilities must be non-negative and not NaN")
+    cdf = np.cumsum(probs)
+    if abs(cdf[-1] - 1.0) > _CHOICE_ATOL:
+        raise ValueError(f"probabilities sum to {cdf[-1]!r}, not 1")
+    cdf /= cdf[-1]
+    y = int(cdf.searchsorted(rng.random(), side="right"))
     conv = continued_fraction_post(y, probs.size, task.modulus)
     verified = _read_attempt(task.modulus, task.a, conv)[0] is not None
     return OrderResult(y=y, m=probs.size, convergent=conv, verified=verified)

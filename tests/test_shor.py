@@ -126,11 +126,12 @@ class TestDistributions:
             tv = 0.5 * np.abs(gate_distribution(15, a) - analytic_distribution(15, a)).sum()
             assert tv < 1e-10
 
-    @pytest.mark.parametrize("modulus,a", [(253, 190), (221, 3), (187, 5)])
+    @pytest.mark.parametrize("modulus,a", [(253, 190), (221, 3), (187, 5), (517, 3), (517, 2)])
     def test_analytic_matches_fft_reference(self, modulus, a):
         # two-FFT coset reference: a coset of `count` elements spaced r apart
-        # has the transform magnitude of the one starting at 0.  M = 2^16 in
-        # each case; the orders are 55 (odd), 48 and 80 (divisible by 16)
+        # has the transform magnitude of the one starting at 0.  M = 2^16 for
+        # the first three, whose orders are 55 (odd), 48 and 80 (divisible by
+        # 16); M = 2^20 for the last two, of orders 115 (odd) and 230
         m = 1 << (2 * modulus.bit_length())
         r = multiplicative_order(a, modulus)
         full, rem = divmod(m, r)
@@ -144,6 +145,22 @@ class TestDistributions:
         got = analytic_distribution(modulus, a)
         assert got.shape == (m,)
         assert np.abs(got - want).max() <= 1e-16
+
+    # sha256 prefixes of analytic_distribution(N, a).tobytes() at M = 2^20,
+    # taken before the kernel moved to y order, which must not move a bit;
+    # orders 115 (odd), 230, 174 and 99
+    ANALYTIC_BYTE_PINS = {
+        (517, 3): "c2b5d69214422fec",
+        (517, 2): "5285f31f0947b6c2",
+        (531, 2): "43a70b107f94fcee",
+        (597, 7): "063ac26d676fff8d",
+    }
+
+    @pytest.mark.parametrize("modulus,a", list(ANALYTIC_BYTE_PINS))
+    def test_analytic_bytes_are_pinned(self, modulus, a):
+        got = analytic_distribution(modulus, a)
+        assert got.shape == (1 << 20,)
+        assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == self.ANALYTIC_BYTE_PINS[modulus, a]
 
     def test_cached_distributions_are_read_only(self):
         try:
@@ -213,6 +230,35 @@ class TestOrderFindingRun:
             for a in (0, 15):
                 with pytest.raises(ValueError):
                     build(15, a)
+
+    @pytest.mark.parametrize(
+        "modulus, a, backend, qft",
+        [(221, 3, "analytic", "standard"), (221, 3, "analytic", "logdepth"), (15, 7, "gate", "standard")],
+    )
+    def test_draw_is_rng_choice(self, modulus, a, backend, qft):
+        probs = shor._y_distribution(modulus, a, backend, qft)
+        task = FactorTask(modulus, a)
+        for s in range(50):
+            got = order_finding_run(task, backend=backend, qft=qft, rng=np.random.default_rng(s)).y
+            assert got == np.random.default_rng(s).choice(probs.size, p=probs)
+
+    def test_draw_refuses_what_rng_choice_refuses(self):
+        task = FactorTask(221, 3)
+        m = 1 << 16
+        negative = np.full(m, 1.0 / (m - 2))
+        negative[:2] = [-0.5, 0.5]
+        nan = np.full(m, 1.0 / m)
+        nan[7] = np.nan
+        # each vector trips one refusal: the negative one still sums to 1
+        try:
+            for bad in (negative, np.full(m, 0.9 / m), nan):
+                with pytest.raises(ValueError):
+                    np.random.default_rng(0).choice(m, p=bad)
+                shor._ANALYTIC_CACHE[221, 3] = bad
+                with pytest.raises(ValueError):
+                    order_finding_run(task, backend="analytic", rng=np.random.default_rng(0))
+        finally:
+            shor._ANALYTIC_CACHE.clear()
 
     def test_unseeded_run_draws_from_the_default_seed(self):
         task = FactorTask(15, 7)
