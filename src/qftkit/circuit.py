@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonInvertibleError, SimulationError, StructuralError
+from .errors import CapacityError, NonInvertibleError, SimulationError, StructuralError
 
 MAX_LOG_DENOMINATOR = 64
 
@@ -64,6 +64,12 @@ class DyadicAngle:
 
 def dyadic(numerator: int, log_denominator: int) -> DyadicAngle:
     return DyadicAngle(numerator, log_denominator)
+
+
+def _check_angle_grid(builder: str, finest: int) -> None:
+    """The one build limit: refuse, before any gate, a finest angle 2^-finest turns below the grid."""
+    if finest > MAX_LOG_DENOMINATOR:
+        raise CapacityError(f"{builder} needs angle 2^-{finest}, below the 2^-{MAX_LOG_DENOMINATOR} angle limit")
 
 
 # --- gates ----------------------------------------------------------------

@@ -26,17 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import CP, Circuit, CircuitBuilder, Gate, H, dyadic
+from .circuit import CP, Circuit, CircuitBuilder, Gate, H, _check_angle_grid, dyadic
 from .errors import CapacityError
 from .phasest import erase_failure, failure_bound
 from .revarith import ONE, _emit_addsub_core, _emit_multiplier, _emit_wallace, bnot
 from .sim import DEFAULT_SEED
 
 __all__ = [
-    "MAX_STANDARD_N",
-    "MAX_SPLIT_N",
-    "MAX_CHANNEL_N",
-    "MAX_WITNESS_N",
     "QftPlan",
     "PLAN_KINDS",
     "standard_qft",
@@ -55,10 +51,6 @@ __all__ = [
     "overlap_witness",
 ]
 
-MAX_STANDARD_N = 20
-MAX_SPLIT_N = 10
-MAX_CHANNEL_N = 64
-MAX_WITNESS_N = 64
 _MAX_STATE_N = 20
 
 PLAN_KINDS = ("standard", "banded", "split", "logdepth")
@@ -147,8 +139,9 @@ def _ladder_layers(wires: Sequence[int], band: int | None = None) -> list[list[G
 
 def standard_qft(n: int) -> Circuit:
     """Exact transform mod 2^n: n H gates, n(n-1)/2 CP gates, depth <= 2n-1."""
-    if not 1 <= n <= MAX_STANDARD_N:
-        raise CapacityError(f"standard_qft supports 1 <= n <= {MAX_STANDARD_N}")
+    if n < 1:
+        raise CapacityError(f"standard_qft supports n >= 1, got {n}")
+    _check_angle_grid("standard_qft", n)
     meta = {"kind": "standard", "n": n, "output_permutation": _output_permutation(n)}
     return Circuit.from_layers(_ladder_layers(range(n)), n, metadata=meta)
 
@@ -160,12 +153,13 @@ def banded_qft(n: int, b: int) -> Circuit:
     inequality bound: each dropped CP(1/2^{d+1}) moves the operator by at most
     2*pi/2^{d+1}, and there are n-d of them at distance d.
     """
-    if not 1 <= n <= MAX_STANDARD_N:
-        raise CapacityError(f"banded_qft supports 1 <= n <= {MAX_STANDARD_N}")
+    if n < 1:
+        raise CapacityError(f"banded_qft supports n >= 1, got {n}")
     b_eff = max(1, min(b, n))
+    _check_angle_grid("banded_qft", min(b_eff, n - 1) + 1)
     bound = 0.0
     for d in range(b_eff + 1, n):
-        bound += (n - d) * 2.0 * math.pi / (1 << (d + 1))
+        bound += math.ldexp((n - d) * 2.0 * math.pi, -(d + 1))
     meta = {
         "kind": "banded",
         "n": n,
@@ -217,8 +211,9 @@ def split_qft(n: int) -> Circuit:
     metadata["step2_size"] counts the top-level multiply/phase/unmultiply
     gates, so size(n) = size(ceil) + size(floor) + step2_size holds exactly.
     """
-    if not 1 <= n <= MAX_SPLIT_N:
-        raise CapacityError(f"split_qft supports 1 <= n <= {MAX_SPLIT_N}")
+    if n < 1:
+        raise CapacityError(f"split_qft supports n >= 1, got {n}")
+    _check_angle_grid("split_qft", n)
     b = CircuitBuilder(n)
     step2 = _emit_split(b, list(range(n)))
     meta = {
@@ -255,10 +250,9 @@ def prep_approx(n: int, k: int) -> Circuit:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_CHANNEL_N:
-        raise CapacityError(f"prep_approx supports n <= {MAX_CHANNEL_N}")
     if not 1 <= k <= n:
         raise ValueError(f"window must satisfy 1 <= k <= n, got {k}")
+    _check_angle_grid("prep_approx", k)
     b = CircuitBuilder(2 * n)
     _emit_prep(b, n, k)
     meta = {
@@ -404,9 +398,8 @@ def logdepth_qft(plan: QftPlan) -> LogdepthQft:
         raise ValueError(f"expected a logdepth plan, got kind {plan.kind!r}")
     n, k = plan.n, plan.k
     assert k is not None
-    if n > MAX_CHANNEL_N:
-        raise CapacityError(f"logdepth_qft supports n <= {MAX_CHANNEL_N}")
     window = min(n, k)
+    _check_angle_grid("logdepth_qft", window)
 
     b = CircuitBuilder(2 * n)
     _emit_prep(b, n, window)
@@ -488,9 +481,7 @@ def overlap_witness(n: int, r: int) -> dict:
     """
     if n < 2 or not 1 <= r < n:
         raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
-    if n > MAX_WITNESS_N:
-        raise CapacityError(f"overlap_witness supports n <= {MAX_WITNESS_N}")
-    ip = math.prod(math.cos(math.pi / (1 << p)) for p in range(2, n - r + 1))
+    ip = math.prod(math.cos(math.ldexp(math.pi, -p)) for p in range(2, n - r + 1))
     out = {
         "n": n,
         "r": r,

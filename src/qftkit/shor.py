@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import revarith
-from .circuit import Circuit, CircuitBuilder
+from .circuit import Circuit, CircuitBuilder, _check_angle_grid
 from .errors import CapacityError, QftkitError
 from .phasest import failure_bound
 from .qft_pow2 import _ladder_layers, _output_permutation
@@ -150,10 +150,10 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
     in metadata the same way the bare transform builders do; the product
     register keeps its order.
     """
-    _check_gate_cap(modulus)
     _screen_base(a, modulus)
     nb = modulus.bit_length()
     n_x = 2 * nb
+    _check_angle_grid("build_order_circuit", n_x)
     powers = revarith.precompute_powers(a, modulus, n_x)
     b = CircuitBuilder(n_x + nb)
     for w in range(n_x):
@@ -183,6 +183,7 @@ def gate_distribution(modulus: int, a: int) -> np.ndarray:
 
     The result is cached and read-only; copy it before writing to it.
     """
+    _check_gate_cap(modulus)
     key = (modulus, a)
     if key not in _GATE_CACHE:
         circuit = build_order_circuit(modulus, a)

@@ -67,6 +67,13 @@ class TestBuild:
         assert out == ""
         assert "takes no" in err
 
+    def test_past_the_angle_limit_is_a_usage_error(self, capsys):
+        # refused before any gate: a StructuralError from DyadicAngle would exit 1
+        code, out, err = run_cli(capsys, "build", "--kind", "standard", "--n", "65")
+        assert code == 2
+        assert out == ""
+        assert "2^-64 angle limit" in err
+
     def test_banded_build(self, tmp_path, capsys):
         path = tmp_path / "b.qc"
         code, _, _ = run_cli(
@@ -93,6 +100,17 @@ class TestBuild:
 
 
 class TestStats:
+    def test_split_at_the_angle_limit(self, tmp_path, capsys):
+        # build's stdout is the netlist that stats reads, as in a pipe
+        code, out, _ = run_cli(capsys, "build", "--kind", "split", "--n", "64")
+        assert code == 0
+        path = tmp_path / "split64.qc"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, "stats", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["size"], payload["depth"]) == (54_940, 2_415)
+
     def test_json_payload_is_frozen(self, qft3_path, capsys):
         code, out, _ = run_cli(capsys, "stats", qft3_path, "--json")
         assert code == 0

@@ -66,6 +66,10 @@ REMOVED_NAMES = [
     (revarith, "_emit_three_two_refs"),
     (revarith, "_emit_four_two_refs"),
     (qft_pow2, "_emit_ladder_on"),
+    (qft_pow2, "MAX_STANDARD_N"),
+    (qft_pow2, "MAX_SPLIT_N"),
+    (qft_pow2, "MAX_CHANNEL_N"),
+    (qft_pow2, "MAX_WITNESS_N"),
 ]
 
 
@@ -78,7 +82,8 @@ def test_unused_names_stay_removed(owner, name):
     # build_prefix_add / build_telescoping_subtract at k = 2 are the adder
     # and subtractor; build_carry_save certifies the one Wallace tree that
     # the 3-2 and 4-2 counters wrapped; crt_maps' two index maps replace
-    # CrtBasis, and _ladder_layers is the one ladder
+    # CrtBasis, and _ladder_layers is the one ladder; the dyadic angle grid is
+    # the one build limit in place of the per-builder size caps
     assert not hasattr(owner, name)
 
 

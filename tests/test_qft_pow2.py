@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qftkit.acceptance import C_DEPTH, C_SIZE
 from qftkit.circuit import Circuit
 from qftkit.errors import CapacityError
 from qftkit import sim
 from qftkit.phasest import basis_probs, erase_failure, failure_bound, reconstruct_batch
 from qftkit.qft_pow2 import (
-    MAX_SPLIT_N,
-    MAX_STANDARD_N,
     LogdepthQft,
     QftPlan,
     banded_qft,
@@ -59,9 +58,12 @@ class TestStandardLadder:
             assert c.depth <= 2 * n - 1
 
     def test_width_cap(self):
-        standard_qft(MAX_STANDARD_N)
-        with pytest.raises(CapacityError):
-            standard_qft(MAX_STANDARD_N + 1)
+        # the finest CP is 2^-n turns, so n = 64 is the widest ladder on the 2^-64 grid
+        c = standard_qft(64)
+        assert c.gate_histogram() == {"cp": 2016, "h": 64}
+        assert c.depth == 127
+        with pytest.raises(CapacityError, match=r"2\^-64 angle limit"):
+            standard_qft(65)
 
 
 class TestSplit:
@@ -80,8 +82,37 @@ class TestSplit:
         assert "ccx" in hist and "cnot" in hist
 
     def test_width_cap(self):
-        with pytest.raises(CapacityError):
-            split_qft(MAX_SPLIT_N + 1)
+        # the top level's last phase is 2^-n turns, as in the ladder
+        c = split_qft(64)
+        assert c.size == 54_940
+        assert c.metadata["step2_size"] == 29_756
+        assert c.size == 2 * split_qft(32).size + c.metadata["step2_size"]
+        with pytest.raises(CapacityError, match=r"2\^-64 angle limit"):
+            split_qft(65)
+
+
+class TestAngleLimit:
+    # each builder's finest angle: min(b, n - 1) + 1 for a band, the window
+    # min(n, k) for prep and the log-depth pipeline; the copy stage has no angles
+    def test_builds_whose_finest_angle_is_on_the_grid(self):
+        assert banded_qft(200, 63).metadata["b"] == 63
+        # the error bound's terms stay finite past 2^-1024
+        assert math.isfinite(banded_qft(1100, 2).metadata["error_bound"])
+        assert logdepth_qft(QftPlan(kind="logdepth", n=65, k=64)).circuit.metadata["window"] == 64
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: banded_qft(65, 64),
+            lambda: prep_approx(65, 65),
+            lambda: logdepth_qft(QftPlan(kind="logdepth", n=65, k=66)),
+        ],
+        ids=["banded(65,64)", "prep_approx(65,65)", "logdepth(65,66)"],
+    )
+    def test_finer_angles_are_refused_before_any_gate(self, build):
+        # a DyadicAngle past 2^-64 would raise StructuralError partway through the build
+        with pytest.raises(CapacityError, match=r"needs angle 2\^-65,"):
+            build()
 
 
 class TestBanded:
@@ -326,6 +357,20 @@ class TestLogdepthChannel:
         depth = logdepth_qft(QftPlan(kind="logdepth", n=n, k=k)).circuit.depth
         assert depth <= self.DEPTH_CEILINGS[n, k]
 
+    def test_shape_certificate_to_n_1024(self):
+        # criterion 3's pins, unedited, out to n = 1024 at k = 4: depth = a log2 n + b
+        # (every doubling adds the same depth), depth <= C_DEPTH (log2 n + log2 k),
+        # size <= C_SIZE n k
+        k = 4
+        depths = []
+        for n in (16, 32, 64, 128, 256, 512, 1024):
+            c = logdepth_qft(QftPlan(kind="logdepth", n=n, k=k)).circuit
+            assert c.depth <= C_DEPTH * (math.log2(n) + math.log2(k)), n
+            assert c.size <= C_SIZE * n * k, n
+            depths.append(c.depth)
+        steps = {b - a for a, b in zip(depths, depths[1:])}
+        assert len(steps) == 1 and steps.pop() > 0, depths
+
     def test_depth_scales_logarithmically(self):
         depths = {
             n: logdepth_qft(QftPlan(kind="logdepth", n=n, k=8)).circuit.depth
@@ -362,6 +407,11 @@ class TestSmallAngleNumerics:
         w = overlap_witness(6, 2)
         assert set(w) >= {"n", "r", "inner_product", "trace_distance", "cross_check"}
         assert abs(w["cross_check"] - abs(w["inner_product"])) < 1e-12
+
+    def test_witness_has_no_size_cap(self):
+        # a float product: its factors reach 1.0 long before 2^-1024 underflows
+        assert overlap_witness(2000, 1)["trace_distance"] == overlap_witness(64, 1)["trace_distance"]
+        assert overlap_witness(2000, 1999)["trace_distance"] == 0.0
 
     def test_trace_distance_stays_below_peak(self):
         worst = max(

@@ -191,6 +191,16 @@ class TestOrderCircuit:
         assert c.n_qubits == 12
         assert not c.has_measurement()
 
+    def test_builds_past_the_gate_backend_cap(self):
+        # the gate cap guards the sparse run in gate_distribution, not the build
+        c = build_order_circuit(21, 2)
+        assert (c.size, c.depth, c.width) == (11_470, 1_247, 2_774)
+
+    def test_angle_limit(self):
+        # 2^32 + 1 has 33 bits, so its 66-wire transform needs a 2^-66 turn angle
+        with pytest.raises(CapacityError, match=r"2\^-64 angle limit"):
+            build_order_circuit((1 << 32) + 1, 3)
+
 
 class TestOrderFindingRun:
     def test_seeded_runs_reproduce(self):
