@@ -87,7 +87,6 @@ from .sim import (
     run_dense,
     run_sparse,
     sparse_marginal,
-    sparse_to_dense,
 )
 
 __version__ = "0.1.0"

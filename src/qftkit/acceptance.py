@@ -29,7 +29,7 @@ from .qft_pow2 import (
     standard_qft,
     viete_partial,
 )
-from .sim import dft_reference, extract_unitary, run_classical_batch, run_sparse, sparse_to_dense
+from .sim import dft_reference, extract_unitary, run_classical_batch, run_sparse
 
 OPERATOR_TOL = 1e-9
 EXACTNESS_TOL = 1e-10
@@ -56,6 +56,12 @@ class CriterionResult(NamedTuple):
 
 def _failure(name: str, details: str) -> CriterionResult:
     return CriterionResult(name, False, details)
+
+
+def _state_error(circ, initial: dict[int, complex], expected: dict[int, complex]) -> float:
+    """The L2 distance from ``circ``'s sparse run on ``initial`` to ``expected``, ancillas included."""
+    actual = run_sparse(circ, initial=initial).amplitudes
+    return float(np.linalg.norm([actual.get(i, 0.0) - expected.get(i, 0.0) for i in actual.keys() | expected.keys()]))
 
 
 # --- 1: exact transforms ------------------------------------------------------
@@ -110,8 +116,7 @@ def criterion_banded_approximation(quick: bool = False) -> CriterionResult:
     dft10 = dft_reference(1 << 10)
     probe_dist = 0.0
     for x in (0, 1, 437, 1023):
-        vec = sparse_to_dense(run_sparse(clamped, x=x).amplitudes, 10)
-        probe_dist = max(probe_dist, float(np.linalg.norm(vec - dft10[:, x][rev10])))
+        probe_dist = max(probe_dist, _state_error(clamped, {x: 1.0}, dict(enumerate(dft10[rev10, x]))))
     details = (
         f"n=8 all bands: distance <= analytic bound (worst slack {-margin:.2e}), "
         f"size <= nb+n; clamped n=10 b=14 basis probes {probe_dist:.2e} <= 1e-3"
@@ -147,33 +152,6 @@ def criterion_depth_certificates(quick: bool = False) -> CriterionResult:
 # --- 4: component unitarity -----------------------------------------------------
 
 
-def _prep_fidelity(n: int, x: int) -> float:
-    res = run_sparse(prep_exact(n), x=x)
-    ref = fourier_state(n, x)
-    mask = (1 << n) - 1
-    overlap = 0.0j
-    for idx, amp in res.amplitudes.items():
-        if idx & mask == x and idx >> (2 * n) == 0:
-            overlap += np.conj(ref[(idx >> n) & mask]) * amp
-    return abs(overlap)
-
-
-def _copy_error(n: int, k: int, y: int) -> float:
-    circ = copy_fourier(n, k)
-    psi = fourier_state(n, y)
-    shift = (k - 1) * n
-    initial = {v << shift: psi[v] for v in range(1 << n)}
-    expected: dict[int, complex] = {}
-    for regs in product(range(1 << n), repeat=k):
-        key = sum(v << (c * n) for c, v in enumerate(regs))
-        expected[key] = math.prod(psi[v] for v in regs)
-    actual = run_sparse(circ, initial=initial).amplitudes
-    err = 0.0
-    for key in expected.keys() | actual.keys():
-        err += abs(actual.get(key, 0.0) - expected.get(key, 0.0)) ** 2
-    return math.sqrt(err)
-
-
 def _arithmetic_fault(circ, widths, ranges, contract) -> str | None:
     """The first input on which ``circ`` leaves an ancilla set or breaks ``contract``, or None.
 
@@ -195,18 +173,29 @@ def _arithmetic_fault(circ, widths, ranges, contract) -> str | None:
 
 def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
     name = "component-unitarity"
-    min_fid = 1.0
-    for n in range(1, (3 if quick else 4) + 1):
+    max_prep = 3 if quick else 4
+    # |x>|0^n> -> |x>|psi_x> and |0^n>^{k-1}|psi_y> -> |psi_y>^k, phases and ancillas included
+    prep_err = copy_err = 0.0
+    for n in range(1, max_prep + 1):
+        prep = prep_exact(n)
         for x in range(1 << n):
-            min_fid = min(min_fid, _prep_fidelity(n, x))
-    if min_fid < 1.0 - EXACTNESS_TOL:
-        return _failure(name, f"prep_exact fidelity {min_fid} below 1 - {EXACTNESS_TOL:.0e}")
-    copy_err = 0.0
+            err = _state_error(prep, {x: 1.0}, {x | y << n: a for y, a in enumerate(fourier_state(n, x))})
+            if not err <= EXACTNESS_TOL:
+                return _failure(name, f"prep_exact({n}) x={x}: state error {err:.2e}")
+            prep_err = max(prep_err, err)
     for n, k in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)):
+        copy = copy_fourier(n, k)
         for y in range(1 << n):
-            copy_err = max(copy_err, _copy_error(n, k, y))
-    if copy_err > EXACTNESS_TOL:
-        return _failure(name, f"copy_fourier state error {copy_err:.2e}")
+            psi = fourier_state(n, y)
+            initial = {v << (k - 1) * n: psi[v] for v in range(1 << n)}
+            expected = {
+                sum(v << c * n for c, v in enumerate(regs)): math.prod(psi[v] for v in regs)
+                for regs in product(range(1 << n), repeat=k)
+            }
+            err = _state_error(copy, initial, expected)
+            if not err <= EXACTNESS_TOL:
+                return _failure(name, f"copy_fourier({n}, {k}) y={y}: state error {err:.2e}")
+            copy_err = max(copy_err, err)
 
     # each block returns the registers it only reads unchanged
     cases = (
@@ -230,8 +219,8 @@ def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
             return _failure(name, fault)
 
     details = (
-        f"prep fidelity >= {min_fid:.12f} (all x, n <= {3 if quick else 4}); copy state error "
-        f"<= {copy_err:.2e} (n <= 2, k <= 4); prefix/telescoping exhaustive at (k=3, n=2) and (k=2, n=3); "
+        f"L2 state error over all wires <= {EXACTNESS_TOL:.0e}: prep {prep_err:.2e} (all x, n <= {max_prep}), "
+        f"copy {copy_err:.2e} (all y, n <= 2, k <= 4); prefix/telescoping exhaustive at (k=3, n=2) and (k=2, n=3); "
         f"carry-save reducer at 3, 4 and 5 rows (n=2), multiplier exhaustive at 2x2->4 and 4x4->8, "
         "modmul exhaustive at N=5"
     )

@@ -154,16 +154,11 @@ def cmd_sim(args: argparse.Namespace) -> int:
         raise UsageError("--shots must be positive")
     n = circ.n_qubits
     counts: dict[int, int] = {}
-    if circ.has_measurement():
-        # measurement collapses differently per run, so sample one outcome per run
-        for _ in range(args.shots):
-            probs = sparse_marginal(run_sparse(circ, x=x, rng=rng).amplitudes, range(n))
-            y = int(rng.choice(probs.size, p=probs))
-            counts[y] = counts.get(y, 0) + 1
-    else:
-        probs = sparse_marginal(run_sparse(circ, x=x).amplitudes, range(n))
-        for y in rng.choice(probs.size, size=args.shots, p=probs):
-            y = int(y)
+    # measurement collapses differently per run, so a measured circuit draws one outcome per run
+    runs, per_run = (args.shots, 1) if circ.has_measurement() else (1, args.shots)
+    for _ in range(runs):
+        probs = sparse_marginal(run_sparse(circ, x=x, rng=rng).amplitudes, range(n))
+        for y in rng.choice(probs.size, size=per_run, p=probs).tolist():
             counts[y] = counts.get(y, 0) + 1
     table = {f"{_permuted_index(y, perm, n):0{n}b}": c for y, c in counts.items()}
     print(json.dumps({"shots": args.shots, "seed": seed, "counts": dict(sorted(table.items()))}))

@@ -448,7 +448,7 @@ def viete_partial(i: int) -> float:
     """The partial product cos(pi/4) cos(pi/8) ... cos(pi/2^i); limit 2/pi."""
     if i < 1:
         raise ValueError(f"index must be >= 1, got {i}")
-    return math.prod(math.cos(math.pi / (1 << t)) for t in range(2, i + 1))
+    return math.prod(math.cos(math.ldexp(math.pi, -t)) for t in range(2, i + 1))
 
 
 def cos_tail(i: int) -> tuple[float, float]:
@@ -460,8 +460,8 @@ def cos_tail(i: int) -> tuple[float, float]:
     """
     if i < 1:
         raise ValueError(f"index must be >= 1, got {i}")
-    true_tail = math.prod(math.cos(math.pi / (1 << t)) for t in range(i + 1, 121))
-    bound = 1.0 - math.pi ** 2 / (6.0 * 4.0 ** i)
+    true_tail = math.prod(math.cos(math.ldexp(math.pi, -t)) for t in range(i + 1, 121))
+    bound = 1.0 - math.ldexp(math.pi ** 2 / 6.0, -2 * i)
     return true_tail, bound
 
 

@@ -415,18 +415,6 @@ def run_sparse(
     return RunResult(classical=classical, amplitudes=amplitudes, pruned_mass=state.pruned_mass)
 
 
-def sparse_to_dense(amps: dict[int, complex], num_wires: int) -> np.ndarray:
-    """The flat statevector of ``amps``; an index outside ``0 <= k < 2**num_wires`` is refused."""
-    if num_wires > MAX_DENSE_QUBITS:
-        raise CapacityError(f"{num_wires} qubits exceeds dense cap {MAX_DENSE_QUBITS}")
-    state = np.zeros(1 << num_wires, dtype=np.complex128)
-    for idx, amp in amps.items():
-        if not 0 <= idx < state.size:
-            raise SimulationError(f"index {idx} out of range for {num_wires} wires")
-        state[idx] = amp
-    return state
-
-
 def sparse_marginal(amps: dict[int, complex], wires: list[int]) -> np.ndarray:
     """Measurement distribution over ``wires`` (wires[0] is the LSB)."""
     probs = np.zeros(1 << len(wires))

@@ -7,7 +7,7 @@ or ``-s`` to also see the details string of passing criteria.
 import numpy as np
 import pytest
 
-from qftkit import phasest, qft_moduli, revarith, shor
+from qftkit import acceptance, phasest, qft_moduli, revarith, shor
 from qftkit.acceptance import (
     CRITERIA,
     ERASE_PIN,
@@ -17,7 +17,7 @@ from qftkit.acceptance import (
     criterion_phase_statistics,
     format_line,
 )
-from qftkit.circuit import CNOT, Circuit, X
+from qftkit.circuit import CNOT, Circuit, P, X, dyadic
 
 _IDS = [c.__name__.removeprefix("criterion_") for c in CRITERIA]
 
@@ -42,25 +42,29 @@ def test_phase_statistics_fails_a_channel_above_its_pin(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "builder, extra, details",
+    "builder, extra, details, owner",
     [
         # one ancilla left at 1
-        ("build_multiplier", lambda c: X(c.n_qubits), "multiplier dirty ancillas on input [0, 0]"),
+        ("build_multiplier", lambda c: X(c.n_qubits), "multiplier dirty ancillas on input [0, 0]", revarith),
         # the top product wire copied into an input, which the block must only read
-        ("build_modmul", lambda c: CNOT(c.n_qubits - 1, 1), "modmul[1, 4] -> [3, 4, 4]"),
+        ("build_modmul", lambda c: CNOT(c.n_qubits - 1, 1), "modmul[1, 4] -> [3, 4, 4]", revarith),
         # the carry row's top bit set, so s + c misses the rows' sum
-        ("build_carry_save", lambda c: X(c.n_qubits - 1), "carry_save[0, 0, 0] -> [0, 0, 0, 0, 8]"),
+        ("build_carry_save", lambda c: X(c.n_qubits - 1), "carry_save[0, 0, 0] -> [0, 0, 0, 0, 8]", revarith),
+        # a phase on x's low bit, which leaves every fidelity |<psi_x|out>| at 1
+        ("prep_exact", lambda c: P(0, dyadic(1, 3)), "prep_exact(1) x=1: state error 7.65e-01", acceptance),
+        # X on the blank register fixes |psi_0> = |+> but negates |psi_1> = |->
+        ("copy_fourier", lambda c: X(0), "copy_fourier(1, 2) y=1: state error 2.00e+00", acceptance),
     ],
 )
-def test_component_unitarity_names_a_broken_block(monkeypatch, builder, extra, details):
-    build = getattr(revarith, builder)
+def test_component_unitarity_names_a_broken_block(monkeypatch, builder, extra, details, owner):
+    build = getattr(owner, builder)
 
     def broken(*args):
         circ = build(*args)
         gates = [*circ.all_gates(), extra(circ)]
         return Circuit.from_gates(gates, circ.n_qubits, circ.n_ancilla, circ.n_classical, circ.metadata)
 
-    monkeypatch.setattr(revarith, builder, broken)
+    monkeypatch.setattr(owner, builder, broken)
     result = criterion_component_unitarity(quick=True)
     assert not result.passed
     assert result.details == details

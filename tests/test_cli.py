@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,10 @@ class TestSim:
         assert payload["shots"] == 200
         assert payload["seed"] == 4
         assert sum(payload["counts"].values()) == 200
+        # one run, every shot drawn in one call
+        assert payload["counts"] == {
+            "000": 20, "001": 25, "010": 22, "011": 25, "100": 18, "101": 27, "110": 28, "111": 35,
+        }
         again = json.loads(run_cli(capsys, "sim", qft3_path, "--input", "000", "--shots", "200", "--seed", "4")[1])
         assert again == payload
 
@@ -219,6 +224,8 @@ class TestSim:
         assert sum(payload["counts"].values()) == 40
         # the measured pipeline leaves the input register as it found it
         assert all(key.endswith("01") for key in payload["counts"])
+        # one run and one draw per shot
+        assert payload["counts"] == {"0001": 10, "0101": 6, "1001": 13, "1101": 11}
         assert json.loads(run_cli(capsys, *argv)[1]) == payload
         code, _, err = run_cli(capsys, "sim", path, "--input", "0001")
         assert code == 2
@@ -262,6 +269,14 @@ class TestVerify:
         assert "exact erase failure 1.842e-07" in out
         assert "pin 1e-06" in out
         assert run_cli(capsys, "verify", "--suite", "phase") == (code, out, "")
+
+    def test_arith_suite_prints_the_prep_and_copy_state_errors(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "arith")
+        assert code == 0
+        assert out.startswith("PASS criterion 4: component-unitarity: L2 state error over all wires <= 1e-10: prep ")
+        errors = re.findall(r"(prep|copy) (\S+) \(all", out)
+        assert [stage for stage, _ in errors] == ["prep", "copy"]
+        assert all(float(err) <= 1e-10 for _, err in errors)
 
     def test_unitary_suite_small_cap(self, capsys):
         assert run_cli(capsys, "verify", "--suite", "unitary")[0] == 0

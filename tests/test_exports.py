@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import qftkit
-from qftkit import phasest, qft_moduli, qft_pow2, revarith, shor, sim
+from qftkit import acceptance, phasest, qft_moduli, qft_pow2, revarith, shor, sim
 from qftkit.circuit import CircuitBuilder
 
 
@@ -70,6 +70,10 @@ REMOVED_NAMES = [
     (qft_pow2, "MAX_SPLIT_N"),
     (qft_pow2, "MAX_CHANNEL_N"),
     (qft_pow2, "MAX_WITNESS_N"),
+    (acceptance, "_prep_fidelity"),
+    (acceptance, "_copy_error"),
+    (sim, "sparse_to_dense"),
+    (qftkit, "sparse_to_dense"),
 ]
 
 
@@ -83,7 +87,8 @@ def test_unused_names_stay_removed(owner, name):
     # and subtractor; build_carry_save certifies the one Wallace tree that
     # the 3-2 and 4-2 counters wrapped; crt_maps' two index maps replace
     # CrtBasis, and _ladder_layers is the one ladder; the dyadic angle grid is
-    # the one build limit in place of the per-builder size caps
+    # the one build limit in place of the per-builder size caps; and
+    # acceptance._state_error is the one exact state check, over every wire
     assert not hasattr(owner, name)
 
 

@@ -398,6 +398,17 @@ class TestSmallAngleNumerics:
         vals = [viete_partial(i) for i in range(2, 20)]
         assert vals == sorted(vals, reverse=True)
 
+    def test_products_run_past_the_float_range(self):
+        # pi / 2^t went through float(2^t), which overflows at t = 1024, and
+        # 4.0 ** i at i = 512; ldexp gives the same bits wherever those ran
+        for i in range(1, 1024):
+            assert viete_partial(i) == math.prod(math.cos(math.pi / (1 << t)) for t in range(2, i + 1))
+        for i in range(1, 512):
+            tail = math.prod(math.cos(math.pi / (1 << t)) for t in range(i + 1, 121))
+            assert cos_tail(i) == (tail, 1.0 - math.pi ** 2 / (6.0 * 4.0 ** i))
+        assert viete_partial(1100) == viete_partial(1023)
+        assert cos_tail(600) == (1.0, 1.0)
+
     @pytest.mark.parametrize("i", range(1, 9))
     def test_tail_bound_is_a_lower_bound(self, i):
         tail, bound = cos_tail(i)

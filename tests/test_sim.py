@@ -17,8 +17,13 @@ from qftkit.sim import (
     run_dense,
     run_sparse,
     sparse_marginal,
-    sparse_to_dense,
 )
+
+
+def as_vector(amps: dict[int, complex], n_wires: int) -> np.ndarray:
+    vec = np.zeros(1 << n_wires, dtype=complex)
+    vec[list(amps)] = list(amps.values())
+    return vec
 
 
 def measured_random_circuit(rng, n_wires: int, n_gates: int) -> Circuit:
@@ -210,7 +215,7 @@ class TestBackendsAgree:
             c = random_circuit(rng, n_qubits=5, n_gates=16)
             x = int(rng.integers(0, 32))
             dense = run_dense(c, x=x).state
-            sparse = sparse_to_dense(run_sparse(c, x=x).amplitudes, 5)
+            sparse = as_vector(run_sparse(c, x=x).amplitudes, 5)
             assert np.linalg.norm(dense - sparse) < 1e-12
 
     def test_dense_and_sparse_agree_on_measured_random_circuits(self, rng):
@@ -223,7 +228,7 @@ class TestBackendsAgree:
                 dense = run_dense(circuit, x=x, rng=np.random.default_rng(seed))
                 sparse = run_sparse(circuit, x=x, rng=np.random.default_rng(seed))
                 assert dense.classical == sparse.classical
-                assert np.max(np.abs(dense.state - sparse_to_dense(sparse.amplitudes, 5))) < 1e-12
+                assert np.max(np.abs(dense.state - as_vector(sparse.amplitudes, 5))) < 1e-12
 
     def test_norm_preserved(self, rng, random_circuit):
         c = random_circuit(rng, n_qubits=4, n_gates=20)
@@ -275,11 +280,6 @@ class TestStateConventions:
         b.cnot(0, 1)
         with pytest.raises(SimulationError):
             run_sparse(b.build(), initial=initial)
-
-    @pytest.mark.parametrize("amps", [{-1: 1.0}, {8: 1.0}], ids=["key-neg1", "key-8"])
-    def test_sparse_to_dense_refuses_indices_outside_the_wires(self, amps):
-        with pytest.raises(SimulationError, match="out of range"):
-            sparse_to_dense(amps, 3)
 
     @pytest.mark.parametrize("initial", [{0: 0.1}, {0: 2.0}], ids=["norm-0.01", "norm-4"])
     def test_unnormalised_initial_state_is_refused(self, initial):
