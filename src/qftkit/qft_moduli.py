@@ -20,8 +20,6 @@ from .errors import CapacityError
 from .sim import MAX_DFT_DIM, dft_reference
 
 MAX_CRT_MODULUS = 4096
-MAX_MIXED_RADIX_MODULUS = 1024
-MAX_ESTIMATE_MODULUS = 512
 DEFAULT_PADDING_BITS = 3
 ESTIMATE_COPIES = 25
 
@@ -78,10 +76,9 @@ def mixed_radix_qft(m: int) -> np.ndarray:
 
     With K = F_{m_1} x ... x F_{m_k} and C, A the permutation matrices of
     ``crt_maps(m)``, C^T K A C has entry K[c[x], a[c[y]]] at (x, y), which
-    equals ``dft_reference(m)`` exactly up to floating point.
+    equals ``dft_reference(m)`` exactly up to floating point.  The size is
+    limited by ``prime_power_factors``' cap, ``MAX_CRT_MODULUS``.
     """
-    if m > MAX_MIXED_RADIX_MODULUS:
-        raise CapacityError(f"modulus {m} exceeds mixed-radix cap {MAX_MIXED_RADIX_MODULUS}")
     c, a = crt_maps(m)
     kron = np.ones((1, 1), dtype=np.complex128)
     for f in prime_power_factors(m):
@@ -143,12 +140,12 @@ def arbitrary_modulus_estimate(m: int, x: int) -> dict:
     state and rounds the outcome back to Z_m; the mode of the rounded
     estimates is the recovered index.  Reports the exact per-sample success
     probability and the exact probability that the mode is x.  The readout
-    register has ``k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS`` wires.
+    register has ``k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS`` wires,
+    so ``padded_fourier_probs``' check 2^k_bits <= ``MAX_DFT_DIM`` limits m to
+    1023.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    if m > MAX_ESTIMATE_MODULUS:
-        raise CapacityError(f"modulus {m} exceeds estimation cap {MAX_ESTIMATE_MODULUS}")
     k_bits = m.bit_length() - 1 + DEFAULT_PADDING_BITS
     probs = padded_fourier_probs(m, x, k_bits)
     rounded = np.array([estimate_from_sample(y, m, k_bits) for y in range(probs.size)])

@@ -140,7 +140,7 @@ def _ladder_layers(wires: Sequence[int], band: int | None = None) -> list[list[G
 def standard_qft(n: int) -> Circuit:
     """Exact transform mod 2^n: n H gates, n(n-1)/2 CP gates, depth <= 2n-1."""
     if n < 1:
-        raise CapacityError(f"standard_qft supports n >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {n}")
     _check_angle_grid("standard_qft", n)
     meta = {"kind": "standard", "n": n, "output_permutation": _output_permutation(n)}
     return Circuit.from_layers(_ladder_layers(range(n)), n, metadata=meta)
@@ -154,7 +154,7 @@ def banded_qft(n: int, b: int) -> Circuit:
     2*pi/2^{d+1}, and there are n-d of them at distance d.
     """
     if n < 1:
-        raise CapacityError(f"banded_qft supports n >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {n}")
     b_eff = max(1, min(b, n))
     _check_angle_grid("banded_qft", min(b_eff, n - 1) + 1)
     bound = 0.0
@@ -212,7 +212,7 @@ def split_qft(n: int) -> Circuit:
     gates, so size(n) = size(ceil) + size(floor) + step2_size holds exactly.
     """
     if n < 1:
-        raise CapacityError(f"split_qft supports n >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {n}")
     _check_angle_grid("split_qft", n)
     b = CircuitBuilder(n)
     step2 = _emit_split(b, list(range(n)))
@@ -460,7 +460,7 @@ def cos_tail(i: int) -> tuple[float, float]:
     """
     if i < 1:
         raise ValueError(f"index must be >= 1, got {i}")
-    true_tail = math.prod(math.cos(math.ldexp(math.pi, -t)) for t in range(i + 1, 121))
+    true_tail = math.prod((math.cos(math.ldexp(math.pi, -t)) for t in range(i + 1, 121)), start=1.0)
     bound = 1.0 - math.ldexp(math.pi ** 2 / 6.0, -2 * i)
     return true_tail, bound
 

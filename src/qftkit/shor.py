@@ -3,10 +3,13 @@
 The quantum step comes in two interchangeable backends.  The gate backend
 assembles the full register pipeline (Hadamards, the known-power product
 tree, the exact transform) and reads the measurement distribution off a
-sparse statevector run; it is exact but only fits small moduli.  The
-analytic backend evaluates the same distribution in closed form from the
-true multiplicative order, which scales to any desk-size modulus.  Both
-feed continued-fraction post-processing and the classical retry loop.
+sparse statevector run; it is exact but only fits moduli up to
+``MAX_GATE_MODULUS``.  The analytic backend evaluates the same distribution
+in closed form from the true multiplicative order, up to
+``MAX_ANALYTIC_MODULUS``.  Both feed continued-fraction post-processing and
+the classical retry loop.  ``_check_cap`` is the one home of both caps: each
+distribution calls it, and so does every entry point once it has resolved
+its backend, so an oversized modulus is refused before any draw or table.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .sim import DEFAULT_SEED, run_sparse, sparse_marginal
 
 MAX_GATE_MODULUS = 15
 MAX_ANALYTIC_MODULUS = 2048
-MAX_TASK_MODULUS = 1 << 20
 DEFAULT_MAX_RETRIES = 32
 
 # copies per register when the measured-transform variant stands in for the
@@ -52,7 +54,7 @@ class LuckyFactor(QftkitError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact far beyond the desk cap)."""
+    """Deterministic Miller-Rabin (exact far beyond the backend caps)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -106,8 +108,6 @@ class FactorTask:
     def __post_init__(self) -> None:
         if self.modulus < 3 or self.modulus % 2 == 0:
             raise ValueError("modulus must be odd and at least 3")
-        if self.modulus >= MAX_TASK_MODULUS:
-            raise CapacityError(f"modulus {self.modulus} exceeds cap {MAX_TASK_MODULUS}")
         if is_prime(self.modulus):
             raise ValueError("modulus must be composite")
         if not 2 <= self.a <= self.modulus - 1:
@@ -137,9 +137,11 @@ def _screen_base(a: int, modulus: int) -> None:
         raise LuckyFactor(a, modulus, d)
 
 
-def _check_gate_cap(modulus: int) -> None:
-    if modulus > MAX_GATE_MODULUS:
-        raise CapacityError(f"modulus {modulus} exceeds gate-backend cap {MAX_GATE_MODULUS}")
+def _check_cap(backend: str, modulus: int) -> None:
+    """Refuse a modulus above the cap of a resolved backend, gate or analytic."""
+    cap = MAX_GATE_MODULUS if backend == "gate" else MAX_ANALYTIC_MODULUS
+    if modulus > cap:
+        raise CapacityError(f"modulus {modulus} exceeds {backend}-backend cap {cap}")
 
 
 def build_order_circuit(modulus: int, a: int) -> Circuit:
@@ -183,7 +185,7 @@ def gate_distribution(modulus: int, a: int) -> np.ndarray:
 
     The result is cached and read-only; copy it before writing to it.
     """
-    _check_gate_cap(modulus)
+    _check_cap("gate", modulus)
     key = (modulus, a)
     if key not in _GATE_CACHE:
         circuit = build_order_circuit(modulus, a)
@@ -219,8 +221,7 @@ def analytic_distribution(modulus: int, a: int) -> np.ndarray:
 
     The result is cached and read-only; copy it before writing to it.
     """
-    if modulus > MAX_ANALYTIC_MODULUS:
-        raise CapacityError(f"modulus {modulus} exceeds analytic cap {MAX_ANALYTIC_MODULUS}")
+    _check_cap("analytic", modulus)
     _screen_base(a, modulus)
     key = (modulus, a)
     if key not in _ANALYTIC_CACHE:
@@ -293,15 +294,14 @@ def continued_fraction_post(y: int, m: int, modulus: int) -> tuple[int, int] | N
 
 
 def _resolve_knobs(backend: str, qft: str, modulus: int) -> str:
-    """The backend that runs at ``modulus``; refuses an unknown knob and a gate run over the cap."""
+    """The backend that runs at ``modulus``; refuses an unknown knob and a modulus over that backend's cap."""
     if qft not in QFT_VARIANTS:
         raise ValueError(f"qft must be one of {QFT_VARIANTS}")
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}")
     if backend == "auto":
-        return "gate" if modulus <= MAX_GATE_MODULUS else "analytic"
-    if backend == "gate":
-        _check_gate_cap(modulus)
+        backend = "gate" if modulus <= MAX_GATE_MODULUS else "analytic"
+    _check_cap(backend, modulus)
     return backend
 
 
@@ -356,7 +356,6 @@ def order_finding_run(
     shares a divisor with the modulus raises LuckyFactor on either backend.
     """
     resolved = _resolve_knobs(backend, qft, task.modulus)
-    _screen_base(task.a, task.modulus)
     probs = _y_distribution(task.modulus, task.a, resolved, qft)
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
@@ -408,15 +407,13 @@ def factor(
     divides the modulus and is nontrivial; an exhausted retry budget returns
     divisor None with the full trace.  Even and prime-power inputs are
     dispatched classically without any quantum sampling, but only after every
-    knob has been checked.
+    knob and the resolved backend's cap have been checked.
     """
     backend = _resolve_knobs(backend, qft, modulus)
     if max_retries < 1:
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     if modulus < 4:
         raise ValueError("nothing to factor below 4")
-    if modulus >= MAX_TASK_MODULUS:
-        raise CapacityError(f"modulus {modulus} exceeds cap {MAX_TASK_MODULUS}")
     if is_prime(modulus):
         raise ValueError(f"{modulus} is prime; no nontrivial divisor exists")
     if modulus % 2 == 0:

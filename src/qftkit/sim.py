@@ -86,14 +86,6 @@ class RunResult:
 # --- dense statevector -----------------------------------------------------
 
 
-def basis_state(num_wires: int, x: int) -> np.ndarray:
-    if not 0 <= x < (1 << num_wires):
-        raise SimulationError(f"basis index {x} out of range for {num_wires} wires")
-    state = np.zeros(1 << num_wires, dtype=np.complex128)
-    state[x] = 1.0
-    return state
-
-
 def _check_input(circuit: Circuit, x: int) -> None:
     """Refuse a basis input that does not fit the circuit's data wires."""
     if not 0 <= x < (1 << circuit.n_qubits):
@@ -380,7 +372,9 @@ def run_dense(circuit: Circuit, x: int = 0, rng: np.random.Generator | None = No
     if nq > MAX_DENSE_QUBITS:
         raise CapacityError(f"{nq} qubits exceeds dense cap {MAX_DENSE_QUBITS}")
     _check_input(circuit, x)
-    state = _DenseState(basis_state(nq, x).reshape([2] * nq), nq)
+    psi = np.zeros([2] * nq, dtype=np.complex128)
+    psi.flat[x] = 1.0
+    state = _DenseState(psi, nq)
     classical = _evolve(state, circuit, rng)
     return RunResult(classical=classical, state=state.psi.reshape(-1))
 

@@ -319,6 +319,13 @@ class TestFactor:
         assert out == ""
         assert "gate-backend cap" in err
 
+    def test_analytic_backend_over_its_cap_is_a_usage_error(self, capsys):
+        # seed 0 draws a = 1743 first, which shares the divisor 3 with 2049 = 3 * 683
+        code, out, err = run_cli(capsys, "factor", "2049", "--seed", "0")
+        assert code == 2
+        assert out == ""
+        assert "analytic-backend cap" in err
+
 
 class TestAccept:
     def test_quick_battery_passes(self, capsys):

@@ -74,6 +74,11 @@ REMOVED_NAMES = [
     (acceptance, "_copy_error"),
     (sim, "sparse_to_dense"),
     (qftkit, "sparse_to_dense"),
+    (shor, "MAX_TASK_MODULUS"),
+    (shor, "_check_gate_cap"),
+    (qft_moduli, "MAX_ESTIMATE_MODULUS"),
+    (qft_moduli, "MAX_MIXED_RADIX_MODULUS"),
+    (sim, "basis_state"),
 ]
 
 
@@ -87,9 +92,45 @@ def test_unused_names_stay_removed(owner, name):
     # and subtractor; build_carry_save certifies the one Wallace tree that
     # the 3-2 and 4-2 counters wrapped; crt_maps' two index maps replace
     # CrtBasis, and _ladder_layers is the one ladder; the dyadic angle grid is
-    # the one build limit in place of the per-builder size caps; and
-    # acceptance._state_error is the one exact state check, over every wire
+    # the one build limit in place of the per-builder size caps;
+    # acceptance._state_error is the one exact state check, over every wire;
+    # shor._check_cap holds both backend caps, which every task above them
+    # reaches, prime_power_factors' and the padded readout's caps bound the
+    # mixed-radix and estimation sizes, and run_dense's basis vector is built
+    # after _check_input, the one input-range check
     assert not hasattr(owner, name)
+
+
+# every size cap, by module and name; a new one is added here on purpose
+SIZE_CAPS = {
+    ("circuit", "MAX_LOG_DENOMINATOR"),
+    ("sim", "MAX_DENSE_QUBITS"),
+    ("sim", "MAX_UNITARY_QUBITS"),
+    ("sim", "SPARSE_SUPPORT_CAP"),
+    ("sim", "MAX_DFT_DIM"),
+    ("qft_pow2", "_MAX_STATE_N"),
+    ("qft_moduli", "MAX_CRT_MODULUS"),
+    ("shor", "MAX_GATE_MODULUS"),
+    ("shor", "MAX_ANALYTIC_MODULUS"),
+}
+# named like a cap, but a pin of criterion 3's depth certificate, not a size limit
+CERTIFICATE_PINS = {("acceptance", "SUBLINEAR_CAP")}
+
+
+def test_every_cap_is_listed():
+    found = set()
+    for path in sorted(Path(qftkit.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for t in targets:
+                if isinstance(t, ast.Name) and (t.id.startswith(("MAX_", "_MAX_")) or t.id.endswith("_CAP")):
+                    found.add((path.stem, t.id))
+    assert found == SIZE_CAPS | CERTIFICATE_PINS
 
 
 def test_inline_takes_a_sequence_and_returns_nothing():

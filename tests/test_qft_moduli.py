@@ -113,8 +113,14 @@ class TestMixedRadixQft:
         assert np.abs(mixed_radix_qft(7) - dft_reference(7)).max() == 0.0
 
     def test_cap(self):
-        with pytest.raises(CapacityError):
-            mixed_radix_qft(1025)
+        # prime_power_factors' cap is the one limit, as for dft_reference
+        with pytest.raises(CapacityError, match="factorization cap"):
+            mixed_radix_qft(4097)
+
+    def test_four_odd_prime_factors(self):
+        m = 3 * 5 * 7 * 11
+        assert prime_power_factors(m) == (3, 5, 7, 11)
+        assert np.abs(mixed_radix_qft(m) - dft_reference(m)).max() < 1e-10
 
 
 class TestPaddedEstimation:
@@ -156,6 +162,18 @@ class TestPaddedEstimation:
     def test_dft_cap(self):
         with pytest.raises(CapacityError):
             padded_fourier_probs(5, 3, 40)
+
+    @pytest.mark.parametrize("x", [0, 511, 1022])
+    def test_largest_modulus_the_padded_readout_fits(self, x):
+        # k_bits = 9 + 3 = 12, so 2^k_bits = 4096 = MAX_DFT_DIM
+        r = arbitrary_modulus_estimate(1023, x)
+        assert r["k_bits"] == 12
+        assert r["success_probability"] > 0.5
+
+    def test_padded_readout_cap_limits_the_modulus(self):
+        # m = 1024 needs k_bits = 13 and 2^13 > 4096
+        with pytest.raises(CapacityError, match=r"2\^13 exceeds DFT cap 4096"):
+            arbitrary_modulus_estimate(1024, 0)
 
     @pytest.mark.parametrize("m", [2, 5, 12, 100, 512])
     def test_fft_matches_the_matrix_transform(self, m):

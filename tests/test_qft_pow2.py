@@ -91,6 +91,16 @@ class TestSplit:
             split_qft(65)
 
 
+@pytest.mark.parametrize(
+    "build", [standard_qft, lambda n: banded_qft(n, 2), split_qft], ids=["standard", "banded", "split"]
+)
+@pytest.mark.parametrize("n", [0, -1])
+def test_ladder_builders_refuse_an_empty_register_as_a_value(build, n):
+    # CapacityError means only a cap; an empty register is a bad value, as in QftPlan
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        build(n)
+
+
 class TestAngleLimit:
     # each builder's finest angle: min(b, n - 1) + 1 for a band, the window
     # min(n, k) for prep and the log-depth pipeline; the copy stage has no angles
@@ -408,6 +418,10 @@ class TestSmallAngleNumerics:
             assert cos_tail(i) == (tail, 1.0 - math.pi ** 2 / (6.0 * 4.0 ** i))
         assert viete_partial(1100) == viete_partial(1023)
         assert cos_tail(600) == (1.0, 1.0)
+
+    def test_tail_past_the_last_factor_is_a_float(self):
+        # from i = 120 on the product's range is empty
+        assert [type(v) for v in cos_tail(600)] == [float, float]
 
     @pytest.mark.parametrize("i", range(1, 9))
     def test_tail_bound_is_a_lower_bound(self, i):

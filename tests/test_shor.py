@@ -275,8 +275,9 @@ class TestOrderFindingRun:
         assert order_finding_run(task) == order_finding_run(task, rng=np.random.default_rng(shor.DEFAULT_SEED))
 
     def test_task_cap(self):
-        with pytest.raises(CapacityError):
-            FactorTask(3**13, 2)
+        for backend in ("gate", "analytic"):
+            with pytest.raises(CapacityError, match=f"{backend}-backend cap"):
+                order_finding_run(FactorTask(3**13, 2), backend=backend)
 
 
 class TestFactor:
@@ -318,6 +319,12 @@ class TestFactor:
         for s in range(8):
             with pytest.raises(CapacityError, match="gate-backend cap"):
                 factor(21, backend="gate", seed=s)
+
+    def test_analytic_cap_is_checked_before_any_draw(self):
+        # 13 of these seeds draw a base sharing the divisor 3 with 2049 first
+        for s in range(40):
+            with pytest.raises(CapacityError, match="analytic-backend cap"):
+                factor(2049, seed=s)
 
     def test_divisors_are_real(self):
         for s in range(20):
@@ -408,6 +415,14 @@ class TestAttemptSuccess:
         # the variant mixes weight failure_bound(8, 64) of uniform into each y law
         gap = shor._attempt_success(15, "gate", "standard") - shor._attempt_success(15, "gate", "logdepth")
         assert abs(gap) <= failure_bound(8, shor.LOGDEPTH_CHANNEL_K)
+
+    def test_refused_over_the_cap_before_any_convergent(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("continued_fraction_post called")
+
+        monkeypatch.setattr(shor, "continued_fraction_post", never)
+        with pytest.raises(CapacityError, match="analytic-backend cap"):
+            shor._attempt_success(2049, "analytic", "standard")
 
     def test_analytic_backend_agrees_with_the_gate_backend(self):
         gate = shor._attempt_success(15, "gate", "standard")

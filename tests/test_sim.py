@@ -9,7 +9,6 @@ from qftkit.sim import (
     DEFAULT_SEED,
     MAX_DFT_DIM,
     MAX_UNITARY_QUBITS,
-    basis_state,
     dft_reference,
     extract_unitary,
     run_classical_batch,
@@ -254,8 +253,8 @@ class TestStateConventions:
         assert set(run_sparse(b.build()).amplitudes) == {4}
 
     def test_basis_state(self):
-        v = basis_state(3, 5)
-        assert v[5] == 1 and np.count_nonzero(v) == 1
+        v = run_dense(CircuitBuilder(3).build(), x=5).state
+        np.testing.assert_array_equal(v, np.eye(8)[5])
 
     @pytest.mark.parametrize("run", [run_dense, run_sparse, run_classical_bits])
     @pytest.mark.parametrize("x", [-1, -8, 8])
