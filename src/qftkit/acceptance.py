@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import phasest, qft_moduli, revarith, shor
+from .circuit import MAX_LOG_DENOMINATOR
 from .qft_pow2 import (
     QftPlan,
     banded_qft,
@@ -278,7 +279,9 @@ def criterion_small_angle_numerics(quick: bool = False) -> CriterionResult:
             return _failure(name, f"tail bound {bound} exceeds true tail {tail} at i={i}")
     worst_trace = 0.0
     worst_cross = 0.0
-    for n in range(2, (12 if quick else 20) + 1):
+    # the full sweep reaches the widest transform the 2^-64 angle grid builds
+    top_n = 12 if quick else MAX_LOG_DENOMINATOR
+    for n in range(2, top_n + 1):
         for r in range(1, n):
             w = overlap_witness(n, r)
             worst_trace = max(worst_trace, w["trace_distance"])
@@ -300,7 +303,7 @@ def criterion_small_angle_numerics(quick: bool = False) -> CriterionResult:
             cones_ok = cones_ok and set(range(n)) <= cone and circ.depth >= math.ceil(math.log2(n))
     details = (
         f"cos product {v:.10f} in (0.6366, 0.6367), within 1e-9 of 2/pi; tail bounds hold i=1..8; "
-        f"trace distance <= {worst_trace:.6f} < {TRACE_BOUND} (r < n <= {12 if quick else 20}, "
+        f"trace distance <= {worst_trace:.6f} < {TRACE_BOUND} (r < n <= {top_n}, "
         f"cross-check {worst_cross:.1e}); grid min-max prob {minmax:.9f} >= {MINMAX_PROB:.9f}-1e-9; "
         f"top-wire light cones complete"
     )

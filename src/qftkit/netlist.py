@@ -29,7 +29,6 @@ from .circuit import GATES, Circuit, DyadicAngle, Gate, layer_fault
 from .errors import NetlistError, StructuralError
 
 _ANGLE_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
-_CLBIT_RE = re.compile(r"^c(\d+)$")
 
 SEPARATOR = "---"
 META_PRAGMA = "# meta "
@@ -77,13 +76,12 @@ def encode(circuit: Circuit) -> str:
 
 
 def _parse_int(token: str, what: str, line: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise NetlistError(f"bad {what} {token!r}", line) from None
-    if value < 0:
+    # only the form encode writes: ASCII digits, no sign, no leading zero
+    if token.isascii() and token.isdigit() and (token[0] != "0" or len(token) == 1):
+        return int(token)
+    if token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
         raise NetlistError(f"{what} {token!r} must be nonnegative", line)
-    return value
+    raise NetlistError(f"bad {what} {token!r}", line)
 
 
 def decode(text: str) -> Circuit:
@@ -161,8 +159,7 @@ def _parse_gate(tok: list[str], raw: str, lineno: int) -> Gate:
     cls = GATES.get(tok[0])
     if cls is not None and cls.family == "measure" and len(tok) == 5 and tok[3] == "->":
         target = _parse_int(tok[2], "wire", lineno)
-        m = _CLBIT_RE.match(tok[4])
-        if not m:
+        if not tok[4].startswith("c"):
             raise NetlistError(f"bad classical wire {tok[4]!r}, expected c<j>", lineno)
-        return cls(target, tok[1], int(m.group(1)))
+        return cls(target, tok[1], _parse_int(tok[4][1:], "classical wire", lineno))
     raise NetlistError(f"unrecognized gate line {raw!r}", lineno)

@@ -19,12 +19,11 @@ import numpy as np
 from .errors import CapacityError
 from .sim import MAX_DFT_DIM, dft_reference
 
-MAX_CRT_MODULUS = 4096
 DEFAULT_PADDING_BITS = 3
 ESTIMATE_COPIES = 25
 
-# every composite below MAX_CRT_MODULUS has a prime factor <= 61, so trial
-# division by this list leaves a prime (or 1) behind
+# every composite up to MAX_DFT_DIM = 4096 < 67^2 has a prime factor <= 61, so
+# trial division by this list leaves a prime (or 1) behind
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
@@ -32,8 +31,8 @@ def prime_power_factors(m: int) -> tuple[int, ...]:
     """Pairwise coprime prime-power factors of ``m``, smallest prime first."""
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    if m > MAX_CRT_MODULUS:
-        raise CapacityError(f"modulus {m} exceeds factorization cap {MAX_CRT_MODULUS}")
+    if m > MAX_DFT_DIM:
+        raise CapacityError(f"modulus {m} exceeds factorization cap {MAX_DFT_DIM}")
     factors = []
     rest = m
     for p in _SMALL_PRIMES:
@@ -77,7 +76,7 @@ def mixed_radix_qft(m: int) -> np.ndarray:
     With K = F_{m_1} x ... x F_{m_k} and C, A the permutation matrices of
     ``crt_maps(m)``, C^T K A C has entry K[c[x], a[c[y]]] at (x, y), which
     equals ``dft_reference(m)`` exactly up to floating point.  The size is
-    limited by ``prime_power_factors``' cap, ``MAX_CRT_MODULUS``.
+    limited by ``prime_power_factors``' cap, ``MAX_DFT_DIM``, as ``dft_reference`` is.
     """
     c, a = crt_maps(m)
     kron = np.ones((1, 1), dtype=np.complex128)

@@ -20,6 +20,7 @@ the obstruction that forces any exact transform to depth >= log2(n).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +31,7 @@ from .circuit import CP, Circuit, CircuitBuilder, Gate, H, _check_angle_grid, dy
 from .errors import CapacityError
 from .phasest import erase_failure, failure_bound
 from .revarith import ONE, _emit_addsub_core, _emit_multiplier, _emit_wallace, bnot
-from .sim import DEFAULT_SEED
+from .sim import DEFAULT_SEED, MAX_DENSE_QUBITS
 
 __all__ = [
     "QftPlan",
@@ -50,8 +51,6 @@ __all__ = [
     "cos_tail",
     "overlap_witness",
 ]
-
-_MAX_STATE_N = 20
 
 PLAN_KINDS = ("standard", "banded", "split", "logdepth")
 
@@ -102,8 +101,8 @@ def bit_reversed_indices(n: int) -> np.ndarray:
 
 def fourier_state(n: int, x: int) -> np.ndarray:
     """The length-2^n state with amplitude e^{2 pi i x y / 2^n} / 2^{n/2} at y."""
-    if not 1 <= n <= _MAX_STATE_N:
-        raise CapacityError(f"fourier_state supports 1 <= n <= {_MAX_STATE_N}")
+    if not 1 <= n <= MAX_DENSE_QUBITS:
+        raise CapacityError(f"fourier_state supports 1 <= n <= {MAX_DENSE_QUBITS}")
     if not 0 <= x < (1 << n):
         raise ValueError(f"phase parameter must be in 0..{(1 << n) - 1}, got {x}")
     y = np.arange(1 << n)
@@ -448,7 +447,7 @@ def viete_partial(i: int) -> float:
     """The partial product cos(pi/4) cos(pi/8) ... cos(pi/2^i); limit 2/pi."""
     if i < 1:
         raise ValueError(f"index must be >= 1, got {i}")
-    return math.prod(math.cos(math.ldexp(math.pi, -t)) for t in range(2, i + 1))
+    return math.prod((math.cos(math.ldexp(math.pi, -t)) for t in range(2, i + 1)), start=1.0)
 
 
 def cos_tail(i: int) -> tuple[float, float]:
@@ -465,10 +464,6 @@ def cos_tail(i: int) -> tuple[float, float]:
     return true_tail, bound
 
 
-def _mu_vector(theta: float) -> np.ndarray:
-    return np.array([1.0, np.exp(2j * np.pi * theta)]) / math.sqrt(2.0)
-
-
 def overlap_witness(n: int, r: int) -> dict:
     """How well two Fourier states differing in bit r of the phase can be told apart.
 
@@ -477,26 +472,24 @@ def overlap_witness(n: int, r: int) -> dict:
     orthogonally.  Their inner product is the cosine product over
     t = 2..n-r, so the trace distance stays below sqrt(1 - (2/pi)^2) < 0.7712
     no matter how large n gets: erasing the knowledge of one high bit cannot
-    be decided locally.
+    be decided locally.  ``cross_check`` is |<hybrid|shifted>| read from the
+    two product states' factor phases: the product over factors of
+    (1 + e^{2 pi i (theta_s - theta_h)})/2, at any n.
     """
     if n < 2 or not 1 <= r < n:
         raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
-    ip = math.prod(math.cos(math.ldexp(math.pi, -p)) for p in range(2, n - r + 1))
-    out = {
+    ip = viete_partial(n - r)
+    overlap = 1.0 + 0.0j
+    for j in range(1, n + 1):
+        # factor phases of the two states, position j from the top
+        theta_z = 1.0 - 2.0 ** (-j)
+        theta_s = ((1 << r) - 1) / (1 << j) if j > r else theta_z
+        theta_h = theta_s if j == r + 1 else theta_z
+        overlap *= (1.0 + cmath.exp(2j * math.pi * (theta_s - theta_h))) / 2.0
+    return {
         "n": n,
         "r": r,
         "inner_product": ip,
         "trace_distance": math.sqrt(max(0.0, 1.0 - ip * ip)),
+        "cross_check": abs(overlap),
     }
-    if n <= _MAX_STATE_N:
-        hybrid = np.array([1.0])
-        shifted = np.array([1.0])
-        for j in range(1, n + 1):
-            # factor phases of the two states, position j from the top
-            theta_z = 1.0 - 2.0 ** (-j)
-            theta_s = ((1 << r) - 1) / (1 << j) if j > r else theta_z
-            theta_h = theta_s if j == r + 1 else theta_z
-            hybrid = np.kron(hybrid, _mu_vector(theta_h))
-            shifted = np.kron(shifted, _mu_vector(theta_s))
-        out["cross_check"] = float(abs(np.vdot(hybrid, shifted)))
-    return out

@@ -79,6 +79,9 @@ REMOVED_NAMES = [
     (qft_moduli, "MAX_ESTIMATE_MODULUS"),
     (qft_moduli, "MAX_MIXED_RADIX_MODULUS"),
     (sim, "basis_state"),
+    (qft_pow2, "_MAX_STATE_N"),
+    (qft_pow2, "_mu_vector"),
+    (qft_moduli, "MAX_CRT_MODULUS"),
 ]
 
 
@@ -97,7 +100,9 @@ def test_unused_names_stay_removed(owner, name):
     # shor._check_cap holds both backend caps, which every task above them
     # reaches, prime_power_factors' and the padded readout's caps bound the
     # mixed-radix and estimation sizes, and run_dense's basis vector is built
-    # after _check_input, the one input-range check
+    # after _check_input, the one input-range check; overlap_witness checks
+    # its product states factor by factor, and fourier_state's vector and the
+    # mixed-radix matrix fall under sim's dense and DFT caps
     assert not hasattr(owner, name)
 
 
@@ -108,8 +113,6 @@ SIZE_CAPS = {
     ("sim", "MAX_UNITARY_QUBITS"),
     ("sim", "SPARSE_SUPPORT_CAP"),
     ("sim", "MAX_DFT_DIM"),
-    ("qft_pow2", "_MAX_STATE_N"),
-    ("qft_moduli", "MAX_CRT_MODULUS"),
     ("shor", "MAX_GATE_MODULUS"),
     ("shor", "MAX_ANALYTIC_MODULUS"),
 }

@@ -197,6 +197,24 @@ class TestDecodeErrors:
             decode(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            pytest.param("qubits 11 ancilla 0 classical 0\nh 1_0\n", 2, "bad wire '1_0'", id="underscore"),
+            pytest.param("qubits 4 ancilla 0 classical 0\nh +3\n", 2, "bad wire '\\+3'", id="plus-sign"),
+            pytest.param("qubits 4 ancilla 0 classical 0\nh 03\n", 2, "bad wire '03'", id="leading-zero"),
+            pytest.param("qubits 4 ancilla 0 classical 0\nh \u0663\n", 2, "bad wire '\u0663'", id="arabic-indic-digit"),
+            pytest.param("qubits 1 ancilla 0 classical 4\nmeas x 0 -> c\u0663\n", 2, "bad classical wire '\u0663'", id="clbit-arabic-indic"),
+            pytest.param("qubits 1 ancilla 0 classical 4\nmeas x 0 -> c03\n", 2, "bad classical wire '03'", id="clbit-leading-zero"),
+            pytest.param("qubits 0_3 ancilla 0 classical 0\nh 0\n", 1, "bad qubit count '0_3'", id="header-underscore"),
+        ],
+    )
+    def test_integers_are_only_the_form_encode_writes(self, text, line, reason):
+        # int() accepts each of these, and encode would write it back as other bytes
+        with pytest.raises(NetlistError, match=reason) as exc:
+            decode(text)
+        assert exc.value.line == line
+
     def test_unknown_basis(self):
         with pytest.raises(NetlistError, match="basis"):
             decode("qubits 1 ancilla 0 classical 1\nmeas q 0 -> c0\n")

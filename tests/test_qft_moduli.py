@@ -16,7 +16,7 @@ from qftkit.qft_moduli import (
     padded_fourier_probs,
     prime_power_factors,
 )
-from qftkit.sim import dft_reference
+from qftkit.sim import MAX_DFT_DIM, dft_reference
 
 
 class TestPrimePowerFactors:
@@ -27,19 +27,23 @@ class TestPrimePowerFactors:
         assert prime_power_factors(7) == (7,)
 
     def test_factors_are_pairwise_coprime_and_multiply_back(self):
-        for m in range(2, 200):
+        # every modulus up to the cap: trial division by _SMALL_PRIMES is
+        # complete only while the cap is below 67^2
+        for m in range(2, MAX_DFT_DIM + 1):
             fs = prime_power_factors(m)
             assert math.prod(fs) == m
             for i, a in enumerate(fs):
+                p = next(d for d in range(2, a + 1) if a % d == 0)
+                assert p ** round(math.log(a, p)) == a
                 for b in fs[i + 1 :]:
                     assert math.gcd(a, b) == 1
 
     def test_cap(self):
-        with pytest.raises(CapacityError):
+        # the one home of the factorization cap, the m x m DFT's, which crt_maps reaches first
+        with pytest.raises(CapacityError, match="factorization cap 4096"):
             prime_power_factors(1 << 22)
-        # the one home of the factorization cap, which crt_maps reaches first
-        with pytest.raises(CapacityError):
-            crt_maps(4097)
+        with pytest.raises(CapacityError, match="factorization cap 4096"):
+            crt_maps(MAX_DFT_DIM + 1)
 
 
 def _permutation_matrix(p: np.ndarray) -> np.ndarray:

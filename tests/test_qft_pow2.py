@@ -163,6 +163,11 @@ class TestFourierState:
         v = fourier_state(4, 9)
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
+    def test_cap_is_the_dense_simulators(self):
+        # the same 2^n vector run_dense holds, refused before it is allocated
+        with pytest.raises(CapacityError, match=f"n <= {sim.MAX_DENSE_QUBITS}"):
+            fourier_state(sim.MAX_DENSE_QUBITS + 1, 0)
+
     def test_bit_reversal_is_involution(self):
         for n in (1, 3, 5):
             rev = bit_reversed_indices(n)
@@ -432,6 +437,17 @@ class TestSmallAngleNumerics:
         w = overlap_witness(6, 2)
         assert set(w) >= {"n", "r", "inner_product", "trace_distance", "cross_check"}
         assert abs(w["cross_check"] - abs(w["inner_product"])) < 1e-12
+
+    def test_empty_products_are_floats(self):
+        # viete_partial(1) multiplies no cosines, and the witness at r = n - 1 reads it
+        assert type(viete_partial(1)) is float
+        assert type(overlap_witness(5, 4)["inner_product"]) is float
+
+    @pytest.mark.parametrize("n", [21, 64, 2000])
+    def test_cross_check_past_any_state_vector(self, n):
+        for r in (1, n // 2, n - 2, n - 1):
+            w = overlap_witness(n, r)
+            assert abs(w["cross_check"] - abs(w["inner_product"])) <= 1e-12
 
     def test_witness_has_no_size_cap(self):
         # a float product: its factors reach 1.0 long before 2^-1024 underflows
