@@ -101,8 +101,10 @@ def bit_reversed_indices(n: int) -> np.ndarray:
 
 def fourier_state(n: int, x: int) -> np.ndarray:
     """The length-2^n state with amplitude e^{2 pi i x y / 2^n} / 2^{n/2} at y."""
-    if not 1 <= n <= MAX_DENSE_QUBITS:
-        raise CapacityError(f"fourier_state supports 1 <= n <= {MAX_DENSE_QUBITS}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_DENSE_QUBITS:
+        raise CapacityError(f"fourier_state supports n <= {MAX_DENSE_QUBITS}")
     if not 0 <= x < (1 << n):
         raise ValueError(f"phase parameter must be in 0..{(1 << n) - 1}, got {x}")
     y = np.arange(1 << n)

@@ -381,7 +381,7 @@ def build_multiplier(nx: int, ny: int, n_out: int) -> Circuit:
 
 def _emit_modmul_garbage(
     b: CircuitBuilder, us: Sequence[BitRef], vs: Sequence[BitRef], modulus: int
-) -> list[int]:
+) -> list[BitRef]:
     """Emit wires holding (u*v) mod modulus, leaving garbage for the caller.
 
     Reduction is by conditional subtraction: at step j the flag 'T >= N*2^j'
@@ -403,7 +403,7 @@ def _emit_modmul_garbage(
         new_t = b.new_ancillas(nb + j)
         _emit_addsub_core(b, cur, gated, outs=new_t, keep_dag=True)
         t_refs = list(new_t)
-    return [_wire_of(r) for r in t_refs]
+    return t_refs
 
 
 def build_modmul(modulus: int) -> Circuit:
@@ -427,9 +427,10 @@ def build_modmul(modulus: int) -> Circuit:
 def build_iterated_product(modulus: int, factors: Sequence[int]) -> Circuit:
     """out ^= prod_j factors[j]^{x_j} mod modulus, controls x on the data wires.
 
-    Leaf registers are initialized to 1 and flipped to factors[j] under
-    control x_j, then multiplied pairwise up a binary tree of modular
-    multipliers; the root is copied out and the whole tree uncomputed.
+    Leaf j is bit references, not a register: factors[j] if x_j else 1, so
+    each bit is a constant, x_j or NOT x_j, and a factor of 1 gives no leaf.
+    Leaves are multiplied pairwise up a binary tree of modular multipliers;
+    the root (1 if no leaf is left) is copied out and the tree uncomputed.
     """
     if modulus < 2:
         raise StructuralError("modulus must be at least 2")
@@ -448,25 +449,19 @@ def _emit_iterated_product(
 ) -> None:
     """outs ^= prod_j factors[j]^{x_j} mod modulus, with one control wire per factor in ``xs``."""
     nb = len(outs)
+    one = const_bits(1, nb)
     start = b.mark()
-    vals: list[list[int]] = []
-    for j, fac in enumerate(factors):
-        leaf = b.new_ancillas(nb)
-        b.x(leaf[0])
-        for t in range(nb):
-            if ((fac >> t) & 1) != (1 if t == 0 else 0):
-                b.cnot(xs[j], leaf[t])
-        vals.append(leaf)
+    vals: list[list[BitRef]] = [
+        [f if f == o else xs[j] if f == ONE else bnot(xs[j]) for f, o in zip(const_bits(fac, nb), one)]
+        for j, fac in enumerate(factors)
+        if fac != 1
+    ]
     while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(_emit_modmul_garbage(b, vals[i], vals[i + 1], modulus))
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
+        pairs = [_emit_modmul_garbage(b, u, v, modulus) for u, v in zip(vals[0::2], vals[1::2])]
+        vals = pairs + vals[len(vals) - len(vals) % 2 :]
     stop = b.mark()
-    for i in range(nb):
-        xor_into(b, outs[i], vals[0][i])
+    for out, r in zip(outs, vals[0] if vals else one):
+        xor_into(b, out, r)
     b.uncompute(start, stop)
 
 

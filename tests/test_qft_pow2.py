@@ -168,6 +168,11 @@ class TestFourierState:
         with pytest.raises(CapacityError, match=f"n <= {sim.MAX_DENSE_QUBITS}"):
             fourier_state(sim.MAX_DENSE_QUBITS + 1, 0)
 
+    def test_empty_register_is_a_value_error(self):
+        # CapacityError means a cap; an empty register is a bad argument, as in every builder
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            fourier_state(0, 0)
+
     def test_bit_reversal_is_involution(self):
         for n in (1, 3, 5):
             rev = bit_reversed_indices(n)

@@ -187,15 +187,27 @@ class TestMultipliers:
             assert (u_out, v_out, prod) == (u, v, (u * v) % modulus)
 
 
+UNITS = [(n, a) for n in (9, 15, 21) for a in range(2, n) if math.gcd(a, n) == 1]
+
+
 class TestIteratedProduct:
-    def test_matches_modular_exponentiation(self):
-        powers = precompute_powers(7, 15, 8)
-        outs = run_classical_batch(build_iterated_product(15, powers), range(256))
+    @pytest.mark.parametrize("modulus, a", UNITS, ids=[f"{n}-{a}" for n, a in UNITS])
+    def test_matches_modular_exponentiation(self, modulus, a):
+        # every unit of 15 has a power of 1 among its six, so identity leaves occur
+        nb = modulus.bit_length()
+        outs = run_classical_batch(build_iterated_product(modulus, precompute_powers(a, modulus, 6)), range(64))
         for x, out in enumerate(outs):
-            (ctrl, prod), junk = fields(out, [8, 4])
-            assert junk == 0
-            assert ctrl == x
-            assert prod == pow(7, x, 15)
+            (ctrl, prod), junk = fields(out, [6, nb])
+            assert (ctrl, prod, junk) == (x, pow(a, x, modulus), 0)
+
+    @pytest.mark.parametrize("factors", [[], [1, 1, 1]], ids=["empty", "ones"])
+    def test_empty_product_is_one(self, factors):
+        m = len(factors)
+        c = build_iterated_product(15, factors)
+        assert (c.size, c.width) == (1, m + 4)
+        for x, out in enumerate(run_classical_batch(c, range(1 << m))):
+            (ctrl, prod), junk = fields(out, [m, 4])
+            assert (ctrl, prod, junk) == (x, 1, 0)
 
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_odd_factor_count_carries_the_last_leaf_up(self, m):
