@@ -186,43 +186,41 @@ def _brent_kung(items: list, combine: Callable) -> list:
     return out
 
 
+def _emit_carries(
+    b: CircuitBuilder, a_bits: Sequence[BitRef], b_bits: Sequence[BitRef], carry_in: bool = False
+) -> tuple[list[BitRef], list[BitRef]]:
+    """Carry-lookahead network of a+b(+carry_in), left for the caller's uncompute.
+
+    Returns the half sums p_i = a_i XOR b_i and the carries c_0..c_w into
+    every position (c_w is the carry out), so sum bit i is p_i XOR c_i.
+    """
+    if len(a_bits) != len(b_bits):
+        raise StructuralError("addend widths differ")
+    leaves = [GP(emit_and(b, x, y), emit_xor(b, [x, y])) for x, y in zip(a_bits, b_bits)]
+    seed = GP(ONE if carry_in else ZERO, ZERO)
+    prefixes = _brent_kung([seed] + leaves, lambda hi, lo: _gp_combine(b, hi, lo))
+    return [leaf.p for leaf in leaves], [pre.g for pre in prefixes]
+
+
 def _emit_addsub_core(
     b: CircuitBuilder,
     a_bits: Sequence[BitRef],
     b_bits: Sequence[BitRef],
-    outs: Sequence[int] | None,
+    outs: Sequence[int],
     carry_in: bool = False,
-    keep_dag: bool = False,
-) -> BitRef | None:
-    """Carry-lookahead core: XOR the sum bits of a+b(+carry_in) into outs.
-
-    With ``keep_dag`` the internal carry network is left behind (garbage for
-    an enclosing uncompute) and the carry-out reference is returned;
-    otherwise the core uncomputes itself and only the taps into ``outs``
-    remain.
-    """
-    if len(a_bits) != len(b_bits):
-        raise StructuralError("addend widths differ")
-    if outs is not None:
-        out_set = set(outs)
-        for r in list(a_bits) + list(b_bits):
-            if not _is_const(r) and _wire_of(r) in out_set:
-                raise StructuralError("sum outputs overlap the addend wires")
+) -> None:
+    """outs ^= the low sum bits of a+b(+carry_in); the carry network uncomputes itself."""
+    out_set = set(outs)
+    for r in list(a_bits) + list(b_bits):
+        if not _is_const(r) and _wire_of(r) in out_set:
+            raise StructuralError("sum outputs overlap the addend wires")
     start = b.mark()
-    leaves = []
-    for x, y in zip(a_bits, b_bits):
-        leaves.append(GP(emit_and(b, x, y), emit_xor(b, [x, y])))
-    seed = GP(ONE if carry_in else ZERO, ZERO)
-    prefixes = _brent_kung([seed] + leaves, lambda hi, lo: _gp_combine(b, hi, lo))
+    p, carries = _emit_carries(b, a_bits, b_bits, carry_in)
     stop = b.mark()
-    if outs is not None:
-        for i, out in enumerate(outs):
-            xor_into(b, out, leaves[i].p)
-            xor_into(b, out, prefixes[i].g)
-    if keep_dag:
-        return prefixes[len(leaves)].g
+    for i, out in enumerate(outs):
+        xor_into(b, out, p[i])
+        xor_into(b, out, carries[i])
     b.uncompute(start, stop)
-    return None
 
 
 def const_bits(value: int, width: int) -> list[BitRef]:
@@ -339,6 +337,16 @@ def build_telescoping_subtract(k: int, n: int) -> Circuit:
 # --- multipliers ---------------------------------------------------------------
 
 
+def _partial_products(
+    b: CircuitBuilder, xs: Sequence[BitRef], ys: Sequence[BitRef], n_out: int
+) -> list[list[BitRef]]:
+    """The rows (x AND y_j) << j of x*y, each cut to n_out bits."""
+    return [
+        [ZERO] * j + [emit_and(b, xs[i], ys[j]) for i in range(min(len(xs), n_out - j))]
+        for j in range(min(len(ys), n_out))
+    ]
+
+
 def _emit_multiplier(
     b: CircuitBuilder,
     xs: Sequence[BitRef],
@@ -348,19 +356,7 @@ def _emit_multiplier(
     """outs ^= (x*y) mod 2^len(outs) via a Wallace 3-2 reduction tree."""
     n_out = len(outs)
     start = b.mark()
-    rows: list[list[BitRef]] = []
-    for j in range(len(ys)):
-        if j >= n_out:
-            break
-        row: list[BitRef] = [ZERO] * j
-        for i in range(len(xs)):
-            if i + j >= n_out:
-                break
-            row.append(emit_and(b, xs[i], ys[j]))
-        rows.append(row)
-    if not rows:
-        return
-    s, c = _emit_wallace(b, rows, n_out)
+    s, c = _emit_wallace(b, _partial_products(b, xs, ys, n_out), n_out)
     stop = b.mark()
     _emit_addsub_core(b, s, c, outs=outs)
     b.uncompute(start, stop)
@@ -382,27 +378,27 @@ def build_multiplier(nx: int, ny: int, n_out: int) -> Circuit:
 def _emit_modmul_garbage(
     b: CircuitBuilder, us: Sequence[BitRef], vs: Sequence[BitRef], modulus: int
 ) -> list[BitRef]:
-    """Emit wires holding (u*v) mod modulus, leaving garbage for the caller.
+    """References to (u*v) mod modulus, leaving garbage for the caller.
 
-    Reduction is by conditional subtraction: at step j the flag 'T >= N*2^j'
-    is the carry of T + (2^W - N*2^j), and the subtract is a fresh-target add
-    of the flag-gated two's-complement constant.  The tracked width shrinks
-    by one bit per step.
+    T = u*v is the Wallace tree's two rows summed by one carry network.
+    Reduction is by conditional subtraction: at step j one carry network
+    adds comp = 2^W - N*2^j to the W tracked bits of T, its carry out is
+    the flag 'T >= N*2^j', and bit i of T - flag*N*2^j is
+    T_i XOR (flag AND (comp_i XOR c_i)), since the sum differs from T
+    exactly there.  The tracked width shrinks by one bit per step.
     """
     nb = modulus.bit_length()
-    w_full = 2 * nb
-    t_wires = b.new_ancillas(w_full)
-    _emit_multiplier(b, us, vs, t_wires)
-    t_refs: list[BitRef] = list(t_wires)
-    for j in range(w_full - nb, -1, -1):
-        w_cur = min(nb + j + 1, len(t_refs))
-        cur = t_refs[:w_cur]
-        comp = (1 << w_cur) - (modulus << j)
-        flag = _emit_addsub_core(b, cur, const_bits(comp, w_cur), outs=None, keep_dag=True)
-        gated = [flag if bit == ONE else ZERO for bit in const_bits(comp, w_cur)]
-        new_t = b.new_ancillas(nb + j)
-        _emit_addsub_core(b, cur, gated, outs=new_t, keep_dag=True)
-        t_refs = list(new_t)
+    p, carries = _emit_carries(b, *_emit_wallace(b, _partial_products(b, us, vs, 2 * nb), 2 * nb))
+    t_refs = [emit_xor(b, [p_i, c_i]) for p_i, c_i in zip(p, carries)]
+    for j in range(nb, -1, -1):
+        w = len(t_refs)
+        comp = const_bits((1 << w) - (modulus << j), w)
+        _, carries = _emit_carries(b, t_refs, comp)
+        flag = carries[w]
+        t_refs = [
+            emit_xor(b, [t_refs[i], emit_and(b, flag, emit_xor(b, [comp[i], carries[i]]))])
+            for i in range(nb + j)
+        ]
     return t_refs
 
 

@@ -36,6 +36,7 @@ REMOVED_PARAMETERS = [
     (qft_pow2, "LogdepthQft", "window"),
     (CircuitBuilder, "measure", "out"),
     (CircuitBuilder, "__init__", "n_classical"),
+    (revarith, "_emit_addsub_core", "keep_dag"),
 ]
 
 

@@ -186,6 +186,36 @@ class TestMultipliers:
             assert junk == 0
             assert (u_out, v_out, prod) == (u, v, (u * v) % modulus)
 
+    @pytest.mark.parametrize("modulus", [63, 65, 127, 129, 187, 255])
+    def test_modmul_wide_moduli(self, modulus):
+        # 7 and 8 bits: nb + 1 = 8 or 9 reduction steps, past the exhaustive range
+        nb = modulus.bit_length()
+        pairs = np.random.default_rng(modulus).integers(0, modulus, size=(256, 2)).tolist()
+        outs = run_classical_batch(build_modmul(modulus), [u | v << nb for u, v in pairs])
+        for (u, v), out in zip(pairs, outs):
+            (u_out, v_out, prod), junk = fields(out, [nb, nb, nb])
+            assert junk == 0
+            assert (u_out, v_out, prod) == (u, v, (u * v) % modulus)
+
+    @pytest.mark.parametrize(
+        "modulus, counts", [(15, (378, 131, 133)), (187, (1_804, 377, 546))], ids=["15", "187"]
+    )
+    def test_modmul_runs_one_carry_network_per_step(self, monkeypatch, modulus, counts):
+        # nb + 2 networks: one sums the 2nb-bit product, then each of the nb + 1
+        # reduction steps gives both its compare flag and its difference
+        widths = []
+
+        def counted(b, a_bits, b_bits):
+            widths.append(len(a_bits))
+            return emit(b, a_bits, b_bits)
+
+        emit = revarith._emit_carries
+        monkeypatch.setattr(revarith, "_emit_carries", counted)
+        c = build_modmul(modulus)
+        nb = modulus.bit_length()
+        assert widths == [2 * nb, 2 * nb] + list(range(2 * nb, nb, -1))
+        assert (c.size, c.depth, c.width) == counts
+
 
 UNITS = [(n, a) for n in (9, 15, 21) for a in range(2, n) if math.gcd(a, n) == 1]
 
@@ -211,10 +241,13 @@ class TestIteratedProduct:
 
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_odd_factor_count_carries_the_last_leaf_up(self, m):
-        outs = run_classical_batch(build_iterated_product(15, precompute_powers(7, 15, m)), range(1 << m))
+        # 2 has order 6 mod 21 and 6 divides no 2^j, so no factor is 1 and all m are leaves
+        factors = precompute_powers(2, 21, m)
+        assert 1 not in factors
+        outs = run_classical_batch(build_iterated_product(21, factors), range(1 << m))
         for x, out in enumerate(outs):
-            (ctrl, prod), junk = fields(out, [m, 4])
-            assert (ctrl, prod, junk) == (x, pow(7, x, 15), 0)
+            (ctrl, prod), junk = fields(out, [m, 5])
+            assert (ctrl, prod, junk) == (x, pow(2, x, 21), 0)
 
     def test_precompute_powers_oracle(self, rng):
         for _ in range(200):
