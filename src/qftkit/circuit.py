@@ -258,11 +258,25 @@ def layer_fault(
     return None
 
 
+def _refuse_fault(layers: Sequence[Sequence[Gate]], width: int, n_classical: int) -> None:
+    fault = layer_fault(layers, width, n_classical)
+    if fault is not None:
+        raise StructuralError(f"layer {fault[0]}: {fault[2]}")
+
+
 # One int-keyed frontier per wire space (wire or bit -> next free layer): no width, so no table sized by it.
-def _asap_layers(gates: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
+# The frontier also proves the layer rule, so ``from_gates`` needs no second walk.  A gate lands above
+# every earlier gate it shares a wire or bit with, so a layer can only hold a wire twice within one
+# gate: the update then finds that wire already moved to the new frontier (no gate reads two bits).
+# Every wire and bit seen is a key, so one range test over the keys covers the rest.  The flag is
+# False when some gate breaks the rule; ``layer_fault`` then says where.
+def _asap_layers(
+    gates: Iterable[Gate], width: int, n_classical: int
+) -> tuple[tuple[tuple[Gate, ...], ...], bool]:
     qfree: dict[int, int] = {}
     cfree: dict[int, int] = {}
     layers: list[list[Gate]] = []
+    ok = True
     for g in gates:
         qs = g.qubits()
         layer = 0
@@ -281,10 +295,15 @@ def _asap_layers(gates: Iterable[Gate]) -> tuple[tuple[Gate, ...], ...]:
             layers[layer].append(g)
         layer += 1
         for w in qs:
+            if qfree.get(w) == layer:
+                ok = False
             qfree[w] = layer
         for w in cs:
             cfree[w] = layer
-    return tuple(map(tuple, layers))
+    for free, bound in ((qfree, width), (cfree, n_classical)):
+        if free and not (0 <= min(free) and max(free) < bound):
+            ok = False
+    return tuple(map(tuple, layers)), ok
 
 
 @dataclass(frozen=True)
@@ -302,9 +321,23 @@ class Circuit:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        fault = layer_fault(self.layers, self.width, self.n_classical)
-        if fault is not None:
-            raise StructuralError(f"layer {fault[0]}: {fault[2]}")
+        _refuse_fault(self.layers, self.width, self.n_classical)
+
+    @classmethod
+    def _proved(
+        cls,
+        n_qubits: int,
+        n_ancilla: int,
+        n_classical: int,
+        layers: tuple[tuple[Gate, ...], ...],
+        metadata: dict,
+    ) -> Circuit:
+        """A circuit whose layers are already known to keep the layer rule, made without walking them again."""
+        c = object.__new__(cls)
+        c.__dict__.update(
+            n_qubits=n_qubits, n_ancilla=n_ancilla, n_classical=n_classical, layers=layers, metadata=metadata
+        )
+        return c
 
     @classmethod
     def from_gates(
@@ -315,8 +348,12 @@ class Circuit:
         n_classical: int = 0,
         metadata: dict | None = None,
     ) -> Circuit:
-        """ASAP-schedule a gate sequence into layers."""
-        return cls(n_qubits, n_ancilla, n_classical, _asap_layers(gates), metadata or {})
+        """ASAP-schedule a gate sequence into layers; the schedule itself checks the layer rule."""
+        width = n_qubits + n_ancilla
+        layers, ok = _asap_layers(gates, width, n_classical)
+        if not ok:
+            _refuse_fault(layers, width, n_classical)
+        return cls._proved(n_qubits, n_ancilla, n_classical, layers, metadata or {})
 
     @classmethod
     def from_layers(
@@ -381,9 +418,12 @@ class Circuit:
     # structure
 
     def inverse(self) -> Circuit:
-        """Reverse the layer order and invert every gate; layers are kept."""
+        """Reverse the layer order and invert every gate; layers are kept.
+
+        An inverse gate keeps its wires, so the reversed layers keep the rule these ones keep.
+        """
         inv = tuple(tuple(g.inverse() for g in layer) for layer in reversed(self.layers))
-        return Circuit(self.n_qubits, self.n_ancilla, self.n_classical, inv, dict(self.metadata))
+        return Circuit._proved(self.n_qubits, self.n_ancilla, self.n_classical, inv, dict(self.metadata))
 
     def light_cone(self, wires: Iterable[int]) -> set[int]:
         """Quantum wires that can influence ``wires``, walking layers backward."""

@@ -13,10 +13,10 @@ A unitary gate is ``<token> [<angle>] <wire>...``, as declared in the gate
 table of ``qftkit.circuit``; a measurement is ``meas <basis> <wire> -> c<j>``.
 Angles are dyadic fractions of a turn, written ``a/2^b`` (or ``0``).
 Comment lines start with ``#``; builder metadata rides along in a single
-``# meta {...}`` pragma after the header so netlists keep their recorded
-output permutation and error bound.  ``decode`` preserves the explicit layer
-structure and ``encode`` is canonical, so files survive a decode/encode
-round trip byte for byte.
+``# meta {...}`` pragma after the header (``decode`` refuses a second one), so
+netlists keep their recorded output permutation and error bound.  ``decode``
+preserves the explicit layer structure and ``encode`` is canonical, so files
+survive a decode/encode round trip byte for byte.
 """
 
 from __future__ import annotations
@@ -104,34 +104,40 @@ def decode(text: str) -> Circuit:
     n_classical = _parse_int(header[5], "classical count", 1)
 
     # gate_lines[i][j] is the line of gate layers[i][j]; arrays, since a list
-    # of ints costs 36 bytes per gate against 8
+    # of ints costs 36 bytes per gate against 8.  Gates are frozen values, so a
+    # gate line seen before reuses the gate parsed at its first occurrence
+    # (compute / uncompute blocks write most flips twice).
     layers: list[list[Gate]] = [[]]
     gate_lines: list[array] = [array("q")]
-    metadata: dict = {}
+    parsed: dict[str, Gate] = {}
+    metadata: dict | None = None
     for lineno, raw in enumerate(lines[1:], start=2):
-        if raw == SEPARATOR:
-            if not layers[-1]:
-                raise NetlistError("empty layer", lineno)
-            layers.append([])
-            gate_lines.append(array("q"))
-            continue
-        if raw.lstrip().startswith("#"):
-            if raw.startswith(META_PRAGMA):
-                try:
-                    parsed = json.loads(raw[len(META_PRAGMA):])
-                except json.JSONDecodeError as exc:
-                    raise NetlistError(f"bad metadata pragma: {exc}", lineno) from None
-                if not isinstance(parsed, dict):
-                    raise NetlistError("metadata pragma must hold a JSON object", lineno)
-                metadata = parsed
-            continue
-        tok = raw.split()
-        if not tok:
-            raise NetlistError("blank line", lineno)
-        try:
-            gate = _parse_gate(tok, raw, lineno)
-        except StructuralError as exc:
-            raise NetlistError(str(exc), lineno) from None
+        gate = parsed.get(raw)
+        if gate is None:
+            if raw == SEPARATOR:
+                if not layers[-1]:
+                    raise NetlistError("empty layer", lineno)
+                layers.append([])
+                gate_lines.append(array("q"))
+                continue
+            if raw.lstrip().startswith("#"):
+                if raw.startswith(META_PRAGMA):
+                    if metadata is not None:
+                        raise NetlistError("second metadata pragma", lineno)
+                    try:
+                        metadata = json.loads(raw[len(META_PRAGMA):])
+                    except json.JSONDecodeError as exc:
+                        raise NetlistError(f"bad metadata pragma: {exc}", lineno) from None
+                    if not isinstance(metadata, dict):
+                        raise NetlistError("metadata pragma must hold a JSON object", lineno)
+                continue
+            tok = raw.split()
+            if not tok:
+                raise NetlistError("blank line", lineno)
+            try:
+                gate = parsed[raw] = _parse_gate(tok, raw, lineno)
+            except StructuralError as exc:
+                raise NetlistError(str(exc), lineno) from None
         layers[-1].append(gate)
         gate_lines[-1].append(lineno)
 

@@ -147,21 +147,22 @@ class TestBuilderAndLayers:
         ],
     )
     def test_composite_builders_schedule_once(self, monkeypatch, build):
-        calls = {"schedule": 0, "validate": 0}
-        schedule, validate = circuit_module._asap_layers, Circuit.__post_init__
+        # one schedule per composite, and no second walk: the schedule proves the layer rule
+        calls = {"schedule": 0, "layer_fault": 0}
+        schedule, fault = circuit_module._asap_layers, circuit_module.layer_fault
 
-        def counted_schedule(gates):
+        def counted_schedule(*args):
             calls["schedule"] += 1
-            return schedule(gates)
+            return schedule(*args)
 
-        def counted_validate(self):
-            calls["validate"] += 1
-            validate(self)
+        def counted_fault(*args):
+            calls["layer_fault"] += 1
+            return fault(*args)
 
         monkeypatch.setattr(circuit_module, "_asap_layers", counted_schedule)
-        monkeypatch.setattr(Circuit, "__post_init__", counted_validate)
+        monkeypatch.setattr(circuit_module, "layer_fault", counted_fault)
         build()
-        assert calls == {"schedule": 1, "validate": 1}
+        assert calls == {"schedule": 1, "layer_fault": 0}
 
     def test_metadata_is_attached_but_not_compared(self):
         mk = lambda meta: CircuitBuilder(1).build(metadata=meta)
@@ -173,14 +174,27 @@ _SCHED_QUBITS, _SCHED_CLBITS = 5, 3
 
 
 @st.composite
-def _gate_sequences(draw):
-    """Random gates over a few quantum wires and classical bits, measurements included."""
+def _gate_sequences(draw, malformed=False):
+    """Random gates over a few quantum wires and classical bits, measurements included.
+
+    With ``malformed``, some gates break the layer rule on their own: a wire
+    outside ``0.._SCHED_QUBITS-1``, a wire repeated within the gate, or a bit
+    outside ``0.._SCHED_CLBITS-1``.
+    """
     theta = dyadic(1, 3)
     gates = []
-    for kind in draw(st.lists(st.integers(0, 6), max_size=40)):
+    for kind in draw(st.lists(st.integers(0, 9 if malformed else 6), max_size=40)):
         w = draw(st.permutations(range(_SCHED_QUBITS)))
+        if kind == 7:
+            w[draw(st.integers(0, 2))] = draw(st.sampled_from((-1, _SCHED_QUBITS, _SCHED_QUBITS + 7)))
+            kind = draw(st.integers(0, 5))
+        elif kind == 8:
+            w[1], w[2] = draw(st.sampled_from(((w[0], w[2]), (w[1], w[0]), (w[1], w[1]))))
+            kind = draw(st.sampled_from((2, 4, 5)))
         if kind == 6:
             gates.append(MeasureBasis(w[0], draw(st.sampled_from("xyz")), draw(st.integers(0, _SCHED_CLBITS - 1))))
+        elif kind == 9:
+            gates.append(MeasureBasis(w[0], "z", draw(st.sampled_from((-1, _SCHED_CLBITS, _SCHED_CLBITS + 7)))))
         else:
             gates.append([H(w[0]), P(w[0], theta), CP(w[0], w[1], theta), X(w[0]), CNOT(w[0], w[1]), Toffoli(*w[:3])][kind])
     return gates
@@ -192,7 +206,7 @@ class TestAsapSchedule:
 
     @given(_gate_sequences())
     def test_schedule_is_asap(self, gates):
-        layers = circuit_module._asap_layers(gates)
+        layers, _ = circuit_module._asap_layers(gates, _SCHED_QUBITS, _SCHED_CLBITS)
         assert circuit_module.layer_fault(layers, _SCHED_QUBITS, _SCHED_CLBITS) is None
         where = {id(g): li for li, layer in enumerate(layers) for g in layer}
         assert len(where) == len(gates) == sum(map(len, layers))
@@ -210,6 +224,21 @@ class TestAsapSchedule:
             assert all(li < lj for li in earlier)
             # a gate above layer 0 waits on an earlier gate in the layer just below
             assert lj == 0 or lj - 1 in earlier
+
+    @given(_gate_sequences(malformed=True))
+    def test_schedule_proves_the_layer_rule(self, gates):
+        # width 5 as 3 data wires and 2 ancillas
+        layers, ok = circuit_module._asap_layers(gates, _SCHED_QUBITS, _SCHED_CLBITS)
+        fault = circuit_module.layer_fault(layers, _SCHED_QUBITS, _SCHED_CLBITS)
+        assert ok == (fault is None)
+        if fault is None:
+            c = Circuit.from_gates(gates, 3, 2, _SCHED_CLBITS)
+            assert c == Circuit.from_layers(layers, 3, 2, _SCHED_CLBITS)
+            assert c.metadata == {}
+        else:
+            with pytest.raises(StructuralError) as err:
+                Circuit.from_gates(gates, 3, 2, _SCHED_CLBITS)
+            assert str(err.value) == f"layer {fault[0]}: {fault[2]}"
 
 
 class TestComposeInverse:

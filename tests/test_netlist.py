@@ -2,11 +2,11 @@ import hashlib
 
 import pytest
 
-from qftkit.circuit import CP, CircuitBuilder, H, dyadic, lower
+from qftkit.circuit import CP, Circuit, CircuitBuilder, H, dyadic, lower
 from qftkit.errors import NetlistError
 from qftkit.netlist import decode, encode
 from qftkit.qft_pow2 import QftPlan, banded_qft, copy_fourier, logdepth_qft, split_qft, standard_qft
-from qftkit.revarith import build_telescoping_subtract
+from qftkit.revarith import build_prefix_add, build_telescoping_subtract
 from qftkit.shor import build_order_circuit
 
 # first 16 hex digits of sha256(encode(circuit)), pinned so the codec stays byte-identical
@@ -18,6 +18,24 @@ PINNED_NETLISTS = [
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "fad15897a4f4b854", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "bf05975279ad6daf", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "ba0e458f5275aff0", id="order_circuit(15,7)"),
+    # the benchmark's build plans
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 12, k=4)).circuit, "baff7daf2e8d0d42", id="logdepth(12,4)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 32, k=8)).circuit, "1261e194d94be5b0", id="logdepth(32,8)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 8, k=32)).circuit, "2a1604753245a6f1", id="logdepth(8,32)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 16, k=48)).circuit, "616dd6568958cdd0", id="logdepth(16,48)"),
+    pytest.param(lambda: build_prefix_add(8, 16), "d211909a05972787", id="prefix_add(8,16)"),
+]
+
+# the same digest of encode(circuit.inverse()), for each pinned circuit without a measurement
+PINNED_INVERSES = [
+    pytest.param(lambda: standard_qft(5), "758eed6a11874469", id="standard_qft(5)"),
+    pytest.param(lambda: banded_qft(6, 2), "b16d905a93632a01", id="banded_qft(6,2)"),
+    pytest.param(lambda: split_qft(6), "ca1ad986c413218d", id="split_qft(6)"),
+    pytest.param(lambda: lower(split_qft(4)), "230cfcb50de774e4", id="lower(split_qft(4))"),
+    pytest.param(lambda: build_telescoping_subtract(3, 4), "db34fa0541638e84", id="telescoping_subtract(3,4)"),
+    pytest.param(lambda: build_order_circuit(15, 7), "e35fa6d5c285cd68", id="order_circuit(15,7)"),
+    pytest.param(lambda: copy_fourier(3, 3), "665a394f1df25a70", id="copy_fourier(3,3)"),
+    pytest.param(lambda: build_prefix_add(8, 16), "943fff616467acdc", id="prefix_add(8,16)"),
 ]
 
 # the same digest over each layer's lines sorted: pins which gates share a layer
@@ -80,6 +98,13 @@ def test_pinned_netlist_bytes(build, digest):
     assert hashlib.sha256(encode(build()).encode()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("build, digest", PINNED_INVERSES)
+def test_pinned_inverse_bytes(build, digest):
+    inverse = build().inverse()
+    assert hashlib.sha256(encode(inverse).encode()).hexdigest()[:16] == digest
+    assert decode(encode(inverse)) == inverse
+
+
 @pytest.mark.parametrize("build, digest", PINNED_LAYER_SETS)
 def test_pinned_layer_sets(build, digest):
     layers = [sorted(chunk.splitlines()) for chunk in encode(build()).split("\n---\n")]
@@ -115,6 +140,14 @@ class TestRoundTrip:
         text = "qubits 2 ancilla 0 classical 0\np 0 1\n"
         assert decode(text).layers[0][0].theta == dyadic(0, 0)
         assert encode(decode(text)) == text
+
+    def test_repeated_line_decodes_as_a_fresh_parse(self):
+        lines = ["cnot 0 1", "p 3/2^3 2", "meas y 2 -> c1", "ccx 0 1 2"]
+        text = "qubits 3 ancilla 0 classical 2\n" + "\n---\n".join(lines + lines[::-1]) + "\n"
+        fresh = [decode(f"qubits 3 ancilla 0 classical 2\n{line}\n").layers[0][0] for line in lines + lines[::-1]]
+        c = decode(text)
+        assert c == Circuit.from_layers([[g] for g in fresh], 3, 0, 2)
+        assert encode(c) == text
 
     def test_measurement_line(self):
         b = CircuitBuilder(2)
@@ -176,6 +209,8 @@ class TestDecodeErrors:
             pytest.param("qubits 2 ancilla 0 classical 0\nh 0\ncnot 1 1\n", 3, "quantum wire 1 used twice", id="cnot-repeat"),
             pytest.param("qubits 3 ancilla 0 classical 0\ncp 1/2^2 2 2\n", 2, "quantum wire 2 used twice", id="cp-repeat"),
             pytest.param("qubits 2 ancilla 0 classical 0\nh 1\n---\nccx 0 0 1\n", 4, "quantum wire 0 used twice", id="ccx-repeat"),
+            # a repeated bad line is reported at its first occurrence
+            pytest.param("qubits 2 ancilla 0 classical 0\nh 0\n---\ncnot 1 1\n---\ncnot 1 1\n", 4, "quantum wire 1 used twice", id="repeated-bad-line"),
         ],
     )
     def test_layer_fault_reports_the_gate_line(self, text, line, reason):
@@ -190,6 +225,7 @@ class TestDecodeErrors:
             pytest.param("qubits 2 ancilla 0 classical 0\nh -1\n", 2, "wire '-1' must be nonnegative", id="negative-wire"),
             pytest.param("qubits 1 ancilla 0 classical 0\nh 0\n---\n---\nh 0\n", 4, "empty layer", id="empty-layer"),
             pytest.param("qubits 1 ancilla 0 classical 0\nh 0\n\nh 0\n", 3, "blank line", id="blank-line"),
+            pytest.param("qubits 2 ancilla 0 classical 0\nh 0\n---\ncnot 1 a\n---\ncnot 1 a\n", 4, "bad wire 'a'", id="repeated-bad-syntax"),
         ],
     )
     def test_syntax_error_reports_its_line(self, text, line, reason):
@@ -253,3 +289,10 @@ class TestCommentsAndPragma:
     def test_pragma_must_hold_object(self):
         with pytest.raises(NetlistError, match="object"):
             decode("qubits 1 ancilla 0 classical 0\n# meta [1,2]\nh 0\n")
+
+    def test_second_pragma_rejected(self):
+        # a second pragma would replace the first, and re-encoding would lose its keys
+        text = 'qubits 1 ancilla 0 classical 0\n# meta {"a":1}\nh 0\n# meta {"b":2}\n'
+        with pytest.raises(NetlistError, match="second metadata pragma") as exc:
+            decode(text)
+        assert exc.value.line == 4
