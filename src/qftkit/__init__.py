@@ -14,7 +14,6 @@ from .circuit import (
     Toffoli,
     X,
     dyadic,
-    lower,
 )
 from .errors import (
     CapacityError,

@@ -440,36 +440,6 @@ class Circuit:
         return cone
 
 
-# --- lowering -------------------------------------------------------------
-
-_HALF = DyadicAngle(1, 1)
-_QUARTER = DyadicAngle(1, 2)
-
-
-def _lower_gate(g: Gate) -> list[Gate]:
-    if g.family != "flip":
-        return [g]
-    *ctrls, t = g.qubits()
-    if not ctrls:
-        return [H(t), P(t, _HALF), H(t)]
-    if len(ctrls) == 1:
-        return [H(t), CP(ctrls[0], t, _HALF), H(t)]
-    a, b = ctrls
-    cv = lambda c, theta: [H(t), CP(c, t, theta), H(t)]
-    cx = _lower_gate(CNOT(a, b))
-    return cv(b, _QUARTER) + cx + cv(b, -_QUARTER) + cx + cv(a, _QUARTER)
-
-
-def lower(circuit: Circuit) -> Circuit:
-    """Rewrite onto the {H, P, CP} gate set (measurements pass through)."""
-    gates: list[Gate] = []
-    for g in circuit.all_gates():
-        gates.extend(_lower_gate(g))
-    return Circuit.from_gates(
-        gates, circuit.n_qubits, circuit.n_ancilla, circuit.n_classical, dict(circuit.metadata)
-    )
-
-
 # --- builder --------------------------------------------------------------
 
 

@@ -13,10 +13,11 @@ A unitary gate is ``<token> [<angle>] <wire>...``, as declared in the gate
 table of ``qftkit.circuit``; a measurement is ``meas <basis> <wire> -> c<j>``.
 Angles are dyadic fractions of a turn, written ``a/2^b`` (or ``0``).
 Comment lines start with ``#``; builder metadata rides along in a single
-``# meta {...}`` pragma after the header (``decode`` refuses a second one), so
-netlists keep their recorded output permutation and error bound.  ``decode``
-preserves the explicit layer structure and ``encode`` is canonical, so files
-survive a decode/encode round trip byte for byte.
+``# meta {...}`` pragma after the header and above every gate (``decode``
+refuses a second one, or one below a gate line), so netlists keep their
+recorded output permutation and error bound.  ``decode`` preserves the
+explicit layer structure and ``encode`` is canonical, so files survive a
+decode/encode round trip byte for byte.
 """
 
 from __future__ import annotations
@@ -124,6 +125,8 @@ def decode(text: str) -> Circuit:
                 if raw.startswith(META_PRAGMA):
                     if metadata is not None:
                         raise NetlistError("second metadata pragma", lineno)
+                    if layers[0]:  # encode writes it above every gate
+                        raise NetlistError("metadata pragma after the first gate line", lineno)
                     try:
                         metadata = json.loads(raw[len(META_PRAGMA):])
                     except json.JSONDecodeError as exc:

@@ -19,7 +19,6 @@ from qftkit.circuit import (
     Toffoli,
     X,
     dyadic,
-    lower,
 )
 from qftkit.errors import StructuralError
 from qftkit.qft_pow2 import QftPlan, copy_fourier, logdepth_qft, prep_exact, split_qft, standard_qft
@@ -308,22 +307,6 @@ class TestLightCone:
             c = random_circuit(rng, n_qubits=6, n_gates=15)
             for w in range(6):
                 assert c.light_cone([w]) == brute(c, w)
-
-
-class TestLowering:
-    def test_lowered_gate_set(self, rng, random_circuit):
-        c = random_circuit(rng, n_qubits=4, n_gates=10)
-        assert set(lower(c).gate_histogram()) <= {"h", "p", "cp"}
-
-    def test_lowering_preserves_unitary(self, rng, random_circuit):
-        for _ in range(4):
-            c = random_circuit(rng, n_qubits=3, n_gates=8)
-            d = np.linalg.norm(extract_unitary(lower(c)) - extract_unitary(c), 2)
-            assert d < 1e-10
-
-    def test_already_lowered_circuit_unchanged(self):
-        c = standard_qft(3)
-        assert lower(c).gate_histogram() == c.gate_histogram()
 
 
 class TestGateBasics:

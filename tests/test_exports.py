@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import qftkit
-from qftkit import acceptance, phasest, qft_moduli, qft_pow2, revarith, shor, sim
+from qftkit import acceptance, circuit, phasest, qft_moduli, qft_pow2, revarith, shor, sim
 from qftkit.circuit import CircuitBuilder
 
 
@@ -83,6 +83,8 @@ REMOVED_NAMES = [
     (qft_pow2, "_MAX_STATE_N"),
     (qft_pow2, "_mu_vector"),
     (qft_moduli, "MAX_CRT_MODULUS"),
+    (circuit, "lower"),
+    (qftkit, "lower"),
 ]
 
 
@@ -103,7 +105,8 @@ def test_unused_names_stay_removed(owner, name):
     # mixed-radix and estimation sizes, and run_dense's basis vector is built
     # after _check_input, the one input-range check; overlap_witness checks
     # its product states factor by factor, and fourier_state's vector and the
-    # mixed-radix matrix fall under sim's dense and DFT caps
+    # mixed-radix matrix fall under sim's dense and DFT caps; nothing lowered
+    # a circuit onto {H, P, CP}
     assert not hasattr(owner, name)
 
 

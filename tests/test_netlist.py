@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from qftkit.circuit import CP, Circuit, CircuitBuilder, H, dyadic, lower
+from qftkit.circuit import Circuit, CircuitBuilder, dyadic
 from qftkit.errors import NetlistError
 from qftkit.netlist import decode, encode
 from qftkit.qft_pow2 import QftPlan, banded_qft, copy_fourier, logdepth_qft, split_qft, standard_qft
@@ -14,7 +14,6 @@ PINNED_NETLISTS = [
     pytest.param(lambda: standard_qft(5), "270ac160f4e615ef", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "b6767a9134503abd", id="banded_qft(6,2)"),
     pytest.param(lambda: split_qft(6), "db9d1136e5a2d6d2", id="split_qft(6)"),
-    pytest.param(lambda: lower(split_qft(4)), "5462f77cccc0e0f9", id="lower(split_qft(4))"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "fad15897a4f4b854", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "bf05975279ad6daf", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "ba0e458f5275aff0", id="order_circuit(15,7)"),
@@ -31,7 +30,6 @@ PINNED_INVERSES = [
     pytest.param(lambda: standard_qft(5), "758eed6a11874469", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "b16d905a93632a01", id="banded_qft(6,2)"),
     pytest.param(lambda: split_qft(6), "ca1ad986c413218d", id="split_qft(6)"),
-    pytest.param(lambda: lower(split_qft(4)), "230cfcb50de774e4", id="lower(split_qft(4))"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "db34fa0541638e84", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "e35fa6d5c285cd68", id="order_circuit(15,7)"),
     pytest.param(lambda: copy_fourier(3, 3), "665a394f1df25a70", id="copy_fourier(3,3)"),
@@ -44,7 +42,6 @@ PINNED_LAYER_SETS = [
     pytest.param(lambda: standard_qft(5), "981475492fbf47fe", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "eec0806346172c2e", id="banded_qft(6,2)"),
     pytest.param(lambda: split_qft(6), "1da65351a23d5b36", id="split_qft(6)"),
-    pytest.param(lambda: lower(split_qft(4)), "58d721cf1ee48f20", id="lower(split_qft(4))"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "c9db7250271e67d2", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "a316e51964030882", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "03bf96acb15c221a", id="order_circuit(15,7)"),
@@ -262,12 +259,12 @@ class TestWideHeaders:
     def test_trillion_qubits_one_gate(self):
         c = decode("qubits 1000000000000 ancilla 0 classical 0\nh 0\n")
         assert (c.width, c.size) == (10**12, 1)
-        assert lower(c).size == 1
+        assert Circuit.from_gates(c.all_gates(), c.n_qubits, c.n_ancilla, c.n_classical).size == 1
 
     def test_trillion_classical_bits_one_measurement(self):
         c = decode("qubits 1 ancilla 0 classical 1000000000000\nmeas z 0 -> c999999999999\n")
         assert (c.n_classical, c.size) == (10**12, 1)
-        assert lower(c).size == 1
+        assert Circuit.from_gates(c.all_gates(), c.n_qubits, c.n_ancilla, c.n_classical).size == 1
 
 
 class TestCommentsAndPragma:
@@ -296,3 +293,10 @@ class TestCommentsAndPragma:
         with pytest.raises(NetlistError, match="second metadata pragma") as exc:
             decode(text)
         assert exc.value.line == 4
+
+    def test_pragma_after_a_gate_rejected(self):
+        # encode writes the pragma above every gate, so this file would not round-trip
+        text = 'qubits 1 ancilla 0 classical 0\nh 0\n# meta {"a":1}\n'
+        with pytest.raises(NetlistError, match="metadata pragma after the first gate line") as exc:
+            decode(text)
+        assert exc.value.line == 3

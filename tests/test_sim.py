@@ -447,6 +447,67 @@ class TestExtractUnitary:
             extract_unitary(b.build())
 
 
+def full_defect(u: np.ndarray) -> float:
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))))
+
+
+def random_unitary(rng, d: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+class TestUnitarityCheck:
+    """The block upper triangle of U^dagger U reports the defect of every entry."""
+
+    @pytest.mark.parametrize("d", [2, 128, 256, 1024])
+    def test_matches_the_full_product(self, d):
+        rng = np.random.default_rng(d)
+        # unit columns, so every Gram entry is at most 1 and 1e-12 is an absolute bound
+        u = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        u /= np.linalg.norm(u, axis=0)
+        assert abs(sim._unitarity_defect(u) - full_defect(u)) < 1e-12
+        near = random_unitary(rng, d) + 1e-6 * rng.normal(size=(d, d))
+        assert abs(sim._unitarity_defect(near) - full_defect(near)) < 1e-12
+
+    def test_an_overlap_below_the_diagonal_reads_through_its_mirror(self):
+        # Gram entry (700, 3) is in a skipped block; only (3, 700) is formed
+        u = random_unitary(np.random.default_rng(700), 1024)
+        u[:, 700] = (u[:, 3] + u[:, 700]) / np.sqrt(2)
+        assert abs(sim._unitarity_defect(u) - np.sqrt(0.5)) < 1e-12
+        assert abs(sim._unitarity_defect(u) - full_defect(u)) < 1e-12
+
+    # a Hadamard kernel that acts as [[1, 1], [1, 1]] / sqrt(2) on one wire: every
+    # column keeps unit norm, but columns that differ only there coincide
+    @pytest.mark.parametrize("n", [2, 8, 10])
+    def test_dense_path_refuses_a_nonorthogonal_hadamard(self, n, monkeypatch):
+        true_h = sim._DenseState.h
+
+        def h(self, w):
+            true_h(self, w)
+            if w == n - 1:
+                self.psi[self._at((w, 1))] = self.psi[self._at((w, 0))]
+
+        monkeypatch.setattr(sim._DenseState, "h", h)
+        with pytest.raises(SimulationError, match="not unitary: defect 1.000e"):
+            extract_unitary(standard_qft(n))
+
+    def test_wide_path_refuses_a_nonorthogonal_hadamard(self, monkeypatch):
+        true_h = sim._SparseState.h
+
+        def h(self, w):  # sqrt(2) |+><+| = sqrt(2) H |0><0| H
+            true_h(self, w)
+            if w == 3:
+                keep = ~self.bits[w]
+                self.bits, self.amps = self.bits[:, keep], self.amps[keep] * np.sqrt(2)
+                true_h(self, w)
+
+        padded = Circuit.from_gates(list(standard_qft(4).all_gates()), 4, n_ancilla=10)
+        assert padded.width > MAX_UNITARY_QUBITS
+        monkeypatch.setattr(sim._SparseState, "h", h)
+        with pytest.raises(SimulationError, match="not unitary: defect 1.000e"):
+            extract_unitary(padded)
+
+
 class TestReferencesAndMetrics:
     def test_dft_reference_is_unitary(self):
         for m in (2, 3, 7, 12):
