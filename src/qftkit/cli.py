@@ -53,10 +53,6 @@ def _resolve_seed(value: int | None) -> int:
 
 def _build_circuit(args: argparse.Namespace) -> Circuit:
     kind, n = args.kind, args.n
-    if kind == "banded" and args.band is None:
-        raise UsageError("--kind banded requires --band")
-    if kind == "logdepth" and args.k is None:
-        raise UsageError("--kind logdepth requires --k (erasure repetitions)")
     if kind in PLAN_KINDS:
         return build_from_plan(QftPlan(kind, n, b=args.band, k=args.k))
     if args.band is not None:

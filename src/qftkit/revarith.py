@@ -191,15 +191,24 @@ def _emit_carries(
 ) -> tuple[list[BitRef], list[BitRef]]:
     """Carry-lookahead network of a+b(+carry_in), left for the caller's uncompute.
 
-    Returns the half sums p_i = a_i XOR b_i and the carries c_0..c_w into
-    every position (c_w is the carry out), so sum bit i is p_i XOR c_i.
+    Returns the half sums p_i = a_i XOR b_i and the carries c_0..c_{w-1}
+    into the w positions, so sum bit i is p_i XOR c_i.  Two folds keep out
+    what no gate reads: the top position's generate is not built, since only
+    a carry out reads it (a caller that wants one pads a ZERO position), and
+    with no carry-in every leaf below the first generate that does not fold
+    to ZERO enters the network as GP(ZERO, ZERO), since every carry there is 0.
     """
     if len(a_bits) != len(b_bits):
         raise StructuralError("addend widths differ")
-    leaves = [GP(emit_and(b, x, y), emit_xor(b, [x, y])) for x, y in zip(a_bits, b_bits)]
+    pairs = list(zip(a_bits, b_bits))
+    leaves = [GP(emit_and(b, x, y), emit_xor(b, [x, y])) for x, y in pairs[:-1]]
+    half_sums = [leaf.p for leaf in leaves] + [emit_xor(b, [x, y]) for x, y in pairs[-1:]]
+    if not carry_in:
+        live = next((i for i, leaf in enumerate(leaves) if leaf.g != ZERO), len(leaves))
+        leaves[:live] = [GP(ZERO, ZERO)] * live
     seed = GP(ONE if carry_in else ZERO, ZERO)
     prefixes = _brent_kung([seed] + leaves, lambda hi, lo: _gp_combine(b, hi, lo))
-    return [leaf.p for leaf in leaves], [pre.g for pre in prefixes]
+    return half_sums, [pre.g for pre in prefixes]
 
 
 def _emit_addsub_core(
@@ -285,6 +294,8 @@ def build_prefix_add(k: int, n: int) -> Circuit:
     original registers are erased by parallel subtract taps before the final
     swap.  Ancillas all return to zero.
     """
+    if k < 1 or n < 1:
+        raise ValueError(f"need k >= 1 and n >= 1, got ({k}, {n})")
     b = CircuitBuilder(k * n)
     _emit_prefix_add(b, [list(range(j * n, (j + 1) * n)) for j in range(k)])
     return b.build(metadata={"kind": "prefix_add", "k": k, "n": n})
@@ -382,10 +393,12 @@ def _emit_modmul_garbage(
 
     T = u*v is the Wallace tree's two rows summed by one carry network.
     Reduction is by conditional subtraction: at step j one carry network
-    adds comp = 2^W - N*2^j to the W tracked bits of T, its carry out is
-    the flag 'T >= N*2^j', and bit i of T - flag*N*2^j is
+    adds comp = 2^W - N*2^j to the W tracked bits of T, both padded with
+    one ZERO position so that the carry into it, carries[W], is the carry
+    out: the flag 'T >= N*2^j'.  Bit i of T - flag*N*2^j is
     T_i XOR (flag AND (comp_i XOR c_i)), since the sum differs from T
-    exactly there.  The tracked width shrinks by one bit per step.
+    exactly there.  The tracked width shrinks by one bit per step, and the
+    j low zeros of comp give no generate, so the network emits no gate there.
     """
     nb = modulus.bit_length()
     p, carries = _emit_carries(b, *_emit_wallace(b, _partial_products(b, us, vs, 2 * nb), 2 * nb))
@@ -393,7 +406,7 @@ def _emit_modmul_garbage(
     for j in range(nb, -1, -1):
         w = len(t_refs)
         comp = const_bits((1 << w) - (modulus << j), w)
-        _, carries = _emit_carries(b, t_refs, comp)
+        _, carries = _emit_carries(b, t_refs + [ZERO], comp + [ZERO])
         flag = carries[w]
         t_refs = [
             emit_xor(b, [t_refs[i], emit_and(b, flag, emit_xor(b, [comp[i], carries[i]]))])

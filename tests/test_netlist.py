@@ -13,27 +13,27 @@ from qftkit.shor import build_order_circuit
 PINNED_NETLISTS = [
     pytest.param(lambda: standard_qft(5), "270ac160f4e615ef", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "b6767a9134503abd", id="banded_qft(6,2)"),
-    pytest.param(lambda: split_qft(6), "db9d1136e5a2d6d2", id="split_qft(6)"),
-    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "fad15897a4f4b854", id="logdepth(3,4)"),
-    pytest.param(lambda: build_telescoping_subtract(3, 4), "bf05975279ad6daf", id="telescoping_subtract(3,4)"),
-    pytest.param(lambda: build_order_circuit(15, 7), "ba0e458f5275aff0", id="order_circuit(15,7)"),
+    pytest.param(lambda: split_qft(6), "71b9849b2ca0e79e", id="split_qft(6)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "5b16c836411b1621", id="logdepth(3,4)"),
+    pytest.param(lambda: build_telescoping_subtract(3, 4), "e141bdd58a820f34", id="telescoping_subtract(3,4)"),
+    pytest.param(lambda: build_order_circuit(15, 7), "146902307ca3ff90", id="order_circuit(15,7)"),
     # the benchmark's build plans
-    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 12, k=4)).circuit, "baff7daf2e8d0d42", id="logdepth(12,4)"),
-    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 32, k=8)).circuit, "1261e194d94be5b0", id="logdepth(32,8)"),
-    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 8, k=32)).circuit, "2a1604753245a6f1", id="logdepth(8,32)"),
-    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 16, k=48)).circuit, "616dd6568958cdd0", id="logdepth(16,48)"),
-    pytest.param(lambda: build_prefix_add(8, 16), "d211909a05972787", id="prefix_add(8,16)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 12, k=4)).circuit, "a82e7c688fea0300", id="logdepth(12,4)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 32, k=8)).circuit, "1c77e8690e6b8b04", id="logdepth(32,8)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 8, k=32)).circuit, "bef11b04fc7762ba", id="logdepth(8,32)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 16, k=48)).circuit, "bcaf21bb9ab58591", id="logdepth(16,48)"),
+    pytest.param(lambda: build_prefix_add(8, 16), "dd8748af58f82bba", id="prefix_add(8,16)"),
 ]
 
 # the same digest of encode(circuit.inverse()), for each pinned circuit without a measurement
 PINNED_INVERSES = [
     pytest.param(lambda: standard_qft(5), "758eed6a11874469", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "b16d905a93632a01", id="banded_qft(6,2)"),
-    pytest.param(lambda: split_qft(6), "ca1ad986c413218d", id="split_qft(6)"),
-    pytest.param(lambda: build_telescoping_subtract(3, 4), "db34fa0541638e84", id="telescoping_subtract(3,4)"),
-    pytest.param(lambda: build_order_circuit(15, 7), "e35fa6d5c285cd68", id="order_circuit(15,7)"),
-    pytest.param(lambda: copy_fourier(3, 3), "665a394f1df25a70", id="copy_fourier(3,3)"),
-    pytest.param(lambda: build_prefix_add(8, 16), "943fff616467acdc", id="prefix_add(8,16)"),
+    pytest.param(lambda: split_qft(6), "bef7b2ff4a4e89da", id="split_qft(6)"),
+    pytest.param(lambda: build_telescoping_subtract(3, 4), "636ebfe1109ec8e4", id="telescoping_subtract(3,4)"),
+    pytest.param(lambda: build_order_circuit(15, 7), "a443d1c918937f29", id="order_circuit(15,7)"),
+    pytest.param(lambda: copy_fourier(3, 3), "d651c51364283533", id="copy_fourier(3,3)"),
+    pytest.param(lambda: build_prefix_add(8, 16), "dd60f4d9d4ca1662", id="prefix_add(8,16)"),
 ]
 
 # the same digest over each layer's lines sorted: pins which gates share a layer
@@ -41,12 +41,12 @@ PINNED_INVERSES = [
 PINNED_LAYER_SETS = [
     pytest.param(lambda: standard_qft(5), "981475492fbf47fe", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "eec0806346172c2e", id="banded_qft(6,2)"),
-    pytest.param(lambda: split_qft(6), "1da65351a23d5b36", id="split_qft(6)"),
-    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "c9db7250271e67d2", id="logdepth(3,4)"),
-    pytest.param(lambda: build_telescoping_subtract(3, 4), "a316e51964030882", id="telescoping_subtract(3,4)"),
-    pytest.param(lambda: build_order_circuit(15, 7), "03bf96acb15c221a", id="order_circuit(15,7)"),
-    pytest.param(lambda: copy_fourier(3, 3), "db59a685ffaae901", id="copy_fourier(3,3)"),
-    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 12, k=4)).circuit, "bf0f6dc479b0dc3c", id="logdepth(12,4)"),
+    pytest.param(lambda: split_qft(6), "c962b022d5f1233d", id="split_qft(6)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "bf0cd67d3182ad20", id="logdepth(3,4)"),
+    pytest.param(lambda: build_telescoping_subtract(3, 4), "7a09d057c2da75dd", id="telescoping_subtract(3,4)"),
+    pytest.param(lambda: build_order_circuit(15, 7), "65c1ba7c54e842f8", id="order_circuit(15,7)"),
+    pytest.param(lambda: copy_fourier(3, 3), "6a63aad38d4fa451", id="copy_fourier(3,3)"),
+    pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 12, k=4)).circuit, "eb5cc5e65bf50a44", id="logdepth(12,4)"),
 ]
 
 

@@ -84,8 +84,8 @@ class TestSplit:
     def test_width_cap(self):
         # the top level's last phase is 2^-n turns, as in the ladder
         c = split_qft(64)
-        assert c.size == 54_940
-        assert c.metadata["step2_size"] == 29_756
+        assert c.size == 54_772
+        assert c.metadata["step2_size"] == 29_724
         assert c.size == 2 * split_qft(32).size + c.metadata["step2_size"]
         with pytest.raises(CapacityError, match=r"2\^-64 angle limit"):
             split_qft(65)

@@ -85,6 +85,57 @@ class TestAdderSubtractor:
         assert d16 < 2 * d4
 
 
+def write_only_ancillas(circ):
+    """Ancillas that are flip targets and never read by any gate."""
+    read, hit = set(), set()
+    for g in circ.all_gates():
+        qs = g.qubits()
+        if g.family == "flip":
+            read.update(qs[:-1])
+            hit.add(qs[-1])
+        else:
+            read.update(qs)
+    return sorted(w for w in hit - read if w >= circ.n_qubits)
+
+
+class TestCarryNetwork:
+    """_emit_carries builds only carries that can be set and are read."""
+
+    @pytest.mark.parametrize("carry_in", [False, True])
+    @pytest.mark.parametrize("w", [1, 2, 3, 5, 8])
+    def test_returns_one_carry_per_position(self, w, carry_in):
+        b = CircuitBuilder(2 * w)
+        p, carries = revarith._emit_carries(b, list(range(w)), list(range(w, 2 * w)), carry_in)
+        assert len(p) == len(carries) == w
+
+    @pytest.mark.parametrize("carry_in", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_adds_every_constant_exhaustively(self, n, carry_in):
+        # every c, so every length of the zero run below c's lowest set bit
+        mask = (1 << n) - 1
+        for c in range(1 << n):
+            b = CircuitBuilder(2 * n)
+            xs, outs = list(range(n)), list(range(n, 2 * n))
+            revarith._emit_addsub_core(b, xs, revarith.const_bits(c, n), outs, carry_in)
+            for x, out in enumerate(run_classical_batch(b.build(), range(1 << n))):
+                (x_out, s), junk = fields(out, [n, n])
+                assert junk == 0, "ancillas must return to zero"
+                assert (x_out, s) == (x, (x + c + carry_in) & mask), (x, c)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_prefix_add(3, 4),
+            lambda: build_prefix_add(8, 16),
+            lambda: build_prefix_add(4, 64),
+            lambda: qft_pow2.copy_fourier(3, 5),
+        ],
+        ids=["prefix_add(3,4)", "prefix_add(8,16)", "prefix_add(4,64)", "copy_fourier(3,5)"],
+    )
+    def test_no_ancilla_is_only_written(self, build):
+        assert write_only_ancillas(build()) == []
+
+
 class TestCarrySave:
     """build_carry_save(rows, n): the Wallace tree at the width that holds the sum."""
 
@@ -154,6 +205,12 @@ class TestPrefixAdd:
             assert junk == 0
             assert sums == [sum(regs[: j + 1]) & mask for j in range(k)]
 
+    @pytest.mark.parametrize("builder", [build_prefix_add, build_telescoping_subtract])
+    @pytest.mark.parametrize("k,n", [(0, 3), (2, 0)])
+    def test_empty_shape_is_refused(self, builder, k, n):
+        with pytest.raises(ValueError, match="need k >= 1 and n >= 1"):
+            builder(k, n)
+
     def test_telescoping_is_inverse(self):
         k, n = 3, 2
         fwd, back = build_prefix_add(k, n), build_telescoping_subtract(k, n)
@@ -198,11 +255,12 @@ class TestMultipliers:
             assert (u_out, v_out, prod) == (u, v, (u * v) % modulus)
 
     @pytest.mark.parametrize(
-        "modulus, counts", [(15, (378, 131, 133)), (187, (1_804, 377, 546))], ids=["15", "187"]
+        "modulus, counts", [(15, (362, 131, 127)), (187, (1_742, 377, 519))], ids=["15", "187"]
     )
     def test_modmul_runs_one_carry_network_per_step(self, monkeypatch, modulus, counts):
         # nb + 2 networks: one sums the 2nb-bit product, then each of the nb + 1
-        # reduction steps gives both its compare flag and its difference
+        # reduction steps gives both its compare flag and its difference; a
+        # reduction pads one ZERO position, whose carry in is the flag
         widths = []
 
         def counted(b, a_bits, b_bits):
@@ -213,7 +271,7 @@ class TestMultipliers:
         monkeypatch.setattr(revarith, "_emit_carries", counted)
         c = build_modmul(modulus)
         nb = modulus.bit_length()
-        assert widths == [2 * nb, 2 * nb] + list(range(2 * nb, nb, -1))
+        assert widths == [2 * nb, 2 * nb + 1] + list(range(2 * nb + 1, nb + 1, -1))
         assert (c.size, c.depth, c.width) == counts
 
 
