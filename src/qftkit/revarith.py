@@ -270,6 +270,8 @@ def build_carry_save(rows: int, n: int) -> Circuit:
     run: compute, copy out, uncompute.  w bits hold the whole sum, so
     s + c equals it exactly.
     """
+    if rows < 1 or n < 1:
+        raise ValueError(f"need rows >= 1 and n >= 1, got ({rows}, {n})")
     w = n + (rows - 1).bit_length()
     b = CircuitBuilder(rows * n + 2 * w)
     regs = [list(range(j * n, (j + 1) * n)) for j in range(rows)]
@@ -375,6 +377,8 @@ def _emit_multiplier(
 
 def build_multiplier(nx: int, ny: int, n_out: int) -> Circuit:
     """out ^= (x*y) mod 2^n_out on wires [x(nx) | y(ny) | out(n_out)]."""
+    if min(nx, ny, n_out) < 1:
+        raise ValueError(f"need nx, ny and n_out >= 1, got ({nx}, {ny}, {n_out})")
     b = CircuitBuilder(nx + ny + n_out)
     xs = list(range(nx))
     ys = list(range(nx, nx + ny))

@@ -11,12 +11,21 @@ through the same kernels (``h``, ``phase``, ``flip``, ``collapse``), and
 calls ``settle_all`` once after the last gate:
 
 * ``_DenseState`` is a tensor with one axis of length 2 per wire; axes past
-  the wires (a batch of columns in ``extract_unitary``) ride along.  Its
-  ``phase`` only adds the gate's exact angle to a per-wire table of held
-  terms.  A Hadamard folds its wire's terms into a three-pass butterfly
-  through one preallocated half state and counts its 1/sqrt(2) instead of
-  applying it; a flip on the wire as target or a collapse applies them in
-  one broadcast multiply, and ``settle_all`` applies what is still held.
+  the wires (a batch of columns in ``extract_unitary``) ride along.  It
+  knows which wires are definite, holding one bit in every column: a basis
+  input makes every wire definite.  Every kernel acts only on the live
+  block, the view that fixes each definite wire at its bit; the other slot
+  of a definite wire holds zeros, and no held phase term involves a
+  definite 0.  A Hadamard on a definite wire copies the live block into
+  the empty slot and a collapse leaves its wire definite, so a wire that
+  still holds its input costs no pass over the state; a flip makes its
+  wires vary, which the zeros allow at no cost.  ``phase`` only adds the
+  gate's exact angle to a per-wire table of held terms (or drops it on a
+  definite 0).  A Hadamard on a varying wire folds its terms into a
+  three-pass butterfly through a prefix of one preallocated half state,
+  and every Hadamard counts its 1/sqrt(2) instead of applying it; a flip
+  on the wire as target or a collapse applies the terms in one broadcast
+  multiply, and ``settle_all`` applies what is still held.
 * ``_SparseState`` keeps the nonzero amplitudes in arrays: a boolean bit
   matrix with one row per wire and one column per amplitude, beside a
   complex amplitude vector.  A flip XORs one row with the AND of its control
@@ -34,6 +43,7 @@ at once; ``run_classical_bits`` is its one-input call.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -116,26 +126,39 @@ class _DenseState:
     Axes past the first ``nq`` are left alone, so a trailing batch axis of
     columns is carried through every kernel.
 
+    ``bits`` maps each definite wire, one that holds the same bit in every
+    column, to that bit.  The live block is the view of ``psi`` that fixes
+    each definite wire at its bit, and every kernel acts on it alone.  The
+    invariant: the other slot of a definite wire holds zeros in memory, and
+    no held phase term involves a definite 0.  A phase gate on a definite 0
+    is dropped.  A Hadamard on a definite wire copies the live block into
+    the empty slot (negating the old one for a 1), after which the wire
+    varies, and a collapse leaves its wire definite.  A flip makes every
+    wire it touches vary and then swaps on the live block as usual.
+
     Phase gates are held, not applied: ``pending[w]`` maps a wire to the
     summed angle, as an integer mod 2**64, of the terms on ``w``.  ``P(w)``
     sits under ``pending[w][w]`` and ``CP(a, b)`` under both
     ``pending[a][b]`` and ``pending[b][a]``.  ``_table(w)`` pops every term
-    on ``w`` as one factor ``p_w * (x)_b [1, q_b]`` over its partners ``b``
-    for the ``w = 1`` slice, which a Hadamard folds into its butterfly and a
-    collapse or a flip with target ``w`` applies first.  A flip's controls
-    need no settling: a term without the target commutes with the flip.
-    ``psi`` is the true state times 2**(halvings / 2), since a Hadamard
-    counts its 1/sqrt(2): every ``_RESCALE_HALVINGS`` halvings it is scaled
-    by an exact power of two, and a collapse folds in the rest.
-    ``settle_all`` applies what is left of both after the last gate.
+    on ``w`` as one factor ``p_w * (x)_b [1, q_b]`` over its varying
+    partners ``b``, times ``q_b`` for each definite one (which holds 1), for
+    the live ``w = 1`` slice; a Hadamard folds it into its butterfly or
+    copy, and a collapse or a flip with target ``w`` applies it first.  A
+    flip's controls need no settling: a term without the target commutes
+    with the flip.  ``psi`` is the true state times 2**(halvings / 2), since
+    a Hadamard counts its 1/sqrt(2): every ``_RESCALE_HALVINGS`` halvings
+    the live block is scaled by an exact power of two, and a collapse folds
+    in the rest.  ``settle_all`` applies what is left of both after the last
+    gate.
     """
 
-    def __init__(self, psi: np.ndarray, nq: int):
+    def __init__(self, psi: np.ndarray, nq: int, bits: dict[int, int] | None = None):
         self.psi = psi
         self.nq = nq
+        self.bits = dict(bits or {})
         self.pending: list[dict[int, int]] = [{} for _ in range(nq)]
         self.halvings = 0
-        self.scratch = np.empty(psi.shape[1:], dtype=psi.dtype)  # one half state, for h and flip
+        self.scratch = np.empty(psi.size // 2, dtype=psi.dtype)  # one half state, for h and flip
 
     def _at(self, *fixed: tuple[int, int]) -> tuple:
         """Basic index that holds wire ``w`` at ``bit`` for each ``(w, bit)``.
@@ -147,6 +170,14 @@ class _DenseState:
             idx[self.nq - 1 - w] = bit
         return (*idx, ...)
 
+    def _live(self, *fixed: tuple[int, int]) -> np.ndarray:
+        """The live block, with wire ``w`` also held at ``bit`` for each ``(w, bit)``."""
+        return self.psi[self._at(*self.bits.items(), *fixed)]
+
+    def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A prefix of the scratch half state, viewed with ``shape``."""
+        return self.scratch[: math.prod(shape)].reshape(shape)
+
     def _hold(self, w: int, partner: int, turns: int) -> None:
         terms = self.pending[w]
         total = (terms.get(partner, 0) + turns) % (1 << _TURN_BITS)
@@ -156,70 +187,93 @@ class _DenseState:
             terms.pop(partner, None)
 
     def _table(self, w: int) -> np.ndarray | None:
-        """Pop every held term on ``w``; the factor for its ``w = 1`` slice, or ``None``."""
+        """Pop every held term on ``w``; the factor for its live ``w = 1`` slice, or ``None``."""
         terms = self.pending[w]
         if not terms:
             return None
         self.pending[w] = {}
         table = np.array([_turn_phase(terms.pop(w, 0))])
         shape = [1] * self.psi.ndim
-        for b in sorted(terms):  # the fastest axis first, each partner a new slower one
-            table = np.concatenate((table, table * _turn_phase(terms[b])))
-            shape[self.nq - 1 - b] = 2
+        for b in sorted(terms):  # the fastest axis first, each varying partner a new slower one
+            if b in self.bits:
+                table *= _turn_phase(terms[b])
+            else:
+                table = np.concatenate((table, table * _turn_phase(terms[b])))
+                shape[self.nq - 1 - b] = 2
             del self.pending[b][w]
-        del shape[self.nq - 1 - w]
-        return table.reshape(shape)
+        fixed = {self.nq - 1 - v for v in (*self.bits, w)}
+        return table.reshape([s for axis, s in enumerate(shape) if axis not in fixed])
+
+    def _scale(self, factor: float) -> None:
+        live = self._live()
+        live *= factor
 
     def settle(self, w: int) -> None:
         """Apply and clear every held term on ``w``."""
         table = self._table(w)
         if table is not None:
-            self.psi[self._at((w, 1))] *= table
+            ones = self._live((w, 1))
+            ones *= table
 
     def settle_all(self) -> None:
         for w in range(self.nq):
             self.settle(w)
         if self.halvings:
-            self.psi *= 2.0 ** (-self.halvings / 2)
+            self._scale(2.0 ** (-self.halvings / 2))
             self.halvings = 0
 
     def h(self, w: int) -> None:
-        psi, t = self.psi, self.scratch
-        a, b = psi[self._at((w, 0))], psi[self._at((w, 1))]
         table = self._table(w)
-        if table is None:
-            np.copyto(t, b)
+        bit = self.bits.pop(w, None)
+        if bit is None:
+            a, b = self._live((w, 0)), self._live((w, 1))
+            t = self._buffer(a.shape)
+            if table is None:
+                np.copyto(t, b)
+            else:
+                np.multiply(b, table, out=t)
+            np.subtract(a, t, out=b)
+            a += t
         else:
-            np.multiply(b, table, out=t)
-        np.subtract(a, t, out=b)
-        a += t
+            live, other = self._live((w, bit)), self._live((w, 1 - bit))
+            if table is None:
+                np.copyto(other, live)
+            else:
+                np.multiply(live, table, out=other)
+            if bit:
+                np.negative(other, out=live)
         self.halvings = (self.halvings + 1) % _RESCALE_HALVINGS
         if not self.halvings:
-            psi *= 2.0 ** (-_RESCALE_HALVINGS // 2)
+            self._scale(2.0 ** (-_RESCALE_HALVINGS // 2))
 
     def phase(self, wires, theta: DyadicAngle) -> None:
-        turns = theta.numerator << (_TURN_BITS - theta.log_denominator)
         a, b = wires[0], wires[-1]
+        if self.bits.get(a) == 0 or self.bits.get(b) == 0:
+            return
+        turns = theta.numerator << (_TURN_BITS - theta.log_denominator)
         self._hold(a, b, turns)
         if b != a:
             self._hold(b, a, turns)
 
     def flip(self, wires) -> None:
-        self.settle(wires[-1])
-        psi = self.psi
-        on = [(c, 1) for c in wires[:-1]]
-        lo, hi = self._at(*on, (wires[-1], 0)), self._at(*on, (wires[-1], 1))
-        tmp = self.scratch[(*[0] * len(on), ...)]  # a corner of the half, shaped like psi[lo]
-        np.copyto(tmp, psi[lo])
-        psi[lo] = psi[hi]
-        psi[hi] = tmp
+        for w in wires:  # the zeros in a definite wire's other slot let it vary as it is
+            self.bits.pop(w, None)
+        *controls, t = wires
+        self.settle(t)
+        on = [(c, 1) for c in controls]
+        lo, hi = self._live(*on, (t, 0)), self._live(*on, (t, 1))
+        tmp = self._buffer(lo.shape)
+        np.copyto(tmp, lo)
+        lo[...] = hi
+        hi[...] = tmp
 
     def collapse(self, w: int, rng: np.random.Generator) -> int:
         self.settle(w)
-        psi, scale = self.psi, 2.0 ** -self.halvings
-        outcome, p = _draw(scale * float(np.sum(np.abs(psi[self._at((w, 1))]) ** 2)), rng)
-        psi[self._at((w, 1 - outcome))] = 0.0
-        psi *= np.sqrt(scale / p)
+        scale = 2.0 ** -self.halvings
+        outcome, p = _draw(scale * float(np.sum(np.abs(self._live((w, 1))) ** 2)), rng)
+        self._live((w, 1 - outcome))[...] = 0.0
+        self.bits[w] = outcome
+        self._scale(np.sqrt(scale / p))
         self.halvings = 0
         return outcome
 
@@ -374,7 +428,7 @@ def run_dense(circuit: Circuit, x: int = 0, rng: np.random.Generator | None = No
     _check_input(circuit, x)
     psi = np.zeros([2] * nq, dtype=np.complex128)
     psi.flat[x] = 1.0
-    state = _DenseState(psi, nq)
+    state = _DenseState(psi, nq, {w: x >> w & 1 for w in range(nq)})
     classical = _evolve(state, circuit, rng)
     return RunResult(classical=classical, state=state.psi.reshape(-1))
 

@@ -186,6 +186,11 @@ class TestCarrySave:
         # no carry chain: the depth must not grow with n
         assert build_carry_save(3, 8).depth == build_carry_save(3, 2).depth
 
+    @pytest.mark.parametrize("rows, n", [(3, 0), (0, 3)])
+    def test_empty_shape_is_refused(self, rows, n):
+        with pytest.raises(ValueError, match="need rows >= 1 and n >= 1"):
+            build_carry_save(rows, n)
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_a_cut_level_emits_no_carry_at_the_width(self, n):
         # n sums and n - 1 majorities: the carry into position n is never built
@@ -224,6 +229,11 @@ class TestPrefixAdd:
 
 
 class TestMultipliers:
+    @pytest.mark.parametrize("shape", [(2, 2, 0), (0, 2, 2)])
+    def test_empty_multiplier_is_refused(self, shape):
+        with pytest.raises(ValueError, match="need nx, ny and n_out >= 1"):
+            build_multiplier(*shape)
+
     @pytest.mark.parametrize("nx,ny,n_out", [(2, 2, 4), (2, 3, 5)])
     def test_multiplier_exhaustive(self, nx, ny, n_out):
         outs = run_classical_batch(build_multiplier(nx, ny, n_out), range(1 << (nx + ny)))

@@ -208,6 +208,107 @@ class TestHeldPhases:
         assert np.array_equal(*finals)
 
 
+class TestDefiniteWires:
+    """A wire that holds one bit in every column costs no pass over the state:
+    each case below puts definite wires under one kind of kernel."""
+
+    @staticmethod
+    def check(circuit: Circuit, x: int, seed: int = 0) -> None:
+        got = run_dense(circuit, x=x, rng=np.random.default_rng(seed))
+        want, classical = reference_run(circuit, x, np.random.default_rng(seed))
+        assert got.classical == classical
+        assert np.max(np.abs(got.state - want)) < 1e-12
+
+    def test_x_on_a_definite_one_that_holds_terms(self):
+        # wire 1 holds P and a CP with the varying wire 0 when the X flips it
+        b = CircuitBuilder(3)
+        b.h(0)
+        b.p(1, dyadic(3, 5))
+        b.cp(0, 1, dyadic(7, 6))
+        b.x(1)
+        b.h(0)
+        b.h(1)
+        circuit = b.build()
+        for x in (0b010, 0b011, 0b110, 0b111):
+            self.check(circuit, x)
+
+    def test_flips_with_definite_controls_and_targets(self):
+        # wire 1 reads 0 and wire 3 reads 1 at each input; wire 3 holds a CP with wire 0,
+        # and each flip makes the definite wires it touches vary
+        b = CircuitBuilder(4)
+        b.h(0)
+        b.cp(0, 3, dyadic(1, 3))
+        b.cnot(1, 2)  # a definite 0 control
+        b.toffoli(1, 0, 3)  # a definite 0 control beside a varying one
+        b.toffoli(3, 0, 2)  # a definite 1 control beside a varying one
+        b.cnot(0, 3)  # a varying control onto a definite target
+        b.h(3)
+        circuit = b.build()
+        for x in (0b1000, 0b1100, 0b1001, 0b1101):
+            self.check(circuit, x)
+
+    def test_cp_between_definite_ones_then_h_on_both(self):
+        b = CircuitBuilder(3)
+        b.h(2)
+        b.cp(0, 1, dyadic(5, 4))
+        b.p(0, dyadic(1, 3))
+        b.cp(1, 2, dyadic(3, 3))
+        b.h(0)
+        b.h(1)
+        circuit = b.build()
+        for x in range(8):  # x = 3 and 7 hold the CP between two definite 1s
+            self.check(circuit, x)
+
+    def test_measuring_a_definite_wire_draws_once(self):
+        # wire 1 is measured in x while definite; wire 2 in z while definite, then
+        # in y after a CNOT from the varying wire 0
+        b = CircuitBuilder(3)
+        b.h(0)
+        b.measure(1, "x")
+        b.measure(2, "z")
+        b.cnot(0, 2)
+        b.measure(2, "y")
+        b.measure(0, "x")
+        circuit = b.build()
+        for x in range(8):
+            for seed in range(4):
+                self.check(circuit, x, seed)
+                dense = run_dense(circuit, x=x, rng=np.random.default_rng(seed))
+                sparse = run_sparse(circuit, x=x, rng=np.random.default_rng(seed))
+                assert dense.classical == sparse.classical
+
+    def test_h_after_a_collapse(self):
+        # the collapse leaves wire 0 definite, and the next Hadamard makes it vary again
+        b = CircuitBuilder(3)
+        b.h(0)
+        b.cnot(0, 1)
+        b.cp(1, 2, dyadic(1, 2))
+        b.measure(0, "z")
+        b.h(0)
+        b.cp(0, 1, dyadic(3, 4))
+        b.h(1)
+        b.measure(1, "z")
+        b.h(1)
+        circuit = b.build()
+        for x in (0b000, 0b100):
+            for seed in range(4):
+                self.check(circuit, x, seed)
+
+    def test_slots_off_the_live_block_hold_zeros(self):
+        rng = np.random.default_rng(3303)
+        for trial in range(10):
+            circuit = phase_heavy_circuit(rng, 5, 30)
+            x = int(rng.integers(0, 32))
+            psi = np.zeros([2] * 5, dtype=np.complex128)
+            psi.flat[x] = 1.0
+            state = sim._DenseState(psi, 5, {w: x >> w & 1 for w in range(5)})
+            sim._evolve(state, circuit, np.random.default_rng(trial))
+            want, _ = reference_run(circuit, x, np.random.default_rng(trial))
+            assert np.max(np.abs(state.psi.reshape(-1) - want)) < 1e-12
+            for w, bit in state.bits.items():
+                assert not state.psi[state._at((w, 1 - bit))].any()
+
+
 class TestBackendsAgree:
     def test_dense_and_sparse_match_on_random_circuits(self, rng, random_circuit):
         for _ in range(8):
@@ -437,6 +538,44 @@ class TestExtractUnitary:
         # a 64-amplitude cap runs the 16 columns in four batches of four
         monkeypatch.setattr(sim, "SPARSE_SUPPORT_CAP", 64)
         assert np.max(np.abs(extract_unitary(padded) - want)) < 1e-12
+
+    @staticmethod
+    def with_two_ancillas() -> tuple[CircuitBuilder, list[int]]:
+        b = CircuitBuilder(4)
+        ancillas = b.new_ancillas(2)
+        return b, ancillas
+
+    def test_dense_path_refuses_an_entangled_ancilla(self):
+        b, ancillas = self.with_two_ancillas()
+        b.h(0)
+        b.cnot(0, ancillas[-1])
+        circuit = b.build()
+        assert circuit.width <= MAX_UNITARY_QUBITS
+        with pytest.raises(SimulationError, match="ancillas"):
+            extract_unitary(circuit)
+
+    def test_dense_path_refuses_a_flipped_ancilla(self):
+        b, ancillas = self.with_two_ancillas()
+        b.x(ancillas[0])
+        with pytest.raises(SimulationError, match="ancillas"):
+            extract_unitary(b.build())
+
+    def test_dense_path_matches_the_reference_after_uncompute(self):
+        b, (a0, a1) = self.with_two_ancillas()
+        b.h(0)
+        b.h(1)
+        start = b.mark()
+        b.toffoli(0, 1, a0)
+        b.x(a1)
+        b.cnot(a0, a1)
+        stop = b.mark()
+        b.cp(a1, 2, dyadic(3, 4))
+        b.p(a0, dyadic(1, 3))
+        b.h(3)
+        b.uncompute(start, stop)
+        circuit = b.build()
+        want = np.stack([reference_run(circuit, x, None)[0][:16] for x in range(16)], axis=1)
+        assert np.max(np.abs(extract_unitary(circuit) - want)) < 1e-12
 
     def test_wide_path_refuses_a_dirty_ancilla(self):
         b = CircuitBuilder(4)
