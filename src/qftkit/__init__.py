@@ -46,7 +46,6 @@ from .qft_pow2 import (
     build_from_plan,
     copy_fourier,
     cos_tail,
-    fourier_state,
     logdepth_qft,
     overlap_witness,
     prep_approx,

@@ -22,7 +22,6 @@ from .qft_pow2 import (
     bit_reversed_indices,
     copy_fourier,
     cos_tail,
-    fourier_state,
     logdepth_qft,
     overlap_witness,
     prep_exact,
@@ -178,16 +177,16 @@ def criterion_component_unitarity(quick: bool = False) -> CriterionResult:
     # |x>|0^n> -> |x>|psi_x> and |0^n>^{k-1}|psi_y> -> |psi_y>^k, phases and ancillas included
     prep_err = copy_err = 0.0
     for n in range(1, max_prep + 1):
-        prep = prep_exact(n)
+        prep, dft = prep_exact(n), dft_reference(1 << n)
         for x in range(1 << n):
-            err = _state_error(prep, {x: 1.0}, {x | y << n: a for y, a in enumerate(fourier_state(n, x))})
+            err = _state_error(prep, {x: 1.0}, {x | y << n: a for y, a in enumerate(dft[:, x])})
             if not err <= EXACTNESS_TOL:
                 return _failure(name, f"prep_exact({n}) x={x}: state error {err:.2e}")
             prep_err = max(prep_err, err)
     for n, k in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)):
-        copy = copy_fourier(n, k)
+        copy, dft = copy_fourier(n, k), dft_reference(1 << n)
         for y in range(1 << n):
-            psi = fourier_state(n, y)
+            psi = dft[:, y]
             initial = {v << (k - 1) * n: psi[v] for v in range(1 << n)}
             expected = {
                 sum(v << c * n for c, v in enumerate(regs)): math.prod(psi[v] for v in regs)

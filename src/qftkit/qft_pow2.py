@@ -28,10 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import CP, Circuit, CircuitBuilder, Gate, H, _check_angle_grid, dyadic
-from .errors import CapacityError
 from .phasest import erase_failure, failure_bound
 from .revarith import ONE, _emit_addsub_core, _emit_multiplier, _emit_wallace, bnot
-from .sim import DEFAULT_SEED, MAX_DENSE_QUBITS
+from .sim import DEFAULT_SEED
 
 __all__ = [
     "QftPlan",
@@ -46,7 +45,6 @@ __all__ = [
     "logdepth_qft",
     "build_from_plan",
     "bit_reversed_indices",
-    "fourier_state",
     "viete_partial",
     "cos_tail",
     "overlap_witness",
@@ -97,18 +95,6 @@ def bit_reversed_indices(n: int) -> np.ndarray:
     for b in range(n):
         rev |= ((idx >> b) & 1) << (n - 1 - b)
     return rev
-
-
-def fourier_state(n: int, x: int) -> np.ndarray:
-    """The length-2^n state with amplitude e^{2 pi i x y / 2^n} / 2^{n/2} at y."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_DENSE_QUBITS:
-        raise CapacityError(f"fourier_state supports n <= {MAX_DENSE_QUBITS}")
-    if not 0 <= x < (1 << n):
-        raise ValueError(f"phase parameter must be in 0..{(1 << n) - 1}, got {x}")
-    y = np.arange(1 << n)
-    return np.exp(2j * np.pi * x * y / (1 << n)) / math.sqrt(1 << n)
 
 
 # --- standard and banded ladders ----------------------------------------------

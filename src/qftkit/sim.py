@@ -36,9 +36,11 @@ calls ``settle_all`` once after the last gate:
   in time proportional to their true branching.
 
 Flip-only circuits (X, CNOT, Toffoli) also run on ``run_classical_batch``,
-which holds one bit row per wire with one column per input, and applies
-each layer of ``Circuit.flip_layers`` as one gather-AND-XOR over all inputs
-at once; ``run_classical_bits`` is its one-input call.
+which holds the same bit matrix with one column per input, plus a row held
+at 1, and applies each layer of ``Circuit.flip_layers`` as one
+gather-AND-XOR over all inputs at once; ``run_classical_bits`` is its
+one-input call.  Both build the matrix from integers with ``_bit_rows`` and
+read its columns back as integers with ``_keys``.
 """
 
 from __future__ import annotations
@@ -289,6 +291,16 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return words
 
 
+def _keys(bits: np.ndarray) -> list[int]:
+    """The column keys of a bit matrix as ints: column ``j``'s row ``i`` is bit ``i`` of key ``j``."""
+    words = _pack(bits)
+    keys = words[0].astype(object)
+    for j in range(1, len(words)):
+        if words[j].any():
+            keys |= words[j].astype(object) << (64 * j)
+    return keys.tolist()
+
+
 def _bit_rows(keys: list[int], num_rows: int) -> np.ndarray:
     """A uint8 bit matrix whose column ``j`` holds bits ``0..num_rows-1`` of ``keys[j]``, row ``i`` bit ``i``."""
     nbytes = max(1, -(-num_rows // 8))
@@ -308,14 +320,6 @@ class _SparseState:
         self.bits = np.ascontiguousarray(_bit_rows(keys, num_rows), dtype=bool)
         self.amps = np.array(amps, dtype=np.complex128)
         self.pruned_mass = 0.0
-
-    def keys(self) -> list[int]:
-        words = _pack(self.bits)
-        keys = words[0].astype(object)
-        for j in range(1, len(words)):
-            if words[j].any():
-                keys |= words[j].astype(object) << (64 * j)
-        return keys.tolist()
 
     def _all_set(self, wires) -> np.ndarray:
         bits = self.bits
@@ -459,7 +463,7 @@ def run_sparse(
         _check_input(circuit, x)
         state = _SparseState([x], [1.0], circuit.width)
     classical = _evolve(state, circuit, rng)
-    amplitudes = dict(zip(state.keys(), state.amps.tolist()))
+    amplitudes = dict(zip(_keys(state.bits), state.amps.tolist()))
     return RunResult(classical=classical, amplitudes=amplitudes, pruned_mass=state.pruned_mass)
 
 
@@ -482,27 +486,24 @@ def run_classical_batch(circuit: Circuit, xs: Iterable[int]) -> list[int]:
     """Evolve the basis inputs ``xs`` through a circuit of flip gates (X, CNOT, Toffoli) only.
 
     Returns each input's final bit pattern over all quantum wires, in order.
-    The state holds one bit row per wire, the inputs packed eight to a byte
-    along it, plus a row held at 1; each layer of ``circuit.flip_layers``
-    is one ``s[t] ^= s[a] & s[b]`` over every input, which is exact because
-    the gates of a layer touch disjoint wires.  Used to test reversible
-    arithmetic exhaustively.
+    The state is the sparse state's bit matrix, one row per wire and one
+    column per input, plus a row held at 1; each layer of
+    ``circuit.flip_layers`` is one ``s[t] ^= s[a] & s[b]`` over every input,
+    which is exact because the gates of a layer touch disjoint wires.  Used
+    to test reversible arithmetic exhaustively.
     """
     xs = [operator.index(x) for x in xs]
     for x in xs:
         _check_input(circuit, x)
     if not xs:
         return []
-    width, count = circuit.width, len(xs)
-    state = np.zeros((width + 1, -(-count // 8)), dtype=np.uint8)
-    state[: circuit.n_qubits] = np.packbits(_bit_rows(xs, circuit.n_qubits), axis=1, bitorder="little")
-    state[width] = 0xFF
+    width = circuit.width
+    state = np.zeros((width + 1, len(xs)), dtype=bool)
+    state[: circuit.n_qubits] = _bit_rows(xs, circuit.n_qubits)
+    state[width] = True
     for a, b, t in circuit.flip_layers:
         state[t] ^= state[a] & state[b]
-    bits = np.unpackbits(state[:width], axis=1, count=count, bitorder="little")
-    out = np.packbits(bits.T, axis=1, bitorder="little")
-    step, raw = out.shape[1], out.tobytes()
-    return [int.from_bytes(raw[j * step : (j + 1) * step], "little") for j in range(count)]
+    return _keys(state[:width])
 
 
 def run_classical_bits(circuit: Circuit, x: int) -> int:

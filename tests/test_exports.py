@@ -85,6 +85,8 @@ REMOVED_NAMES = [
     (qft_moduli, "MAX_CRT_MODULUS"),
     (circuit, "lower"),
     (qftkit, "lower"),
+    (qft_pow2, "fourier_state"),
+    (qftkit, "fourier_state"),
 ]
 
 
@@ -104,9 +106,9 @@ def test_unused_names_stay_removed(owner, name):
     # reaches, prime_power_factors' and the padded readout's caps bound the
     # mixed-radix and estimation sizes, and run_dense's basis vector is built
     # after _check_input, the one input-range check; overlap_witness checks
-    # its product states factor by factor, and fourier_state's vector and the
-    # mixed-radix matrix fall under sim's dense and DFT caps; nothing lowered
-    # a circuit onto {H, P, CP}
+    # its product states factor by factor, a Fourier state is a column of
+    # dft_reference, and the mixed-radix matrix falls under sim's DFT cap;
+    # nothing lowered a circuit onto {H, P, CP}
     assert not hasattr(owner, name)
 
 

@@ -16,7 +16,6 @@ from qftkit.qft_pow2 import (
     build_from_plan,
     copy_fourier,
     cos_tail,
-    fourier_state,
     logdepth_qft,
     overlap_witness,
     prep_approx,
@@ -50,6 +49,11 @@ class TestStandardLadder:
     def test_matches_reference(self, n):
         u = extract_unitary(standard_qft(n))[bit_reversed_indices(n), :]
         assert np.linalg.norm(u - dft_reference(1 << n), 2) < 1e-10
+
+    def test_bit_reversal_is_involution(self):
+        for n in (1, 3, 5):
+            rev = bit_reversed_indices(n)
+            assert np.array_equal(rev[rev], np.arange(1 << n))
 
     def test_gate_count_closed_form(self):
         for n in range(1, 9):
@@ -152,47 +156,21 @@ class TestBanded:
         assert banded_qft(4, 0).metadata["b"] == 1
 
 
-class TestFourierState:
-    def test_is_the_reference_column(self):
-        for n in (1, 2, 3):
-            dft = dft_reference(1 << n)
-            for x in range(1 << n):
-                assert np.allclose(fourier_state(n, x), dft[:, x])
-
-    def test_normalized(self):
-        v = fourier_state(4, 9)
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-
-    def test_cap_is_the_dense_simulators(self):
-        # the same 2^n vector run_dense holds, refused before it is allocated
-        with pytest.raises(CapacityError, match=f"n <= {sim.MAX_DENSE_QUBITS}"):
-            fourier_state(sim.MAX_DENSE_QUBITS + 1, 0)
-
-    def test_empty_register_is_a_value_error(self):
-        # CapacityError means a cap; an empty register is a bad argument, as in every builder
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            fourier_state(0, 0)
-
-    def test_bit_reversal_is_involution(self):
-        for n in (1, 3, 5):
-            rev = bit_reversed_indices(n)
-            assert np.array_equal(rev[rev], np.arange(1 << n))
-
-
 class TestPrep:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exact_prep_writes_fourier_register(self, n):
-        c = prep_exact(n)
+        c, dft = prep_exact(n), dft_reference(1 << n)
         for x in range(1 << n):
-            assert masked_overlap(c, x, n, fourier_state(n, x)) == pytest.approx(1.0, abs=1e-10)
+            assert masked_overlap(c, x, n, dft[:, x]) == pytest.approx(1.0, abs=1e-10)
 
     def test_approx_prep_within_declared_bound(self):
         n = 5
+        dft = dft_reference(1 << n)
         for k in (2, 3, 4):
             c = prep_approx(n, k)
             bound = c.metadata["error_bound"]
             for x in range(1 << n):
-                fid = masked_overlap(c, x, n, fourier_state(n, x))
+                fid = masked_overlap(c, x, n, dft[:, x])
                 # trace distance of pure states, bounded by the dropped-phase budget
                 assert math.sqrt(max(0.0, 1 - fid**2)) <= bound + 1e-12
 
@@ -207,9 +185,9 @@ class TestCopy:
     # k >= 4 registers means three or more blanks, so the Wallace tree runs 3-2 levels
     @pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 8), (2, 3), (2, 4), (2, 5)])
     def test_copies_fourier_register(self, n, k):
-        c = copy_fourier(n, k)
+        c, dft = copy_fourier(n, k), dft_reference(1 << n)
         for y in range(1 << n):
-            psi = fourier_state(n, y)
+            psi = dft[:, y]
             initial = {v << ((k - 1) * n): psi[v] for v in range(1 << n)}
             final = run_sparse(c, initial=initial).amplitudes
             err = 0.0
@@ -268,10 +246,10 @@ class TestLogdepthChannel:
         # the measured copies leaves the exact Fourier state on wires n..2n-1;
         # (3,4) ends with 32,768 amplitudes, so it runs two inputs at one seed
         circuit = logdepth_qft(QftPlan(kind="logdepth", n=n, k=k)).circuit
-        mask = (1 << n) - 1
+        mask, dft = (1 << n) - 1, dft_reference(1 << n)
         xs, seeds = ((0, 5), (0,)) if n == 3 else (range(1 << n), range(3))
         for x in xs:
-            psi = fourier_state(n, x)
+            psi = dft[:, x]
             for seed in seeds:
                 amps = run_sparse(circuit, x=x, rng=np.random.default_rng(seed)).amplitudes
                 assert all(idx & mask == x for idx in amps)

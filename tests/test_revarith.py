@@ -298,6 +298,17 @@ class TestIteratedProduct:
             (ctrl, prod), junk = fields(out, [6, nb])
             assert (ctrl, prod, junk) == (x, pow(a, x, modulus), 0)
 
+    @pytest.mark.parametrize("modulus", [65, 119])
+    def test_order_circuit_tree_on_every_input(self, modulus):
+        # the order circuit's product tree at nb = 7 (2 * nb factors of 2), every input:
+        # a reduction step that can subtract reads carries above bit 8 only from nb = 6 on
+        nb = modulus.bit_length()
+        c = build_iterated_product(modulus, precompute_powers(2, modulus, 2 * nb))
+        outs = run_classical_batch(c, range(1 << (2 * nb)))
+        for x, out in enumerate(outs):
+            (ctrl, prod), junk = fields(out, [2 * nb, nb])
+            assert (ctrl, prod, junk) == (x, pow(2, x, modulus), 0)
+
     @pytest.mark.parametrize("factors", [[], [1, 1, 1]], ids=["empty", "ones"])
     def test_empty_product_is_one(self, factors):
         m = len(factors)

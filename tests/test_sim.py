@@ -457,13 +457,22 @@ def per_gate_walk(circuit: Circuit, x: int) -> int:
 class TestClassicalBatch:
     @pytest.mark.parametrize("seed", range(6))
     def test_batch_singles_and_per_gate_walk_agree(self, seed, random_circuit):
-        # the draw's flip gates over 7 data wires and 2 ancillas; H and CP dropped
-        draw = random_circuit(np.random.default_rng(seed), n_qubits=9, n_gates=80)
-        c = Circuit.from_gates([g for g in draw.all_gates() if g.family == "flip"], 7, n_ancilla=2)
-        xs = list(range(1 << 7))
-        batch = run_classical_batch(c, xs)
-        assert batch == [run_classical_bits(c, x) for x in xs]
-        assert batch == [per_gate_walk(c, x) for x in xs]
+        # the draw's flip gates, H and CP dropped: over 7 data wires and 2 ancillas on
+        # every input, then over 66 data wires and 4 ancillas, so the readback crosses
+        # a 64-bit word, on 37 drawn inputs, a batch that is no multiple of 8
+        rng = np.random.default_rng(seed)
+        for n_data, n_ancilla in ((7, 2), (66, 4)):
+            draw = random_circuit(rng, n_qubits=n_data + n_ancilla, n_gates=80)
+            c = Circuit.from_gates([g for g in draw.all_gates() if g.family == "flip"], n_data, n_ancilla)
+            if n_data == 7:
+                xs = list(range(1 << 7))
+            else:
+                xs = [int.from_bytes(rng.bytes(9), "little") >> 6 for _ in range(37)]
+            batch = run_classical_batch(c, xs)
+            assert batch == [run_classical_bits(c, x) for x in xs]
+            assert batch == [per_gate_walk(c, x) for x in xs]
+            for x in xs[:3]:  # the sparse simulator reads its columns back the same way
+                assert run_sparse(c, x).amplitudes == {per_gate_walk(c, x): 1.0}
 
     def test_empty_circuit_returns_its_inputs(self):
         assert run_classical_batch(CircuitBuilder(3).build(), [0, 5, 7]) == [0, 5, 7]
