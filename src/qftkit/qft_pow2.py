@@ -2,8 +2,8 @@
 
 Four builders for the transform mod 2^n: the textbook H/CP ladder
 (``standard_qft``), its banded approximation with an analytic error bound
-(``banded_qft``), an exact divide-and-conquer form whose cross terms are
-realised by one integer multiplier and n single-qubit phases (``split_qft``),
+(``banded_qft``), an exact divide-and-conquer form whose cross term is
+phased straight off the two carry-save rows of a product (``split_qft``),
 and a three-stage shallow pipeline (``logdepth_qft``) that prepares Fourier
 factor qubits directly, copies them, and measures the copies, whose
 statistics decide the erasure of the input register.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .circuit import CP, Circuit, CircuitBuilder, Gate, H, _check_angle_grid, dyadic
 from .phasest import erase_failure, failure_bound
-from .revarith import ONE, _emit_addsub_core, _emit_multiplier, _emit_wallace, bnot
+from .revarith import ONE, ZERO, _emit_addsub_core, _emit_wallace, _partial_products, bnot
 from .sim import DEFAULT_SEED
 
 __all__ = [
@@ -157,7 +157,7 @@ def banded_qft(n: int, b: int) -> Circuit:
     return Circuit.from_layers(_ladder_layers(range(n), band=b_eff), n, metadata=meta)
 
 
-# --- split (multiply-based) exact transform -------------------------------------
+# --- split (carry-save product) exact transform ---------------------------------
 
 
 def _emit_split(b: CircuitBuilder, wires: list[int]) -> int:
@@ -165,9 +165,10 @@ def _emit_split(b: CircuitBuilder, wires: list[int]) -> int:
 
     After the top half is transformed, the cross phase between the halves is
     e^{2 pi i u v / 2^n} where u reads the top half in reversed wire order and
-    v reads the untouched bottom half.  One multiplier computes u*v into a
-    fresh register, n phase gates apply it, and the inverse multiplier cleans
-    up.
+    v reads the untouched bottom half.  The phase needs only uv mod 2^n, and
+    the phase of a sum is the product of the phases, so the Wallace tree's
+    rows s + c = uv mod 2^n carry it: bit t of either row gets a phase of
+    1/2^{n-t} turns, and the tree is uncomputed.  No adder sums the rows.
     """
     n = len(wires)
     if n <= 3:
@@ -179,14 +180,16 @@ def _emit_split(b: CircuitBuilder, wires: list[int]) -> int:
     lo, hi = wires[:m], wires[m:]
     _emit_split(b, hi)
 
-    prod = b.new_ancillas(n)
     start = b.mark()
-    _emit_multiplier(b, hi[::-1], lo, prod)
+    rows = _emit_wallace(b, _partial_products(b, hi[::-1], lo, n), n)
     stop = b.mark()
-    for t, w in enumerate(prod):
-        b.p(w, dyadic(1, n - t))
+    # each row bit is a wire or ZERO: a tree over ANDs of plain wires makes no ONE or negation
+    for row in rows:
+        for t, r in enumerate(row):
+            if r != ZERO:
+                b.p(r, dyadic(1, n - t))
     b.uncompute(start, stop)
-    step2 = 2 * (stop - start) + n
+    step2 = b.mark() - start
 
     _emit_split(b, lo)
     return step2
@@ -195,7 +198,7 @@ def _emit_split(b: CircuitBuilder, wires: list[int]) -> int:
 def split_qft(n: int) -> Circuit:
     """Exact transform mod 2^n built by halving; recursion stops at 3 wires.
 
-    metadata["step2_size"] counts the top-level multiply/phase/unmultiply
+    metadata["step2_size"] counts the top level's reduce, phase and unreduce
     gates, so size(n) = size(ceil) + size(floor) + step2_size holds exactly.
     """
     if n < 1:

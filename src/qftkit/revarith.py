@@ -266,9 +266,9 @@ def build_carry_save(rows: int, n: int) -> Circuit:
     """Carry-save sum on [rows x n | s(w) | c(w)], w = n + (rows - 1).bit_length().
 
     s ^= sum row, c ^= carry row of the Wallace tree over the ``rows``
-    registers, the tree the multiplier, the prefix adder and the Fourier copy
-    run: compute, copy out, uncompute.  w bits hold the whole sum, so
-    s + c equals it exactly.
+    registers, the tree the multiplier, the split transform, the prefix adder
+    and the Fourier copy run: compute, copy out, uncompute.  w bits hold the
+    whole sum, so s + c equals it exactly.
     """
     if rows < 1 or n < 1:
         raise ValueError(f"need rows >= 1 and n >= 1, got ({rows}, {n})")
@@ -360,30 +360,19 @@ def _partial_products(
     ]
 
 
-def _emit_multiplier(
-    b: CircuitBuilder,
-    xs: Sequence[BitRef],
-    ys: Sequence[BitRef],
-    outs: Sequence[int],
-) -> None:
-    """outs ^= (x*y) mod 2^len(outs) via a Wallace 3-2 reduction tree."""
-    n_out = len(outs)
-    start = b.mark()
-    s, c = _emit_wallace(b, _partial_products(b, xs, ys, n_out), n_out)
-    stop = b.mark()
-    _emit_addsub_core(b, s, c, outs=outs)
-    b.uncompute(start, stop)
-
-
 def build_multiplier(nx: int, ny: int, n_out: int) -> Circuit:
-    """out ^= (x*y) mod 2^n_out on wires [x(nx) | y(ny) | out(n_out)]."""
+    """out ^= (x*y) mod 2^n_out on [x(nx) | y(ny) | out(n_out)]: a Wallace tree and one carry network."""
     if min(nx, ny, n_out) < 1:
         raise ValueError(f"need nx, ny and n_out >= 1, got ({nx}, {ny}, {n_out})")
     b = CircuitBuilder(nx + ny + n_out)
     xs = list(range(nx))
     ys = list(range(nx, nx + ny))
     outs = list(range(nx + ny, nx + ny + n_out))
-    _emit_multiplier(b, xs, ys, outs)
+    start = b.mark()
+    s, c = _emit_wallace(b, _partial_products(b, xs, ys, n_out), n_out)
+    stop = b.mark()
+    _emit_addsub_core(b, s, c, outs=outs)
+    b.uncompute(start, stop)
     return b.build(metadata={"kind": "multiplier", "nx": nx, "ny": ny, "n_out": n_out})
 
 

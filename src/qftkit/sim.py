@@ -98,10 +98,13 @@ class RunResult:
 # --- dense statevector -----------------------------------------------------
 
 
-def _check_input(circuit: Circuit, x: int) -> None:
-    """Refuse a basis input that does not fit the circuit's data wires."""
+def _check_input(circuit: Circuit, x: int) -> int:
+    """``x`` as an int: TypeError if it is not an integer, SimulationError if
+    it does not fit the circuit's data wires."""
+    x = operator.index(x)
     if not 0 <= x < (1 << circuit.n_qubits):
         raise SimulationError(f"input {x} out of range for {circuit.n_qubits} data wires")
+    return x
 
 
 def _draw(p1: float, rng: np.random.Generator) -> tuple[int, float]:
@@ -429,7 +432,7 @@ def run_dense(circuit: Circuit, x: int = 0, rng: np.random.Generator | None = No
     nq = circuit.width
     if nq > MAX_DENSE_QUBITS:
         raise CapacityError(f"{nq} qubits exceeds dense cap {MAX_DENSE_QUBITS}")
-    _check_input(circuit, x)
+    x = _check_input(circuit, x)
     psi = np.zeros([2] * nq, dtype=np.complex128)
     psi.flat[x] = 1.0
     state = _DenseState(psi, nq, {w: x >> w & 1 for w in range(nq)})
@@ -446,22 +449,23 @@ def run_sparse(
     """Simulate tracking only nonzero amplitudes.
 
     ``initial`` maps basis indices over all ``circuit.width`` wires to
-    amplitudes; an index outside ``0 <= k < 2**circuit.width`` is refused,
-    and so is a state whose squared norm is off 1 by more than 1e-9, since
-    every measurement draw reads branch probabilities as they stand.
+    amplitudes; a non-integer index or one outside ``0 <= k <
+    2**circuit.width`` is refused, and so is a state whose squared norm is
+    off 1 by more than 1e-9, since every measurement draw reads branch
+    probabilities as they stand.
     """
     if initial is not None:
         dim = 1 << circuit.width
-        for k in initial:
+        keys = [operator.index(k) for k in initial]
+        for k in keys:
             if not 0 <= k < dim:
                 raise SimulationError(f"initial index {k} out of range for {circuit.width} wires")
-        state = _SparseState(list(initial), list(initial.values()), circuit.width)
+        state = _SparseState(keys, list(initial.values()), circuit.width)
         norm = float(np.sum(np.abs(state.amps) ** 2))
         if abs(norm - 1.0) > 1e-9:
             raise SimulationError(f"initial state has squared norm {norm:.6g}, not 1")
     else:
-        _check_input(circuit, x)
-        state = _SparseState([x], [1.0], circuit.width)
+        state = _SparseState([_check_input(circuit, x)], [1.0], circuit.width)
     classical = _evolve(state, circuit, rng)
     amplitudes = dict(zip(_keys(state.bits), state.amps.tolist()))
     return RunResult(classical=classical, amplitudes=amplitudes, pruned_mass=state.pruned_mass)
@@ -492,9 +496,7 @@ def run_classical_batch(circuit: Circuit, xs: Iterable[int]) -> list[int]:
     which is exact because the gates of a layer touch disjoint wires.  Used
     to test reversible arithmetic exhaustively.
     """
-    xs = [operator.index(x) for x in xs]
-    for x in xs:
-        _check_input(circuit, x)
+    xs = [_check_input(circuit, x) for x in xs]
     if not xs:
         return []
     width = circuit.width
@@ -536,7 +538,7 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
     """The unitary on the data wires, with ancillas going |0> -> |0>.
 
     Dense batched evaluation when the whole circuit fits in
-    ``MAX_UNITARY_QUBITS``; otherwise one sparse run of the Choi state
+    ``MAX_UNITARY_QUBITS``; otherwise sparse runs of the Choi state
     sum_x |x>|0>|x>, whose extra reference register labels each column with
     its input, for any width as long as there are at most
     ``MAX_UNITARY_QUBITS`` data wires.  The columns run in batches of

@@ -112,7 +112,7 @@ class TestStats:
         code, out, _ = run_cli(capsys, "stats", str(path), "--json")
         assert code == 0
         payload = json.loads(out)
-        assert (payload["size"], payload["depth"]) == (54_772, 2_415)
+        assert (payload["size"], payload["depth"]) == (24_626, 734)
 
     def test_json_payload_is_frozen(self, qft3_path, capsys):
         code, out, _ = run_cli(capsys, "stats", qft3_path, "--json")

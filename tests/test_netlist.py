@@ -6,14 +6,14 @@ from qftkit.circuit import Circuit, CircuitBuilder, dyadic
 from qftkit.errors import NetlistError
 from qftkit.netlist import decode, encode
 from qftkit.qft_pow2 import QftPlan, banded_qft, copy_fourier, logdepth_qft, split_qft, standard_qft
-from qftkit.revarith import build_prefix_add, build_telescoping_subtract
+from qftkit.revarith import build_multiplier, build_prefix_add, build_telescoping_subtract
 from qftkit.shor import build_order_circuit
 
 # first 16 hex digits of sha256(encode(circuit)), pinned so the codec stays byte-identical
 PINNED_NETLISTS = [
     pytest.param(lambda: standard_qft(5), "270ac160f4e615ef", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "b6767a9134503abd", id="banded_qft(6,2)"),
-    pytest.param(lambda: split_qft(6), "71b9849b2ca0e79e", id="split_qft(6)"),
+    pytest.param(lambda: split_qft(6), "6fd7621daea85ced", id="split_qft(6)"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "5b16c836411b1621", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "e141bdd58a820f34", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "146902307ca3ff90", id="order_circuit(15,7)"),
@@ -23,17 +23,21 @@ PINNED_NETLISTS = [
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 8, k=32)).circuit, "bef11b04fc7762ba", id="logdepth(8,32)"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 16, k=48)).circuit, "bcaf21bb9ab58591", id="logdepth(16,48)"),
     pytest.param(lambda: build_prefix_add(8, 16), "dd8748af58f82bba", id="prefix_add(8,16)"),
+    pytest.param(lambda: build_multiplier(3, 4, 7), "cf9aa6bbcf689828", id="multiplier(3,4,7)"),
+    pytest.param(lambda: build_multiplier(8, 8, 16), "8549fb6a7a9a0980", id="multiplier(8,8,16)"),
 ]
 
 # the same digest of encode(circuit.inverse()), for each pinned circuit without a measurement
 PINNED_INVERSES = [
     pytest.param(lambda: standard_qft(5), "758eed6a11874469", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "b16d905a93632a01", id="banded_qft(6,2)"),
-    pytest.param(lambda: split_qft(6), "bef7b2ff4a4e89da", id="split_qft(6)"),
+    pytest.param(lambda: split_qft(6), "39efe1d5d8f862fe", id="split_qft(6)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "636ebfe1109ec8e4", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "a443d1c918937f29", id="order_circuit(15,7)"),
     pytest.param(lambda: copy_fourier(3, 3), "d651c51364283533", id="copy_fourier(3,3)"),
     pytest.param(lambda: build_prefix_add(8, 16), "dd60f4d9d4ca1662", id="prefix_add(8,16)"),
+    pytest.param(lambda: build_multiplier(3, 4, 7), "cdb5ef98e2efaee8", id="multiplier(3,4,7)"),
+    pytest.param(lambda: build_multiplier(8, 8, 16), "c9570b05448fbbc8", id="multiplier(8,8,16)"),
 ]
 
 # the same digest over each layer's lines sorted: pins which gates share a layer
@@ -41,7 +45,7 @@ PINNED_INVERSES = [
 PINNED_LAYER_SETS = [
     pytest.param(lambda: standard_qft(5), "981475492fbf47fe", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "eec0806346172c2e", id="banded_qft(6,2)"),
-    pytest.param(lambda: split_qft(6), "c962b022d5f1233d", id="split_qft(6)"),
+    pytest.param(lambda: split_qft(6), "70b9d974bc75bcf0", id="split_qft(6)"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "bf0cd67d3182ad20", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "7a09d057c2da75dd", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "65c1ba7c54e842f8", id="order_circuit(15,7)"),

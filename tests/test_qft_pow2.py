@@ -76,20 +76,39 @@ class TestSplit:
         u = extract_unitary(split_qft(n))[bit_reversed_indices(n), :]
         assert np.linalg.norm(u - dft_reference(1 << n), 2) < 1e-10
 
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_sparse_columns_match_past_the_unitary_sizes(self, n, rng):
+        # inputs 0, 1, 2^n - 1 and one drawn; every amplitude within 1e-10 of
+        # the bit-reversed DFT column, and no amplitude on a set ancilla
+        dim = 1 << n
+        rev = bit_reversed_indices(n)
+        y = np.arange(dim)
+        c = split_qft(n)
+        for x in (0, 1, dim - 1, int(rng.integers(dim))):
+            amps = run_sparse(c, x=x).amplitudes
+            assert max(amps) < dim
+            out = np.zeros(dim, dtype=complex)
+            out[list(amps)] = list(amps.values())
+            column = np.exp(2j * np.pi * (x * y % dim) / dim) / np.sqrt(dim)
+            assert np.max(np.abs(out[rev] - column)) < 1e-10
+
     @pytest.mark.parametrize("n", range(1, 4))
     def test_base_case_is_the_standard_ladder(self, n):
         # below four wires the recursion emits _ladder_layers' gates, in its order
         assert split_qft(n) == standard_qft(n)
 
     def test_uses_fanout_arithmetic(self):
+        # the cross phase sits on Toffoli outputs: the only CPs are the two
+        # 2-wire base ladders' at n = 4
         hist = split_qft(4).gate_histogram()
-        assert "ccx" in hist and "cnot" in hist
+        assert "ccx" in hist
+        assert hist["cp"] == 2
 
     def test_width_cap(self):
         # the top level's last phase is 2^-n turns, as in the ladder
         c = split_qft(64)
-        assert c.size == 54_772
-        assert c.metadata["step2_size"] == 29_724
+        assert c.size == 24_626
+        assert c.metadata["step2_size"] == 13_998
         assert c.size == 2 * split_qft(32).size + c.metadata["step2_size"]
         with pytest.raises(CapacityError, match=r"2\^-64 angle limit"):
             split_qft(65)

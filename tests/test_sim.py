@@ -381,6 +381,27 @@ class TestStateConventions:
         with pytest.raises(SimulationError):
             run_sparse(b.build(), initial=initial)
 
+    def test_every_simulator_refuses_a_non_integer_input(self):
+        # an int() on the way in would run 1.5 as 1 and an initial key 0.5 as 0
+        b = CircuitBuilder(2)
+        b.cnot(0, 1)
+        c = b.build()
+        runs = [
+            lambda v: run_dense(c, v),
+            lambda v: run_sparse(c, v),
+            lambda v: run_classical_bits(c, v),
+            lambda v: run_sparse(c, initial={v: 1.0}),
+        ]
+        for run in runs:
+            for bad in (1.0, 1.5, 0.5):
+                with pytest.raises(TypeError, match="integer"):
+                    run(bad)
+        # numpy integers and bools are integers
+        assert set(run_sparse(c, initial={np.int64(1): 1.0}).amplitudes) == {3}
+        assert set(run_sparse(c, np.uint8(1)).amplitudes) == {3}
+        assert run_classical_bits(c, True) == 3
+        np.testing.assert_array_equal(run_dense(c, np.int32(1)).state, np.eye(4)[3])
+
     @pytest.mark.parametrize("initial", [{0: 0.1}, {0: 2.0}], ids=["norm-0.01", "norm-4"])
     def test_unnormalised_initial_state_is_refused(self, initial):
         # measurement draws read branch probabilities as given, so a state off
