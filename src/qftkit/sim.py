@@ -10,30 +10,39 @@ rotate back) and seeds the default generator.  It drives two state types
 through the same kernels (``h``, ``phase``, ``flip``, ``collapse``), and
 calls ``settle_all`` once after the last gate:
 
-* ``_DenseState`` is a tensor with one axis of length 2 per wire; axes past
-  the wires (a batch of columns in ``extract_unitary``) ride along.  It
-  knows which wires are definite, holding one bit in every column: a basis
-  input makes every wire definite.  Every kernel acts only on the live
-  block, the view that fixes each definite wire at its bit; the other slot
-  of a definite wire holds zeros, and no held phase term involves a
-  definite 0.  A Hadamard on a definite wire copies the live block into
-  the empty slot and a collapse leaves its wire definite, so a wire that
-  still holds its input costs no pass over the state; a flip makes its
-  wires vary, which the zeros allow at no cost.  ``phase`` only adds the
-  gate's exact angle to a per-wire table of held terms (or drops it on a
-  definite 0).  A Hadamard on a varying wire folds its terms into a
-  three-pass butterfly through a prefix of one preallocated half state,
-  and every Hadamard counts its 1/sqrt(2) instead of applying it; a flip
-  on the wire as target or a collapse applies the terms in one broadcast
-  multiply, and ``settle_all`` applies what is still held.
+* ``_DenseState`` is a tensor with one axis of length 2 per wire; axes in
+  front of the wires (``extract_unitary``'s input axes, one per data bit)
+  ride along.  It knows which wires are definite, holding one bit in every
+  column: a basis input makes every wire definite, and ``extract_unitary``
+  starts its ancillas definite at 0.  It also knows which data wires are
+  tied, still holding their column's input bit: a tied wire's input axis
+  is held at 0 and its own axis carries the bit.  Every kernel acts only
+  on the live block, the view that fixes each definite wire at its bit and
+  each tied wire's input axis at 0; the other slots hold zeros, and no
+  held phase term involves a definite 0.  A Hadamard on a definite wire
+  copies the live block into the empty slot and a collapse leaves its wire
+  definite, so a wire that still holds its input costs no pass over the
+  state; a flip makes its wires vary, which the zeros allow at no cost.
+  The first Hadamard or flip target on a tied wire unties it with one copy
+  into its input slot 1, so a batch of columns grows its live block one
+  input bit at a time.  ``phase`` only adds the gate's exact angle to a
+  per-wire table of held terms (or drops it on a definite 0).  A Hadamard
+  on a varying wire folds its terms into a three-pass butterfly through a
+  prefix of one preallocated half state, and every Hadamard counts its
+  1/sqrt(2) instead of applying it; a flip on the wire as target or a
+  collapse applies the terms in one broadcast multiply, and ``settle_all``
+  applies what is still held.
 * ``_SparseState`` keeps the nonzero amplitudes in arrays: a boolean bit
   matrix with one row per wire and one column per amplitude, beside a
   complex amplitude vector.  A flip XORs one row with the AND of its control
   rows, a phase is a masked multiply, a measurement filters columns, and a
-  Hadamard emits each column twice and merges equal columns.  The support
-  can only double at a Hadamard, so circuits that are wide but
-  classically-branching-poor (reversible arithmetic with a few H wires) run
-  in time proportional to their true branching.
+  Hadamard emits each column twice and merges equal columns.  It skips the
+  merge when no column can have a partner: its wire is constant, or it
+  still equals its twin, the row of ``extract_unitary``'s Choi state that
+  holds the wire's input.  The support can only double at a Hadamard, so
+  circuits that are wide but classically-branching-poor (reversible
+  arithmetic with a few H wires) run in time proportional to their true
+  branching.
 
 Flip-only circuits (X, CNOT, Toffoli) also run on ``run_classical_batch``,
 which holds the same bit matrix with one column per input, plus a row held
@@ -126,10 +135,12 @@ def _turn_phase(turns: int) -> complex:
 
 
 class _DenseState:
-    """Amplitudes as a tensor ``psi`` with wire ``w`` on axis ``nq - 1 - w``.
+    """Amplitudes as a tensor ``psi`` with wire ``w`` on axis ``psi.ndim - 1 - w``.
 
-    Axes past the first ``nq`` are left alone, so a trailing batch axis of
-    columns is carried through every kernel.
+    Axes in front of the ``nq`` wires are left alone, so a leading batch of
+    columns is carried through every kernel; ``extract_unitary`` puts one
+    input axis there per data bit, the one for data wire ``i`` on the axis
+    that a wire ``nq + i`` would have.
 
     ``bits`` maps each definite wire, one that holds the same bit in every
     column, to that bit.  The live block is the view of ``psi`` that fixes
@@ -140,6 +151,14 @@ class _DenseState:
     the empty slot (negating the old one for a 1), after which the wire
     varies, and a collapse leaves its wire definite.  A flip makes every
     wire it touches vary and then swaps on the live block as usual.
+
+    A key ``nq + i`` in ``bits`` ties data wire ``i``: the wire still holds
+    its column's input bit, so its input axis is held at 0 like a definite
+    wire and the wire's own axis carries that bit.  To phases and controls a
+    tied wire is a varying one.  The first Hadamard or flip target on it,
+    or ``settle_all``, unties it by moving the live block's wire-1 slice
+    into input slot 1.  ``collapse`` never meets a tie, since
+    ``extract_unitary`` refuses measuring circuits.
 
     Phase gates are held, not applied: ``pending[w]`` maps a wire to the
     summed angle, as an integer mod 2**64, of the terms on ``w``.  ``P(w)``
@@ -172,7 +191,7 @@ class _DenseState:
         """
         idx: list = [slice(None)] * self.psi.ndim
         for w, bit in fixed:
-            idx[self.nq - 1 - w] = bit
+            idx[self.psi.ndim - 1 - w] = bit
         return (*idx, ...)
 
     def _live(self, *fixed: tuple[int, int]) -> np.ndarray:
@@ -204,9 +223,9 @@ class _DenseState:
                 table *= _turn_phase(terms[b])
             else:
                 table = np.concatenate((table, table * _turn_phase(terms[b])))
-                shape[self.nq - 1 - b] = 2
+                shape[self.psi.ndim - 1 - b] = 2
             del self.pending[b][w]
-        fixed = {self.nq - 1 - v for v in (*self.bits, w)}
+        fixed = {self.psi.ndim - 1 - v for v in (*self.bits, w)}
         return table.reshape([s for axis, s in enumerate(shape) if axis not in fixed])
 
     def _scale(self, factor: float) -> None:
@@ -220,14 +239,23 @@ class _DenseState:
             ones = self._live((w, 1))
             ones *= table
 
+    def _untie(self, w: int) -> None:
+        """If ``w`` is tied, move its input-1 columns into input slot 1 and zero where they were."""
+        if self.bits.pop(self.nq + w, None) is not None:
+            ones = self._live((self.nq + w, 0), (w, 1))
+            np.copyto(self._live((self.nq + w, 1), (w, 1)), ones)
+            ones.fill(0.0)
+
     def settle_all(self) -> None:
         for w in range(self.nq):
+            self._untie(w)
             self.settle(w)
         if self.halvings:
             self._scale(2.0 ** (-self.halvings / 2))
             self.halvings = 0
 
     def h(self, w: int) -> None:
+        self._untie(w)
         table = self._table(w)
         bit = self.bits.pop(w, None)
         if bit is None:
@@ -264,6 +292,7 @@ class _DenseState:
         for w in wires:  # the zeros in a definite wire's other slot let it vary as it is
             self.bits.pop(w, None)
         *controls, t = wires
+        self._untie(t)
         self.settle(t)
         on = [(c, 1) for c in controls]
         lo, hi = self._live(*on, (t, 0)), self._live(*on, (t, 1))
@@ -316,13 +345,16 @@ class _SparseState:
     reads ``bits[w, j]``, with amplitude ``amps[j]``.  No two columns are equal.
 
     Rows past the circuit's width are carried along untouched, so a reference
-    register can label each column with the input it came from.
+    register can label each column with the input it came from.  ``twins``
+    maps a wire to the reference row it still equals in every column; a flip
+    with that wire as target or a Hadamard on it ends the twin.
     """
 
     def __init__(self, keys: list[int], amps, num_rows: int):
         self.bits = np.ascontiguousarray(_bit_rows(keys, num_rows), dtype=bool)
         self.amps = np.array(amps, dtype=np.complex128)
         self.pruned_mass = 0.0
+        self.twins: dict[int, int] = {}
 
     def _all_set(self, wires) -> np.ndarray:
         bits = self.bits
@@ -332,9 +364,15 @@ class _SparseState:
         return mask
 
     def h(self, w: int) -> None:
-        """Pair each column with its partner across wire ``w`` and emit both sums."""
+        """Pair each column with its partner across wire ``w`` and emit both sums.
+
+        No column has a partner when wire ``w`` reads the same in every
+        column or still equals its twin row; each column is then emitted
+        twice as it stands, with no sort and no sums.
+        """
         bits, amps = self.bits, self.amps
-        if bits[w].any() and not bits[w].all():
+        half = amps * _SQRT_HALF
+        if self.twins.pop(w, None) is None and bits[w].any() and not bits[w].all():
             rows = np.flatnonzero(bits.any(axis=1) & ~bits.all(axis=1))
             keys = _pack(bits[rows[rows != w]])
             order = np.lexsort(keys)
@@ -344,22 +382,26 @@ class _SparseState:
             group = np.empty(order.size, dtype=np.intp)
             group[order] = np.cumsum(first) - 1
             rep = order[first]
-        else:  # wire w is the same in every column, so no column has a partner
-            group = rep = np.arange(amps.size)
-        n_groups = rep.size
-        half = amps * _SQRT_HALF
-        out = np.empty(2 * n_groups, dtype=np.complex128)
-        for lo, contrib in ((0, half), (n_groups, np.where(bits[w], -half, half))):
-            out.real[lo : lo + n_groups] = np.bincount(group, contrib.real, n_groups)
-            out.imag[lo : lo + n_groups] = np.bincount(group, contrib.imag, n_groups)
+            n_groups = rep.size
+            out = np.empty(2 * n_groups, dtype=np.complex128)
+            for lo, contrib in ((0, half), (n_groups, np.where(bits[w], -half, half))):
+                out.real[lo : lo + n_groups] = np.bincount(group, contrib.real, n_groups)
+                out.imag[lo : lo + n_groups] = np.bincount(group, contrib.imag, n_groups)
+            bits = np.take(bits, np.concatenate((rep, rep)), axis=1)
+        else:  # wire w is constant or equals its twin, so no column has a partner
+            n_groups = amps.size
+            out = np.concatenate((half, np.where(bits[w], -half, half)))
+            bits = np.concatenate((bits, bits), axis=1)
+        bits[w, :n_groups] = False
+        bits[w, n_groups:] = True
         magnitude = np.abs(out)
         keep = magnitude > _PRUNE
-        self.pruned_mass += float(np.sum(magnitude[~keep] ** 2))
-        self.bits = np.take(bits, np.concatenate((rep, rep))[keep], axis=1)
-        self.bits[w] = (np.arange(2 * n_groups) >= n_groups)[keep]
-        self.amps = out[keep]
-        if self.amps.size > SPARSE_SUPPORT_CAP:
-            raise CapacityError(f"sparse support {self.amps.size} exceeds cap {SPARSE_SUPPORT_CAP}")
+        if not keep.all():
+            self.pruned_mass += float(np.sum(magnitude[~keep] ** 2))
+            bits, out = bits[:, keep], out[keep]
+        self.bits, self.amps = bits, out
+        if out.size > SPARSE_SUPPORT_CAP:
+            raise CapacityError(f"sparse support {out.size} exceeds cap {SPARSE_SUPPORT_CAP}")
 
     def collapse(self, w: int, rng: np.random.Generator) -> int:
         mask = self.bits[w]
@@ -373,6 +415,7 @@ class _SparseState:
         np.multiply(self.amps, theta.phase(), out=self.amps, where=self._all_set(wires))
 
     def flip(self, wires) -> None:
+        self.twins.pop(wires[-1], None)
         target = self.bits[wires[-1]]
         if len(wires) > 1:
             target ^= self._all_set(wires[:-1])
@@ -538,9 +581,14 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
     """The unitary on the data wires, with ancillas going |0> -> |0>.
 
     Dense batched evaluation when the whole circuit fits in
-    ``MAX_UNITARY_QUBITS``; otherwise sparse runs of the Choi state
+    ``MAX_UNITARY_QUBITS``: one input axis per data bit sits in front of the
+    wires, each data wire starts tied to its input axis and each ancilla
+    definite at 0, so the live block doubles only when a data wire first
+    leaves its input.  This path returns a Fortran-ordered array, each
+    column contiguous.  Otherwise sparse runs of the Choi state
     sum_x |x>|0>|x>, whose extra reference register labels each column with
-    its input, for any width as long as there are at most
+    its input and is each data wire's twin until the wire is flipped or
+    Hadamarded, for any width as long as there are at most
     ``MAX_UNITARY_QUBITS`` data wires.  The columns run in batches of
     ``SPARSE_SUPPORT_CAP >> n_qubits``, and each batch's support is held to
     ``SPARSE_SUPPORT_CAP``.  Any amplitude left on a nonzero ancilla pattern
@@ -557,13 +605,17 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
     nq = circuit.width
     dim = 1 << n_data
     if nq <= MAX_UNITARY_QUBITS:
-        matrix = np.zeros((1 << nq, dim), dtype=np.complex128)
-        matrix[np.arange(dim), np.arange(dim)] = 1.0
-        _evolve(_DenseState(matrix.reshape([2] * nq + [dim]), nq), circuit, None)
+        # one input axis per data bit in front of the wires, so column x is input
+        # slot x; keys n_data..nq-1 hold the ancillas definite at 0 and keys nq..
+        # tie each data wire to its input, so column x starts at entry x of slot 0
+        tensor = np.zeros([2] * (n_data + nq), dtype=np.complex128)
+        tensor.reshape(dim, 1 << nq)[0, :dim] = 1.0
+        _evolve(_DenseState(tensor, nq, dict.fromkeys(range(n_data, nq + n_data), 0)), circuit, None)
+        matrix = tensor.reshape(dim, 1 << nq).T
         if nq == n_data:
             unitary, leak = matrix, 0.0
         else:  # a copy, so the ancilla rows can be freed
-            unitary = matrix[:dim, :].copy()
+            unitary = matrix[:dim, :].copy(order="F")
             leak = float(np.max(np.sum(np.abs(matrix[dim:, :]) ** 2, axis=0)))
     elif n_data <= MAX_UNITARY_QUBITS:
         # reference rows past the circuit's width hold each column's input x
@@ -573,6 +625,7 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
         for start in range(0, dim, batch):
             xs = range(start, min(dim, start + batch))
             state = _SparseState([x | x << nq for x in xs], np.ones(len(xs)), nq + n_data)
+            state.twins = {w: nq + w for w in range(n_data)}
             _evolve(state, circuit, None)
             y = _pack(state.bits[:n_data])[0].astype(np.intp)
             x = _pack(state.bits[nq:])[0].astype(np.intp)

@@ -607,6 +607,37 @@ class TestExtractUnitary:
         want = np.stack([reference_run(circuit, x, None)[0][:16] for x in range(16)], axis=1)
         assert np.max(np.abs(extract_unitary(circuit) - want)) < 1e-12
 
+    def test_a_flip_ends_a_twin_on_the_wide_path(self):
+        # each CNOT flips wire 1, which then no longer equals its reference row, so
+        # the H on wire 1 must pair the columns that the flips brought together
+        gates = [H(0), CNOT(0, 1), H(0), CNOT(0, 1), H(1)]
+        padded = Circuit.from_gates(gates, 2, n_ancilla=11)
+        assert padded.width > MAX_UNITARY_QUBITS
+        want = extract_unitary(Circuit.from_gates(gates, 2))
+        assert np.max(np.abs(extract_unitary(padded) - want)) < 1e-12
+
+    def test_tied_wires_match_per_column_dense_runs(self):
+        # wire 1 is a flip target before its H, wires 0 and 2 control a CNOT and a
+        # Toffoli while tied, P and CP act on tied wires, wire 3 is still tied at the
+        # end with held terms, and wire 4 is never touched; a flip that kept its
+        # target tied would return a unitary but wrong matrix
+        b = CircuitBuilder(5)
+        (a,) = b.new_ancillas(1)
+        b.p(2, dyadic(1, 3))
+        b.cp(0, 3, dyadic(3, 4))
+        b.cnot(0, 1)
+        b.toffoli(0, 2, a)
+        b.cp(a, 3, dyadic(1, 2))
+        b.toffoli(0, 2, a)
+        b.h(1)
+        b.cp(1, 2, dyadic(5, 4))
+        b.h(2)
+        b.h(0)
+        circuit = b.build()
+        assert circuit.width <= MAX_UNITARY_QUBITS
+        want = np.stack([run_dense(circuit, x).state[:32] for x in range(32)], axis=1)
+        assert np.max(np.abs(extract_unitary(circuit) - want)) < 1e-12
+
     def test_wide_path_refuses_a_dirty_ancilla(self):
         b = CircuitBuilder(4)
         ancillas = b.new_ancillas(9)
