@@ -38,10 +38,11 @@ class DyadicAngle:
         if not 0 <= ld <= MAX_LOG_DENOMINATOR:
             raise StructuralError(f"log_denominator {ld} out of range 0..{MAX_LOG_DENOMINATOR}")
         num = self.numerator % (1 << ld)
-        while num and num % 2 == 0:
-            num //= 2
-            ld -= 1
-        if num == 0:
+        if num:
+            tz = (num & -num).bit_length() - 1  # trailing zero bits
+            num >>= tz
+            ld -= tz
+        else:
             ld = 0
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "log_denominator", ld)

@@ -23,15 +23,17 @@ calls ``settle_all`` once after the last gate:
   copies the live block into the empty slot and a collapse leaves its wire
   definite, so a wire that still holds its input costs no pass over the
   state; a flip makes its wires vary, which the zeros allow at no cost.
-  The first Hadamard or flip target on a tied wire unties it with one copy
-  into its input slot 1, so a batch of columns grows its live block one
-  input bit at a time.  ``phase`` only adds the gate's exact angle to a
-  per-wire table of held terms (or drops it on a definite 0).  A Hadamard
-  on a varying wire folds its terms into a three-pass butterfly through a
-  prefix of one preallocated half state, and every Hadamard counts its
-  1/sqrt(2) instead of applying it; a flip on the wire as target or a
-  collapse applies the terms in one broadcast multiply, and ``settle_all``
-  applies what is still held.
+  A Hadamard on a tied wire writes its input slot 1 straight from the live
+  block and copies the wire's 0 slice over its 1 slice, with no butterfly
+  over the empty slot; a flip target on a tied wire, or ``settle_all``,
+  unties it with one copy into its input slot 1.  Either way a batch of
+  columns grows its live block one input bit at a time.  ``phase`` only
+  adds the gate's exact angle to a per-wire table of held terms (or drops
+  it on a definite 0).  A Hadamard on a varying wire folds its terms into
+  a three-pass butterfly through a prefix of one preallocated half state,
+  and every Hadamard counts its 1/sqrt(2) instead of applying it; a flip
+  on the wire as target or a collapse applies the terms in one broadcast
+  multiply, and ``settle_all`` applies what is still held.
 * ``_SparseState`` keeps the nonzero amplitudes in arrays: a boolean bit
   matrix with one row per wire and one column per amplitude, beside a
   complex amplitude vector.  A flip XORs one row with the AND of its control
@@ -155,10 +157,13 @@ class _DenseState:
     A key ``nq + i`` in ``bits`` ties data wire ``i``: the wire still holds
     its column's input bit, so its input axis is held at 0 like a definite
     wire and the wire's own axis carries that bit.  To phases and controls a
-    tied wire is a varying one.  The first Hadamard or flip target on it,
-    or ``settle_all``, unties it by moving the live block's wire-1 slice
-    into input slot 1.  ``collapse`` never meets a tie, since
-    ``extract_unitary`` refuses measuring circuits.
+    tied wire is a varying one.  A Hadamard on it ends the tie in one pass:
+    with ``A`` and ``B`` the live block's wire-0 and wire-1 slices and ``T``
+    the held table, it writes ``B T`` and ``-B T`` into input slot 1 and
+    copies ``A`` over ``B``.  A flip target on it, or ``settle_all``, unties
+    it by moving the live block's wire-1 slice into input slot 1.
+    ``collapse`` never meets a tie, since ``extract_unitary`` refuses
+    measuring circuits.
 
     Phase gates are held, not applied: ``pending[w]`` maps a wire to the
     summed angle, as an integer mod 2**64, of the terms on ``w``.  ``P(w)``
@@ -211,18 +216,27 @@ class _DenseState:
             terms.pop(partner, None)
 
     def _table(self, w: int) -> np.ndarray | None:
-        """Pop every held term on ``w``; the factor for its live ``w = 1`` slice, or ``None``."""
+        """Pop every held term on ``w``; the factor for its live ``w = 1`` slice, or ``None``.
+
+        The table is allocated at its final size and doubled in place, once
+        per varying partner.
+        """
         terms = self.pending[w]
         if not terms:
             return None
         self.pending[w] = {}
-        table = np.array([_turn_phase(terms.pop(w, 0))])
+        own = _turn_phase(terms.pop(w, 0))
+        table = np.empty(1 << sum(b not in self.bits for b in terms), dtype=np.complex128)
+        table[0] = own
+        k = 1  # entries filled so far
         shape = [1] * self.psi.ndim
         for b in sorted(terms):  # the fastest axis first, each varying partner a new slower one
+            q = _turn_phase(terms[b])
             if b in self.bits:
-                table *= _turn_phase(terms[b])
+                table[:k] *= q
             else:
-                table = np.concatenate((table, table * _turn_phase(terms[b])))
+                np.multiply(table[:k], q, out=table[k : 2 * k])
+                k *= 2
                 shape[self.psi.ndim - 1 - b] = 2
             del self.pending[b][w]
         fixed = {self.psi.ndim - 1 - v for v in (*self.bits, w)}
@@ -255,10 +269,20 @@ class _DenseState:
             self.halvings = 0
 
     def h(self, w: int) -> None:
-        self._untie(w)
         table = self._table(w)
+        tie = self.nq + w
         bit = self.bits.pop(w, None)
-        if bit is None:
+        if tie in self.bits:  # input slot 0 holds A at w = 0 and B at w = 1; slot 1 is empty
+            a, b = self._live((w, 0)), self._live((w, 1))
+            lo, hi = self._live((tie, 1), (w, 0)), self._live((tie, 1), (w, 1))
+            if table is None:
+                np.copyto(lo, b)
+            else:
+                np.multiply(b, table, out=lo)
+            np.negative(lo, out=hi)
+            np.copyto(b, a)
+            del self.bits[tie]
+        elif bit is None:
             a, b = self._live((w, 0)), self._live((w, 1))
             t = self._buffer(a.shape)
             if table is None:
@@ -326,6 +350,8 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 def _keys(bits: np.ndarray) -> list[int]:
     """The column keys of a bit matrix as ints: column ``j``'s row ``i`` is bit ``i`` of key ``j``."""
     words = _pack(bits)
+    if len(words) == 1:
+        return words[0].tolist()
     keys = words[0].astype(object)
     for j in range(1, len(words)):
         if words[j].any():

@@ -59,6 +59,27 @@ class TestDyadicAngle:
         expected = complex(math.cos(math.tau * float(a)), math.sin(math.tau * float(a)))
         assert a.phase() == pytest.approx(expected)
 
+    @staticmethod
+    def halved(num: int, ld: int) -> tuple[int, int]:
+        """The reduction by repeated halving: the reference for the one bit operation."""
+        num %= 1 << ld
+        while num and num % 2 == 0:
+            num //= 2
+            ld -= 1
+        return (num, ld) if num else (0, 0)
+
+    @given(
+        st.one_of(
+            st.integers(2**64 - 2**16, 2**64 + 2**16),
+            st.integers(-(2**65), 2**65),
+            st.tuples(st.integers(-(2**64), 2**64), st.integers(0, 70)).map(lambda t: t[0] << t[1]),
+        ),
+        st.integers(0, MAX_LOG_DENOMINATOR),
+    )
+    def test_reduction_matches_repeated_halving(self, num, ld):
+        a = DyadicAngle(num, ld)
+        assert (a.numerator, a.log_denominator) == self.halved(num, ld)
+
 
 class TestBuilderAndLayers:
     def test_asap_packs_disjoint_gates(self):

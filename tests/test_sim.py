@@ -433,6 +433,70 @@ class TestStateConventions:
             assert abs(amp - 2**-0.5) < 1e-12
 
 
+class TestKeys:
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 128, 129])
+    def test_keys_match_a_per_column_sum(self, rows):
+        bits = np.random.default_rng(rows).random((rows, 40)) < 0.5
+        bits[:, 0] = False
+        bits[:, 1] = True
+        want = [sum(int(bits[i, j]) << i for i in range(rows)) for j in range(bits.shape[1])]
+        got = sim._keys(bits)
+        assert got == want
+        assert all(type(k) is int for k in got)
+
+
+class TestPhaseTable:
+    """``_table`` fills one preallocated table in place, equal to the doubling by concatenation."""
+
+    @staticmethod
+    def concatenated(state: sim._DenseState, w: int) -> np.ndarray:
+        terms = dict(state.pending[w])
+        table = np.array([sim._turn_phase(terms.pop(w, 0))])
+        shape = [1] * state.psi.ndim
+        for b in sorted(terms):
+            if b in state.bits:
+                table *= sim._turn_phase(terms[b])
+            else:
+                table = np.concatenate((table, table * sim._turn_phase(terms[b])))
+                shape[state.psi.ndim - 1 - b] = 2
+        fixed = {state.psi.ndim - 1 - v for v in (*state.bits, w)}
+        return table.reshape([s for axis, s in enumerate(shape) if axis not in fixed])
+
+    @staticmethod
+    def state(nq: int, ones: list[int]) -> sim._DenseState:
+        return sim._DenseState(np.zeros([2] * nq, dtype=np.complex128), nq, dict.fromkeys(ones, 1))
+
+    def assert_bitwise_equal(self, state: sim._DenseState, w: int) -> None:
+        want = self.concatenated(state, w)
+        got = state._table(w)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not state.pending[w] and all(w not in terms for terms in state.pending)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mixed_partners_match_the_concatenation(self, seed):
+        rng = np.random.default_rng(seed)
+        nq = 8
+        ones = [int(v) for v in rng.choice(nq, size=int(rng.integers(0, 4)), replace=False)]
+        state = self.state(nq, ones)
+        w = int(rng.integers(0, nq))
+        for _ in range(int(rng.integers(1, 12))):
+            theta = dyadic(int(rng.integers(1, 1 << 62)), int(rng.choice([3, 30, 64])))
+            partner = int(rng.integers(0, nq))
+            state.phase((w, partner) if partner != w else (w,), theta)
+        self.assert_bitwise_equal(state, w)
+
+    @pytest.mark.parametrize(
+        "wires", [[(0,)], [(0, 1)], [(0, 2)], [(0,), (0, 1)], [(0,), (0, 2)]], ids=str
+    )
+    def test_no_partner_and_one_partner(self, wires):
+        # wire 1 varies and wire 2 is definite at 1
+        state = self.state(3, [2])
+        for i, ws in enumerate(wires):
+            state.phase(ws, dyadic(2 * i + 3, 7))
+        self.assert_bitwise_equal(state, 0)
+
+
 class TestPrunedMass:
     def test_exact_transform_prunes_nothing(self):
         for x in (0, 5, 255):
@@ -636,6 +700,27 @@ class TestExtractUnitary:
         circuit = b.build()
         assert circuit.width <= MAX_UNITARY_QUBITS
         want = np.stack([run_dense(circuit, x).state[:32] for x in range(32)], axis=1)
+        assert np.max(np.abs(extract_unitary(circuit) - want)) < 1e-12
+
+    def test_a_hadamard_on_a_tied_wire_applies_its_held_terms(self):
+        # wire 0 is still tied at its H and holds its own P and three CP terms: with
+        # the ancilla flipped to 1, with wire 1 (still tied) and with wire 2 (varying
+        # since its own tied H, which holds no terms)
+        b = CircuitBuilder(4)
+        (a,) = b.new_ancillas(1)
+        b.h(2)
+        b.x(a)
+        b.p(0, dyadic(3, 5))
+        b.cp(0, a, dyadic(1, 3))
+        b.cp(0, 1, dyadic(7, 4))
+        b.cp(2, 0, dyadic(5, 6))
+        b.h(0)
+        b.x(a)
+        b.cp(1, 3, dyadic(1, 2))
+        b.h(1)
+        circuit = b.build()
+        assert circuit.width <= MAX_UNITARY_QUBITS
+        want = np.stack([run_dense(circuit, x).state[:16] for x in range(16)], axis=1)
         assert np.max(np.abs(extract_unitary(circuit) - want)) < 1e-12
 
     def test_wide_path_refuses_a_dirty_ancilla(self):
