@@ -202,10 +202,11 @@ MEASURE_BASES = ("x", "y", "z")
 
 @dataclass(frozen=True, slots=True)
 class MeasureBasis(Gate):
-    """Destructive single-qubit measurement in the x, y, or z basis.
+    """Projective single-qubit measurement in the x, y, or z basis.
 
     The outcome bit lands on classical wire ``out``; the qubit collapses to
-    the observed basis state (expressed back in the computational basis).
+    the observed basis state (expressed back in the computational basis),
+    and later gates act on it there.
     """
 
     target: int
@@ -397,7 +398,7 @@ class Circuit:
 
     @cached_property
     def flip_layers(self) -> tuple[np.ndarray, ...]:
-        """Each layer as an int32 array of rows ``(a, b, t)``: gate ``j`` XORs ``a[j] AND b[j]`` into ``t[j]``.
+        """Each layer as an ``np.intp`` array of rows ``(a, b, t)``: gate ``j`` XORs ``a[j] AND b[j]`` into ``t[j]``.
 
         Row ``width`` stands for a wire held at 1, which pads X and CNOT up to
         the Toffoli form.  Compiled on first use and kept with the circuit;
@@ -413,7 +414,7 @@ class Circuit:
                 if pad is None:
                     raise SimulationError(f"not a classical gate: {g!r}")
                 flat.extend(pad + g.qubits())
-            compiled.append(np.array(flat, dtype=np.int32).reshape(-1, 3).T)
+            compiled.append(np.array(flat, dtype=np.intp).reshape(-1, 3).T)
         return tuple(compiled)
 
     # structure

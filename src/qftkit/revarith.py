@@ -382,21 +382,22 @@ def build_multiplier(nx: int, ny: int, n_out: int) -> Circuit:
 def _emit_modmul_garbage(
     b: CircuitBuilder, us: Sequence[BitRef], vs: Sequence[BitRef], modulus: int
 ) -> list[BitRef]:
-    """References to (u*v) mod modulus, leaving garbage for the caller.
+    """References to (u*v) mod modulus, given u, v < modulus, leaving garbage for the caller.
 
     T = u*v is the Wallace tree's two rows summed by one carry network.
-    Reduction is by conditional subtraction: at step j one carry network
-    adds comp = 2^W - N*2^j to the W tracked bits of T, both padded with
-    one ZERO position so that the carry into it, carries[W], is the carry
-    out: the flag 'T >= N*2^j'.  Bit i of T - flag*N*2^j is
-    T_i XOR (flag AND (comp_i XOR c_i)), since the sum differs from T
-    exactly there.  The tracked width shrinks by one bit per step, and the
+    Reduction is by nb conditional subtractions, j = nb - 1 down to 0;
+    since T <= (N - 1)^2 < N*2^nb, T < N*2^(j+1) before step j.  At step j
+    one carry network adds comp = 2^W - N*2^j to the W tracked bits of T,
+    both padded with one ZERO position so that the carry into it,
+    carries[W], is the carry out: the flag 'T >= N*2^j'.  Bit i of
+    T - flag*N*2^j is T_i XOR (flag AND (comp_i XOR c_i)), since the sum
+    differs from T exactly there.  The tracked width shrinks by one bit per step, and the
     j low zeros of comp give no generate, so the network emits no gate there.
     """
     nb = modulus.bit_length()
     p, carries = _emit_carries(b, *_emit_wallace(b, _partial_products(b, us, vs, 2 * nb), 2 * nb))
     t_refs = [emit_xor(b, [p_i, c_i]) for p_i, c_i in zip(p, carries)]
-    for j in range(nb, -1, -1):
+    for j in range(nb - 1, -1, -1):
         w = len(t_refs)
         comp = const_bits((1 << w) - (modulus << j), w)
         _, carries = _emit_carries(b, t_refs + [ZERO], comp + [ZERO])
@@ -409,7 +410,12 @@ def _emit_modmul_garbage(
 
 
 def build_modmul(modulus: int) -> Circuit:
-    """out ^= (u*v) mod modulus on [u | v | out], given u, v < modulus."""
+    """out ^= (u*v) mod modulus on [u | v | out].
+
+    Precondition: u, v < modulus.  The reduction runs nb conditional
+    subtractions, enough for u*v < modulus * 2^nb; outside the precondition
+    ``out`` need not receive (u*v) mod modulus.
+    """
     if modulus < 2:
         raise StructuralError("modulus must be at least 2")
     nb = modulus.bit_length()

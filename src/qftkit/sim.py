@@ -30,10 +30,11 @@ calls ``settle_all`` once after the last gate:
   columns grows its live block one input bit at a time.  ``phase`` only
   adds the gate's exact angle to a per-wire table of held terms (or drops
   it on a definite 0).  A Hadamard on a varying wire folds its terms into
-  a three-pass butterfly through a prefix of one preallocated half state,
-  and every Hadamard counts its 1/sqrt(2) instead of applying it; a flip
-  on the wire as target or a collapse applies the terms in one broadcast
-  multiply, and ``settle_all`` applies what is still held.
+  a butterfly through a prefix of one preallocated half state; a flip on
+  the wire as target or a collapse applies the terms in one broadcast
+  multiply, and ``settle_all`` applies what is still held.  Every Hadamard
+  applies its 1/sqrt(2) in the writes it makes, so ``psi`` is the true
+  state after every gate.
 * ``_SparseState`` keeps the nonzero amplitudes in arrays: a boolean bit
   matrix with one row per wire and one column per amplitude, beside a
   complex amplitude vector.  A flip XORs one row with the AND of its control
@@ -72,7 +73,6 @@ MAX_UNITARY_QUBITS = 12
 SPARSE_SUPPORT_CAP = 1 << 21
 UNITARY_TOL = 1e-9
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-_RESCALE_HALVINGS = 64  # dense Hadamards between exact 2**-32 rescales
 _PRUNE = 1e-13
 _S_DAGGER = dyadic(3, 2)
 _TURN_BITS = MAX_LOG_DENOMINATOR  # a held angle is an integer number of 2**-64 turns
@@ -149,7 +149,7 @@ class _DenseState:
     each definite wire at its bit, and every kernel acts on it alone.  The
     invariant: the other slot of a definite wire holds zeros in memory, and
     no held phase term involves a definite 0.  A phase gate on a definite 0
-    is dropped.  A Hadamard on a definite wire copies the live block into
+    is dropped.  A Hadamard on a definite wire writes the live block into
     the empty slot (negating the old one for a 1), after which the wire
     varies, and a collapse leaves its wire definite.  A flip makes every
     wire it touches vary and then swaps on the live block as usual.
@@ -160,8 +160,9 @@ class _DenseState:
     tied wire is a varying one.  A Hadamard on it ends the tie in one pass:
     with ``A`` and ``B`` the live block's wire-0 and wire-1 slices and ``T``
     the held table, it writes ``B T`` and ``-B T`` into input slot 1 and
-    copies ``A`` over ``B``.  A flip target on it, or ``settle_all``, unties
-    it by moving the live block's wire-1 slice into input slot 1.
+    ``A`` into both of slot 0's slices, each times 1/sqrt(2).  A flip
+    target on it, or ``settle_all``, unties it by moving the live block's
+    wire-1 slice into input slot 1.
     ``collapse`` never meets a tie, since ``extract_unitary`` refuses
     measuring circuits.
 
@@ -174,11 +175,11 @@ class _DenseState:
     the live ``w = 1`` slice; a Hadamard folds it into its butterfly or
     copy, and a collapse or a flip with target ``w`` applies it first.  A
     flip's controls need no settling: a term without the target commutes
-    with the flip.  ``psi`` is the true state times 2**(halvings / 2), since
-    a Hadamard counts its 1/sqrt(2): every ``_RESCALE_HALVINGS`` halvings
-    the live block is scaled by an exact power of two, and a collapse folds
-    in the rest.  ``settle_all`` applies what is left of both after the last
-    gate.
+    with the flip.  A Hadamard scales the table by 1/sqrt(2) in place (or
+    takes 1/sqrt(2) alone when nothing is held) and applies it in the one
+    multiply it makes on the old ``w = 1`` slice; its other writes carry
+    the 1/sqrt(2) too.  ``settle_all`` applies what is still held after the
+    last gate.
     """
 
     def __init__(self, psi: np.ndarray, nq: int, bits: dict[int, int] | None = None):
@@ -186,7 +187,6 @@ class _DenseState:
         self.nq = nq
         self.bits = dict(bits or {})
         self.pending: list[dict[int, int]] = [{} for _ in range(nq)]
-        self.halvings = 0
         self.scratch = np.empty(psi.size // 2, dtype=psi.dtype)  # one half state, for h and flip
 
     def _at(self, *fixed: tuple[int, int]) -> tuple:
@@ -242,10 +242,6 @@ class _DenseState:
         fixed = {self.psi.ndim - 1 - v for v in (*self.bits, w)}
         return table.reshape([s for axis, s in enumerate(shape) if axis not in fixed])
 
-    def _scale(self, factor: float) -> None:
-        live = self._live()
-        live *= factor
-
     def settle(self, w: int) -> None:
         """Apply and clear every held term on ``w``."""
         table = self._table(w)
@@ -264,44 +260,34 @@ class _DenseState:
         for w in range(self.nq):
             self._untie(w)
             self.settle(w)
-        if self.halvings:
-            self._scale(2.0 ** (-self.halvings / 2))
-            self.halvings = 0
 
     def h(self, w: int) -> None:
         table = self._table(w)
+        f = _SQRT_HALF if table is None else np.multiply(table, _SQRT_HALF, out=table)
         tie = self.nq + w
         bit = self.bits.pop(w, None)
         if tie in self.bits:  # input slot 0 holds A at w = 0 and B at w = 1; slot 1 is empty
             a, b = self._live((w, 0)), self._live((w, 1))
             lo, hi = self._live((tie, 1), (w, 0)), self._live((tie, 1), (w, 1))
-            if table is None:
-                np.copyto(lo, b)
-            else:
-                np.multiply(b, table, out=lo)
+            np.multiply(b, f, out=lo)
             np.negative(lo, out=hi)
-            np.copyto(b, a)
+            np.multiply(a, _SQRT_HALF, out=b)
+            a *= _SQRT_HALF
             del self.bits[tie]
         elif bit is None:
             a, b = self._live((w, 0)), self._live((w, 1))
             t = self._buffer(a.shape)
-            if table is None:
-                np.copyto(t, b)
-            else:
-                np.multiply(b, table, out=t)
+            np.multiply(b, f, out=t)
+            a *= _SQRT_HALF
             np.subtract(a, t, out=b)
             a += t
         else:
             live, other = self._live((w, bit)), self._live((w, 1 - bit))
-            if table is None:
-                np.copyto(other, live)
-            else:
-                np.multiply(live, table, out=other)
+            np.multiply(live, f, out=other)
             if bit:
                 np.negative(other, out=live)
-        self.halvings = (self.halvings + 1) % _RESCALE_HALVINGS
-        if not self.halvings:
-            self._scale(2.0 ** (-_RESCALE_HALVINGS // 2))
+            else:
+                live *= _SQRT_HALF
 
     def phase(self, wires, theta: DyadicAngle) -> None:
         a, b = wires[0], wires[-1]
@@ -327,12 +313,11 @@ class _DenseState:
 
     def collapse(self, w: int, rng: np.random.Generator) -> int:
         self.settle(w)
-        scale = 2.0 ** -self.halvings
-        outcome, p = _draw(scale * float(np.sum(np.abs(self._live((w, 1))) ** 2)), rng)
+        outcome, p = _draw(float(np.sum(np.abs(self._live((w, 1))) ** 2)), rng)
         self._live((w, 1 - outcome))[...] = 0.0
         self.bits[w] = outcome
-        self._scale(np.sqrt(scale / p))
-        self.halvings = 0
+        live = self._live()
+        live *= 1.0 / np.sqrt(p)
         return outcome
 
 
@@ -350,13 +335,10 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 def _keys(bits: np.ndarray) -> list[int]:
     """The column keys of a bit matrix as ints: column ``j``'s row ``i`` is bit ``i`` of key ``j``."""
     words = _pack(bits)
-    if len(words) == 1:
-        return words[0].tolist()
-    keys = words[0].astype(object)
-    for j in range(1, len(words)):
-        if words[j].any():
-            keys |= words[j].astype(object) << (64 * j)
-    return keys.tolist()
+    keys = words[-1].tolist()
+    for row in words[-2::-1]:  # each lower word in turn, under the words above it
+        keys = [k << 64 | w for k, w in zip(keys, row.tolist())]
+    return keys
 
 
 def _bit_rows(keys: list[int], num_rows: int) -> np.ndarray:

@@ -87,6 +87,7 @@ REMOVED_NAMES = [
     (qftkit, "lower"),
     (qft_pow2, "fourier_state"),
     (qftkit, "fourier_state"),
+    (sim, "_RESCALE_HALVINGS"),
 ]
 
 
@@ -108,7 +109,8 @@ def test_unused_names_stay_removed(owner, name):
     # after _check_input, the one input-range check; overlap_witness checks
     # its product states factor by factor, a Fourier state is a column of
     # dft_reference, and the mixed-radix matrix falls under sim's DFT cap;
-    # nothing lowered a circuit onto {H, P, CP}
+    # nothing lowered a circuit onto {H, P, CP}; the dense Hadamard applies
+    # its 1/sqrt(2) in its own writes, so no held halvings are rescaled
     assert not hasattr(owner, name)
 
 

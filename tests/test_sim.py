@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qftkit import netlist, sim
-from qftkit.circuit import CNOT, CP, Circuit, CircuitBuilder, H, P, dyadic
+from qftkit.circuit import CNOT, CP, Circuit, CircuitBuilder, H, MeasureBasis, P, Toffoli, X, dyadic
 from qftkit.errors import CapacityError, SimulationError
 from qftkit.qft_pow2 import QftPlan, bit_reversed_indices, logdepth_qft, standard_qft
 from qftkit.sim import (
@@ -206,6 +206,68 @@ class TestHeldPhases:
             sim._evolve(state, circuit, None)
             finals.append(state.psi)
         assert np.array_equal(*finals)
+
+
+class TestTrueAmplitudes:
+    """The dense state holds the true state after every gate, held phases
+    aside: each Hadamard applies its 1/sqrt(2) in the writes it makes."""
+
+    @staticmethod
+    def column_norms(state: sim._DenseState, n_data: int) -> list[float]:
+        """Each column's squared norm; a tied data wire keeps its input-1
+        columns at input slot 0, on its own axis's 1 slice."""
+        norms = []
+        for x in range(1 << n_data):
+            fixed = []
+            for i in range(n_data):
+                bit = x >> i & 1
+                if state.nq + i in state.bits:
+                    fixed += [(state.nq + i, 0), (i, bit)]
+                else:
+                    fixed.append((state.nq + i, bit))
+            norms.append(float(np.sum(np.abs(state.psi[state._at(*fixed)]) ** 2)))
+        return norms
+
+    def step(self, state: sim._DenseState, n_data: int, gates, kinds: set) -> None:
+        """Apply ``gates`` one by one (a z measurement as the bare collapse),
+        recording each Hadamard's wire as definite, tied or varying and held
+        or not, and checking every column's squared norm after each step."""
+        rng = np.random.default_rng(38)
+        for g in gates:
+            if g.family == "measure":
+                state.collapse(g.target, rng)
+            elif g.family == "h":
+                w = g.target
+                kind = "definite" if w in state.bits else "tied" if state.nq + w in state.bits else "varying"
+                kinds.add((kind, bool(state.pending[w])))
+                state.h(w)
+            elif g.family == "phase":
+                state.phase(g.qubits(), g.theta)
+            else:
+                state.flip(g.qubits())
+            assert np.allclose(self.column_norms(state, n_data), 1.0, rtol=0.0, atol=1e-12), g
+        state.settle_all()
+        assert np.allclose(self.column_norms(state, n_data), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_every_gate_leaves_unit_columns(self):
+        kinds: set = set()
+        # one basis column, x = 0b0010: every wire starts definite, wire 1 at 1
+        psi = np.zeros([2] * 4, dtype=np.complex128)
+        psi.flat[0b0010] = 1.0
+        state = sim._DenseState(psi, 4, {w: 0b0010 >> w & 1 for w in range(4)})
+        self.step(state, 0, [
+            H(0), P(0, dyadic(1, 3)), CP(0, 1, dyadic(3, 4)), H(1), H(0), CNOT(0, 2),
+            MeasureBasis(2, "z", 0), H(2), X(1), CP(1, 2, dyadic(5, 6)), H(1), Toffoli(0, 1, 3), H(3),
+        ], kinds)
+        # a batch of 8 columns as extract_unitary makes it: data wires 0-2 tied, ancilla 3 definite at 0
+        tensor = np.zeros([2] * 7, dtype=np.complex128)
+        tensor.reshape(8, 16)[0, :8] = 1.0
+        state = sim._DenseState(tensor, 4, dict.fromkeys(range(3, 7), 0))
+        self.step(state, 3, [
+            P(0, dyadic(1, 3)), CP(0, 1, dyadic(3, 4)), H(0), H(3), CP(3, 1, dyadic(1, 5)), H(1), H(0),
+            CNOT(0, 2), P(2, dyadic(7, 8)), H(2), Toffoli(1, 2, 3), H(3),
+        ], kinds)
+        assert {kind for kind, held in kinds if held} == {"definite", "tied", "varying"}
 
 
 class TestDefiniteWires:
