@@ -566,7 +566,9 @@ def run_classical_bits(circuit: Circuit, x: int) -> int:
 
 # --- unitary extraction -----------------------------------------------------
 
-_GRAM_BLOCK = 128  # columns per block row of U^dagger U in the unitarity check
+_GRAM_BLOCK = 128  # columns per block row of U^dagger U in the exact unitarity check
+_PROBES = 16  # random columns in the unitarity probe
+_PROBE_BAR = UNITARY_TOL / _PROBES  # the probe passes U when max |U^dagger U R - R| is at most this
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -585,6 +587,31 @@ def _unitarity_defect(u: np.ndarray) -> float:
     return defect
 
 
+def _probe_residual(u: np.ndarray) -> float:
+    """max |U^dagger U R - R| for R, ``_PROBES`` columns of i.i.d. standard complex normals.
+
+    R is drawn from a generator seeded with ``DEFAULT_SEED``, and the
+    residual is read as the conjugate transpose (U R)^dagger U - R^dagger,
+    two products of dim^2 * ``_PROBES`` terms with no conjugate copy of U.
+    """
+    g = np.random.default_rng(DEFAULT_SEED).standard_normal((2, u.shape[1], _PROBES))
+    r = (g[0] + 1j * g[1]) * _SQRT_HALF
+    return float(np.max(np.abs((u @ r).conj().T @ u - r.conj().T)))
+
+
+def _checked_unitary(u: np.ndarray) -> np.ndarray:
+    """``u`` itself, unless some entry of U^dagger U - I exceeds ``UNITARY_TOL``.
+
+    The probe passes ``u`` when its residual is at most ``_PROBE_BAR``;
+    otherwise the exact ``_unitarity_defect`` decides, and words any refusal.
+    """
+    if _probe_residual(u) > _PROBE_BAR:
+        defect = _unitarity_defect(u)
+        if defect > UNITARY_TOL:
+            raise SimulationError(f"restriction to data wires is not unitary: defect {defect:.3e}")
+    return u
+
+
 def extract_unitary(circuit: Circuit) -> np.ndarray:
     """The unitary on the data wires, with ancillas going |0> -> |0>.
 
@@ -601,11 +628,34 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
     ``SPARSE_SUPPORT_CAP >> n_qubits``, and each batch's support is held to
     ``SPARSE_SUPPORT_CAP``.  Any amplitude left on a nonzero ancilla pattern
     (beyond ``UNITARY_TOL`` mass per column) is an error, as is a restriction
-    whose U^dagger U is off the identity by more than ``UNITARY_TOL`` in any
-    entry.  The check forms U^dagger U in blocks of ``_GRAM_BLOCK`` rows,
-    each from its diagonal block rightwards: the product is Hermitian, so
-    every entry below the diagonal blocks mirrors a formed one with the same
+    U whose U^dagger U is off the identity by more than tau = ``UNITARY_TOL``
+    in any entry.
+
+    Both paths check unitarity through one seeded probe, which passes U
+    without forming U^dagger U.  With R the ``_PROBES`` = 16 columns of
+    i.i.d. standard complex normals drawn from a generator seeded with
+    ``DEFAULT_SEED``, it computes W = U^dagger (U R) - R, two products of
+    dim^2 * 16 terms, and passes U when max |W| <= ``_PROBE_BAR`` = tau/16.
+    A larger residual runs the exact check, which alone decides and words a
+    refusal, so a false alarm costs time and never changes a verdict.  The
+    exact check forms U^dagger U in blocks of ``_GRAM_BLOCK`` rows, each
+    from its diagonal block rightwards: the product is Hermitian, so every
+    entry below the diagonal blocks mirrors a formed one with the same
     magnitude, and the maximum covers every entry at about half the work.
+
+    Miss bound (Freivalds' check with Gaussian columns).  Let D = U^dagger U
+    - I and say some |D_il| > tau, so row D_i has norm ||D_i|| > tau.  Then
+    W = D R, and each W_ij = sum_l D_il R_lj is CN(0, ||D_i||^2),
+    independently over the 16 columns, so P(|W_ij| <= t) = 1 - exp(-t^2 /
+    ||D_i||^2) < (t / tau)^2.  The computed W is off the exact one by at most
+    e, the rounding of two length-dim inner products against a column of
+    norm about sqrt(dim): about 2 * dim^1.5 * 2^-53, at most 5.8e-11 <=
+    tau/16 at dim 4096 (for columns of about unit norm; a column far from
+    it puts an entry far above tau on D's diagonal).  A miss needs every
+    |W_ij| <= tau/16 + e <= tau/8, which one column allows with probability
+    below 1/64 and all 16 with probability below 2^-96.  R is drawn
+    independently of the circuit, so this bounds the share of draws that
+    would pass any one faulty U.
     """
     if circuit.has_measurement():
         raise SimulationError("cannot extract a unitary from a measuring circuit")
@@ -647,10 +697,7 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
         )
     if leak > UNITARY_TOL:
         raise SimulationError(f"ancillas do not return to |0>: leaked mass {leak:.3e}")
-    defect = _unitarity_defect(unitary)
-    if defect > UNITARY_TOL:
-        raise SimulationError(f"restriction to data wires is not unitary: defect {defect:.3e}")
-    return unitary
+    return _checked_unitary(unitary)
 
 
 # --- references ------------------------------------------------------------

@@ -74,7 +74,7 @@ def phase_heavy_circuit(rng, n_wires: int, n_gates: int, measure: bool = True) -
     return b.build()
 
 
-def halving_circuit(rng, n_wires: int, n_h: int, measure_after: dict[int, str]) -> Circuit:
+def phased_hadamard_circuit(rng, n_wires: int, n_h: int, measure_after: dict[int, str]) -> Circuit:
     """``n_h`` Hadamards, each on a random wire just given a P term and CP
     terms with one partner below it and one above it (where it has them),
     with a CNOT after every tenth, and a measurement in basis
@@ -174,11 +174,12 @@ class TestHeldPhases:
             want = np.stack([reference_run(circuit, x, rng)[0] for x in range(32)], axis=1)
             assert np.max(np.abs(extract_unitary(circuit) - want)) < 1e-12
 
-    def test_held_halvings_cross_the_rescale(self):
-        # 131 Hadamards: two exact rescales and an odd rest; the x, y and z
-        # measurements after the 64th read probabilities under held halvings
+    def test_131_phased_hadamards_and_x_y_z_measurements_match_the_reference(self):
+        # 131 Hadamards, each on a wire just given P and CP terms, with x, y and z
+        # measurements after the 70th, 100th and 120th; the unmeasured circuit's
+        # unitary is checked on eight columns
         rng = np.random.default_rng(2201)
-        circuit = halving_circuit(rng, 7, 131, {70: "x", 100: "y", 120: "z"})
+        circuit = phased_hadamard_circuit(rng, 7, 131, {70: "x", 100: "y", 120: "z"})
         assert sum(g.name == "h" for g in circuit.all_gates()) == 131
         for seed in range(2):
             x = int(rng.integers(0, 1 << 7))
@@ -785,6 +786,15 @@ class TestExtractUnitary:
         want = np.stack([run_dense(circuit, x).state[:16] for x in range(16)], axis=1)
         assert np.max(np.abs(extract_unitary(circuit) - want)) < 1e-12
 
+    def test_qft_at_the_cap_matches_the_reference(self):
+        # 12 data wires, MAX_UNITARY_QUBITS; 512 rows at a time, so no third 4096^2 array is made
+        n = MAX_UNITARY_QUBITS
+        want = dft_reference(1 << n)
+        u = extract_unitary(standard_qft(n))
+        rows = bit_reversed_indices(n)
+        for i in range(0, 1 << n, 512):
+            assert np.max(np.abs(u[rows[i : i + 512]] - want[i : i + 512])) < 1e-9
+
     def test_wide_path_refuses_a_dirty_ancilla(self):
         b = CircuitBuilder(4)
         ancillas = b.new_ancillas(9)
@@ -853,6 +863,70 @@ class TestUnitarityCheck:
         monkeypatch.setattr(sim._SparseState, "h", h)
         with pytest.raises(SimulationError, match="not unitary: defect 1.000e"):
             extract_unitary(padded)
+
+
+def planted_defect(d: int, at: tuple[int, int], size: float) -> np.ndarray:
+    """A random unitary whose Gram entry ``at`` is moved off the identity by ``size``.
+
+    On the diagonal, column i is scaled by sqrt(1 + size); below it, column i
+    takes ``size`` of column l and is renormalised, so columns keep unit norm.
+    """
+    u = random_unitary(np.random.default_rng(d), d)
+    i, l = at
+    if i == l:
+        u[:, i] *= np.sqrt(1.0 + size)
+    else:
+        u[:, i] = (u[:, i] + size * u[:, l]) / np.sqrt(1.0 + size**2)
+    return u
+
+
+class TestUnitarityProbe:
+    """16 seeded probe columns pass a unitary; any larger residual runs the exact check."""
+
+    # true unitaries read about 1e-14 against a bar of UNITARY_TOL / 16 = 6.25e-11
+    @pytest.mark.parametrize("n", [1, 8, 10, 12])
+    def test_exact_unitaries_pass_far_below_the_bar(self, n):
+        assert sim._probe_residual(extract_unitary(standard_qft(n))) < sim._PROBE_BAR / 1000
+
+    # defects in (tau, 2 tau]: on the diagonal, and below it where the exact check
+    # reads the entry through its mirror
+    @pytest.mark.parametrize("at", [(100, 100), (200, 7)])
+    def test_a_defect_just_over_the_tolerance_is_refused(self, at):
+        u = planted_defect(256, at, 1.5 * sim.UNITARY_TOL)
+        defect = sim._unitarity_defect(u)
+        assert sim.UNITARY_TOL < defect <= 2 * sim.UNITARY_TOL
+        assert sim._probe_residual(u) > sim._PROBE_BAR
+        with pytest.raises(SimulationError, match=f"not unitary: defect {defect:.3e}"):
+            sim._checked_unitary(u)
+
+    def test_a_defect_between_the_bar_and_the_tolerance_falls_back_and_passes(self, monkeypatch):
+        u = planted_defect(256, (200, 7), 0.5 * sim.UNITARY_TOL)
+        before = u.copy()
+        assert sim._PROBE_BAR < sim._unitarity_defect(u) <= sim.UNITARY_TOL
+        assert sim._probe_residual(u) > sim._PROBE_BAR
+        exact = sim._unitarity_defect
+        calls = []
+        monkeypatch.setattr(sim, "_unitarity_defect", lambda m: calls.append(m) or exact(m))
+        assert sim._checked_unitary(u) is u
+        assert len(calls) == 1 and calls[0] is u
+        assert np.array_equal(u, before)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_a_unitary_never_reaches_the_exact_check(self, wide, monkeypatch):
+        def exact(u):
+            raise AssertionError("the probe should have passed this unitary")
+
+        circuit = standard_qft(4 if wide else 10)
+        if wide:
+            circuit = Circuit.from_gates(list(circuit.all_gates()), 4, n_ancilla=10)
+        monkeypatch.setattr(sim, "_unitarity_defect", exact)
+        extract_unitary(circuit)
+
+    def test_the_constants_bound_a_miss_below_two_to_the_minus_64(self):
+        # rounding of W at the cap, then a miss needs all 16 columns at most bar + rounding
+        rounding = 2 * (1 << MAX_UNITARY_QUBITS) ** 1.5 * 2.0**-53
+        assert rounding <= sim._PROBE_BAR
+        assert ((sim._PROBE_BAR + rounding) / sim.UNITARY_TOL) ** (2 * sim._PROBES) <= 2.0**-64
 
 
 class TestReferencesAndMetrics:
