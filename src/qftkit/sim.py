@@ -19,10 +19,19 @@ calls ``settle_all`` once after the last gate:
   is held at 0 and its own axis carries the bit.  Every kernel acts only
   on the live block, the view that fixes each definite wire at its bit and
   each tied wire's input axis at 0; the other slots hold zeros, and no
-  held phase term involves a definite 0.  A Hadamard on a definite wire
-  copies the live block into the empty slot and a collapse leaves its wire
+  held phase term involves a definite 0.  A collapse leaves its wire
   definite, so a wire that still holds its input costs no pass over the
-  state; a flip makes its wires vary, which the zeros allow at no cost.
+  state; a flip with a definite 0 control is the identity, and any other
+  flip makes its wires vary, which the zeros allow at no cost.
+  A Hadamard on a definite wire makes it separable: the wire keeps its
+  own two amplitudes beside the block, which stays fixed at the wire's old
+  slot, so the transforms' product states (every wire
+  (|0> + e^{2 pi i phi}|1>)/sqrt(2)) cost no write until the end.  A
+  Hadamard or a phase on a separable wire acts on its two amplitudes
+  alone, and a CP with a definite 1 adds an own term to it.  The wire is
+  multiplied into the block only when a CP with a partner that is not
+  definite, a flip or a collapse needs it, and ``settle_all`` merges the
+  rest in ascending wire order.
   A Hadamard on a tied wire writes its input slot 1 straight from the live
   block and copies the wire's 0 slice over its 1 slice, with no butterfly
   over the empty slot; a flip target on a tied wire, or ``settle_all``,
@@ -33,8 +42,8 @@ calls ``settle_all`` once after the last gate:
   a butterfly through a prefix of one preallocated half state; a flip on
   the wire as target or a collapse applies the terms in one broadcast
   multiply, and ``settle_all`` applies what is still held.  Every Hadamard
-  applies its 1/sqrt(2) in the writes it makes, so ``psi`` is the true
-  state after every gate.
+  applies its 1/sqrt(2) in the writes it makes, so ``psi`` times the
+  separable wires' vectors is the true state after every gate.
 * ``_SparseState`` keeps the nonzero amplitudes in arrays: a boolean bit
   matrix with one row per wire and one column per amplitude, beside a
   complex amplitude vector.  A flip XORs one row with the AND of its control
@@ -146,13 +155,28 @@ class _DenseState:
 
     ``bits`` maps each definite wire, one that holds the same bit in every
     column, to that bit.  The live block is the view of ``psi`` that fixes
-    each definite wire at its bit, and every kernel acts on it alone.  The
-    invariant: the other slot of a definite wire holds zeros in memory, and
-    no held phase term involves a definite 0.  A phase gate on a definite 0
-    is dropped.  A Hadamard on a definite wire writes the live block into
-    the empty slot (negating the old one for a 1), after which the wire
-    varies, and a collapse leaves its wire definite.  A flip makes every
-    wire it touches vary and then swaps on the live block as usual.
+    each definite and each separable wire at its slot, and every kernel
+    acts on it alone.  The invariant: the other slot of a definite or
+    separable wire holds zeros in memory, and no held phase term involves a
+    definite 0.  A phase gate on a definite 0 is dropped, and a collapse
+    leaves its wire definite.  A flip with a definite 0 control is the
+    identity; any other flip makes every wire it touches vary and then
+    swaps on the live block as usual.
+
+    ``sep`` maps each separable wire to its slot and its two amplitudes
+    ``v``: the state is the live block times ``v`` on the wire.  A Hadamard
+    on a definite wire makes it separable: the block stays at the wire's
+    bit, and ``v`` is (1, 1)/sqrt(2) for a 0 and (1, -1)/sqrt(2) for a 1.
+    A definite 1's held table is applied to the block first, or folded into
+    ``v`` in O(1) when it is a scalar, that is when every held term on the
+    wire has a definite partner.  A separable wire holds only its own term,
+    ``pending[w][w]``: a ``P`` on it, and a ``CP`` with a definite 1, add to
+    it, and a Hadamard applies it to ``v`` and then mixes ``v``.  A ``CP``
+    with any other partner, a flip on the wire and a collapse on it first
+    merge it: ``v``, with the own term applied, is multiplied into the
+    block at both slots, one copy with weights, after which the wire
+    varies.  ``settle_all`` merges the wires still separable in ascending
+    order, so the block grows over contiguous inner axes.
 
     A key ``nq + i`` in ``bits`` ties data wire ``i``: the wire still holds
     its column's input bit, so its input axis is held at 0 like a definite
@@ -172,20 +196,21 @@ class _DenseState:
     ``pending[a][b]`` and ``pending[b][a]``.  ``_table(w)`` pops every term
     on ``w`` as one factor ``p_w * (x)_b [1, q_b]`` over its varying
     partners ``b``, times ``q_b`` for each definite one (which holds 1), for
-    the live ``w = 1`` slice; a Hadamard folds it into its butterfly or
-    copy, and a collapse or a flip with target ``w`` applies it first.  A
-    flip's controls need no settling: a term without the target commutes
-    with the flip.  A Hadamard scales the table by 1/sqrt(2) in place (or
-    takes 1/sqrt(2) alone when nothing is held) and applies it in the one
-    multiply it makes on the old ``w = 1`` slice; its other writes carry
-    the 1/sqrt(2) too.  ``settle_all`` applies what is still held after the
-    last gate.
+    the live ``w = 1`` slice; a Hadamard on a tied or varying wire folds
+    it into its write, and a collapse or a flip with target ``w`` applies
+    it first.  A flip's controls need no settling: a term without the
+    target commutes with the flip.  Such a Hadamard scales the table by
+    1/sqrt(2) in place (or takes 1/sqrt(2) alone when nothing is held) and
+    applies it in the one multiply it makes on the old ``w = 1`` slice; its
+    other writes carry the 1/sqrt(2) too.  ``settle_all`` applies what is
+    still held after the last gate.
     """
 
     def __init__(self, psi: np.ndarray, nq: int, bits: dict[int, int] | None = None):
         self.psi = psi
         self.nq = nq
         self.bits = dict(bits or {})
+        self.sep: dict[int, tuple[int, list[complex]]] = {}
         self.pending: list[dict[int, int]] = [{} for _ in range(nq)]
         self.scratch = np.empty(psi.size // 2, dtype=psi.dtype)  # one half state, for h and flip
 
@@ -201,7 +226,7 @@ class _DenseState:
 
     def _live(self, *fixed: tuple[int, int]) -> np.ndarray:
         """The live block, with wire ``w`` also held at ``bit`` for each ``(w, bit)``."""
-        return self.psi[self._at(*self.bits.items(), *fixed)]
+        return self.psi[self._at(*self.bits.items(), *((w, slot) for w, (slot, _) in self.sep.items()), *fixed)]
 
     def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
         """A prefix of the scratch half state, viewed with ``shape``."""
@@ -239,7 +264,7 @@ class _DenseState:
                 k *= 2
                 shape[self.psi.ndim - 1 - b] = 2
             del self.pending[b][w]
-        fixed = {self.psi.ndim - 1 - v for v in (*self.bits, w)}
+        fixed = {self.psi.ndim - 1 - v for v in (*self.bits, *self.sep, w)}
         return table.reshape([s for axis, s in enumerate(shape) if axis not in fixed])
 
     def settle(self, w: int) -> None:
@@ -256,16 +281,46 @@ class _DenseState:
             np.copyto(self._live((self.nq + w, 1), (w, 1)), ones)
             ones.fill(0.0)
 
+    def _own(self, w: int) -> complex:
+        """Pop the held own term of a separable wire: the factor on its ``1`` amplitude."""
+        return _turn_phase(self.pending[w].pop(w, 0))
+
+    def _merge(self, w: int) -> None:
+        """If ``w`` is separable, multiply its amplitudes into the block, after which ``w`` varies."""
+        if w in self.sep:
+            slot, v = self.sep.pop(w)
+            v[1] *= self._own(w)
+            live, other = self._live((w, slot)), self._live((w, 1 - slot))
+            np.multiply(live, v[1 - slot], out=other)
+            live *= v[slot]
+
     def settle_all(self) -> None:
         for w in range(self.nq):
             self._untie(w)
-            self.settle(w)
+            if w not in self.sep:
+                self.settle(w)
+        for w in sorted(self.sep):  # ascending, so the block grows over contiguous inner axes
+            self._merge(w)
 
     def h(self, w: int) -> None:
+        if w in self.sep:
+            v = self.sep[w][1]
+            a, b = v[0], v[1] * self._own(w)
+            v[:] = (a + b) * _SQRT_HALF, (a - b) * _SQRT_HALF
+            return
         table = self._table(w)
+        bit = self.bits.pop(w, None)
+        if bit is not None:  # (T B) |bit> becomes (T B)(|0> +- |1>)/sqrt(2); a definite 0 holds no term
+            f = _SQRT_HALF
+            if table is not None and table.size == 1:  # every held term has a definite partner
+                f *= complex(table.flat[0])
+            elif table is not None:
+                live = self._live((w, 1))
+                live *= table
+            self.sep[w] = (bit, [f, -f] if bit else [f, f])
+            return
         f = _SQRT_HALF if table is None else np.multiply(table, _SQRT_HALF, out=table)
         tie = self.nq + w
-        bit = self.bits.pop(w, None)
         if tie in self.bits:  # input slot 0 holds A at w = 0 and B at w = 1; slot 1 is empty
             a, b = self._live((w, 0)), self._live((w, 1))
             lo, hi = self._live((tie, 1), (w, 0)), self._live((tie, 1), (w, 1))
@@ -274,34 +329,38 @@ class _DenseState:
             np.multiply(a, _SQRT_HALF, out=b)
             a *= _SQRT_HALF
             del self.bits[tie]
-        elif bit is None:
+        else:
             a, b = self._live((w, 0)), self._live((w, 1))
             t = self._buffer(a.shape)
             np.multiply(b, f, out=t)
             a *= _SQRT_HALF
             np.subtract(a, t, out=b)
             a += t
-        else:
-            live, other = self._live((w, bit)), self._live((w, 1 - bit))
-            np.multiply(live, f, out=other)
-            if bit:
-                np.negative(other, out=live)
-            else:
-                live *= _SQRT_HALF
 
     def phase(self, wires, theta: DyadicAngle) -> None:
         a, b = wires[0], wires[-1]
         if self.bits.get(a) == 0 or self.bits.get(b) == 0:
             return
+        if a != b:
+            if a in self.sep and b in self.bits:  # a definite 1 partner: an own term on a
+                b = a
+            elif b in self.sep and a in self.bits:
+                a = b
+            else:
+                self._merge(a)
+                self._merge(b)
         turns = theta.numerator << (_TURN_BITS - theta.log_denominator)
         self._hold(a, b, turns)
         if b != a:
             self._hold(b, a, turns)
 
     def flip(self, wires) -> None:
-        for w in wires:  # the zeros in a definite wire's other slot let it vary as it is
-            self.bits.pop(w, None)
         *controls, t = wires
+        if any(self.bits.get(c) == 0 for c in controls):  # a definite 0 control: the identity
+            return
+        for w in wires:  # the zeros in a definite wire's other slot let it vary as it is
+            self._merge(w)
+            self.bits.pop(w, None)
         self._untie(t)
         self.settle(t)
         on = [(c, 1) for c in controls]
@@ -312,6 +371,7 @@ class _DenseState:
         hi[...] = tmp
 
     def collapse(self, w: int, rng: np.random.Generator) -> int:
+        self._merge(w)
         self.settle(w)
         outcome, p = _draw(float(np.sum(np.abs(self._live((w, 1))) ** 2)), rng)
         self._live((w, 1 - outcome))[...] = 0.0
@@ -706,8 +766,13 @@ MAX_DFT_DIM = 4096
 
 
 def dft_reference(m: int) -> np.ndarray:
-    """The m-point DFT matrix with entry (y, x) = exp(2*pi*i*x*y/m)/sqrt(m)."""
+    """The m-point DFT matrix with entry (y, x) = exp(2*pi*i*x*y/m)/sqrt(m).
+
+    Each entry is gathered from the m roots at x*y mod m, so no phase is
+    formed from the unreduced product.
+    """
     if m > MAX_DFT_DIM:
         raise CapacityError(f"DFT dimension {m} exceeds cap {MAX_DFT_DIM}")
     idx = np.arange(m)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / m) / np.sqrt(m)
+    roots = np.exp(2j * np.pi * idx / m) / np.sqrt(m)
+    return roots[np.outer(idx, idx) % m]

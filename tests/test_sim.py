@@ -4,7 +4,7 @@ import pytest
 from qftkit import netlist, sim
 from qftkit.circuit import CNOT, CP, Circuit, CircuitBuilder, H, MeasureBasis, P, Toffoli, X, dyadic
 from qftkit.errors import CapacityError, SimulationError
-from qftkit.qft_pow2 import QftPlan, bit_reversed_indices, logdepth_qft, standard_qft
+from qftkit.qft_pow2 import QftPlan, banded_qft, bit_reversed_indices, logdepth_qft, standard_qft
 from qftkit.sim import (
     DEFAULT_SEED,
     MAX_DFT_DIM,
@@ -211,12 +211,14 @@ class TestHeldPhases:
 
 class TestTrueAmplitudes:
     """The dense state holds the true state after every gate, held phases
-    aside: each Hadamard applies its 1/sqrt(2) in the writes it makes."""
+    aside: ``psi`` times the separable wires' vectors is the true state, and
+    each Hadamard applies its 1/sqrt(2) in the writes it makes."""
 
     @staticmethod
     def column_norms(state: sim._DenseState, n_data: int) -> list[float]:
         """Each column's squared norm; a tied data wire keeps its input-1
-        columns at input slot 0, on its own axis's 1 slice."""
+        columns at input slot 0, on its own axis's 1 slice.  A separable
+        wire's vector has unit norm, so ``psi`` alone gives the norm."""
         norms = []
         for x in range(1 << n_data):
             fixed = []
@@ -231,15 +233,21 @@ class TestTrueAmplitudes:
 
     def step(self, state: sim._DenseState, n_data: int, gates, kinds: set) -> None:
         """Apply ``gates`` one by one (a z measurement as the bare collapse),
-        recording each Hadamard's wire as definite, tied or varying and held
-        or not, and checking every column's squared norm after each step."""
+        recording each Hadamard's wire as separable, definite, tied or varying
+        and held or not, and checking every column's squared norm and every
+        separable wire's vector after each step."""
         rng = np.random.default_rng(38)
         for g in gates:
             if g.family == "measure":
                 state.collapse(g.target, rng)
             elif g.family == "h":
                 w = g.target
-                kind = "definite" if w in state.bits else "tied" if state.nq + w in state.bits else "varying"
+                kind = (
+                    "separable" if w in state.sep
+                    else "definite" if w in state.bits
+                    else "tied" if state.nq + w in state.bits
+                    else "varying"
+                )
                 kinds.add((kind, bool(state.pending[w])))
                 state.h(w)
             elif g.family == "phase":
@@ -247,20 +255,27 @@ class TestTrueAmplitudes:
             else:
                 state.flip(g.qubits())
             assert np.allclose(self.column_norms(state, n_data), 1.0, rtol=0.0, atol=1e-12), g
+            for _, v in state.sep.values():
+                assert abs(abs(v[0]) ** 2 + abs(v[1]) ** 2 - 1.0) < 1e-12, g
         state.settle_all()
+        assert not state.sep
         assert np.allclose(self.column_norms(state, n_data), 1.0, rtol=0.0, atol=1e-12)
 
     def test_every_gate_leaves_unit_columns(self):
         kinds: set = set()
-        # one basis column, x = 0b0010: every wire starts definite, wire 1 at 1
+        # one basis column, x = 0b0010: every wire starts definite, wire 1 at 1.  Wire 0
+        # turns separable and takes its own P and the CP with the definite 1; the CNOT
+        # merges it, and the CP between the varying wire 2 and wire 1 leaves wire 1 a
+        # table that its Hadamard applies to the block before the wire turns separable
         psi = np.zeros([2] * 4, dtype=np.complex128)
         psi.flat[0b0010] = 1.0
         state = sim._DenseState(psi, 4, {w: 0b0010 >> w & 1 for w in range(4)})
         self.step(state, 0, [
-            H(0), P(0, dyadic(1, 3)), CP(0, 1, dyadic(3, 4)), H(1), H(0), CNOT(0, 2),
-            MeasureBasis(2, "z", 0), H(2), X(1), CP(1, 2, dyadic(5, 6)), H(1), Toffoli(0, 1, 3), H(3),
+            H(0), P(0, dyadic(1, 3)), CP(0, 1, dyadic(3, 4)), H(0), CNOT(0, 2), CP(2, 1, dyadic(5, 5)),
+            H(1), MeasureBasis(2, "z", 0), H(2), X(1), CP(1, 2, dyadic(5, 6)), H(1), Toffoli(0, 1, 3), H(3),
         ], kinds)
-        # a batch of 8 columns as extract_unitary makes it: data wires 0-2 tied, ancilla 3 definite at 0
+        # a batch of 8 columns as extract_unitary makes it: data wires 0-2 tied, ancilla 3
+        # definite at 0, separable after its H until the CP with the tied wire 1 merges it
         tensor = np.zeros([2] * 7, dtype=np.complex128)
         tensor.reshape(8, 16)[0, :8] = 1.0
         state = sim._DenseState(tensor, 4, dict.fromkeys(range(3, 7), 0))
@@ -268,7 +283,7 @@ class TestTrueAmplitudes:
             P(0, dyadic(1, 3)), CP(0, 1, dyadic(3, 4)), H(0), H(3), CP(3, 1, dyadic(1, 5)), H(1), H(0),
             CNOT(0, 2), P(2, dyadic(7, 8)), H(2), Toffoli(1, 2, 3), H(3),
         ], kinds)
-        assert {kind for kind, held in kinds if held} == {"definite", "tied", "varying"}
+        assert {kind for kind, held in kinds if held} == {"separable", "definite", "tied", "varying"}
 
 
 class TestDefiniteWires:
@@ -296,8 +311,9 @@ class TestDefiniteWires:
             self.check(circuit, x)
 
     def test_flips_with_definite_controls_and_targets(self):
-        # wire 1 reads 0 and wire 3 reads 1 at each input; wire 3 holds a CP with wire 0,
-        # and each flip makes the definite wires it touches vary
+        # wire 1 reads 0 and wire 3 reads 1 at each input; wire 3 holds a CP with wire 0;
+        # a flip with a definite 0 control is the identity, and any other flip makes the
+        # definite wires it touches vary
         b = CircuitBuilder(4)
         b.h(0)
         b.cp(0, 3, dyadic(1, 3))
@@ -370,6 +386,112 @@ class TestDefiniteWires:
             assert np.max(np.abs(state.psi.reshape(-1) - want)) < 1e-12
             for w, bit in state.bits.items():
                 assert not state.psi[state._at((w, 1 - bit))].any()
+
+
+class TestSeparableWires:
+    """A Hadamard on a definite wire keeps the wire as its own one-qubit
+    factor, and only a gate that entangles it, a collapse on it or
+    ``settle_all`` multiplies it into the block."""
+
+    @pytest.mark.parametrize("circuit", [standard_qft(12), banded_qft(12, 4)], ids=["standard", "banded"])
+    def test_the_ladder_writes_one_amplitude_until_settle_all(self, circuit, monkeypatch):
+        counts = []
+        settle_all = sim._DenseState.settle_all
+
+        def counting(state):
+            counts.append(int(np.count_nonzero(state.psi)))
+            settle_all(state)
+
+        monkeypatch.setattr(sim._DenseState, "settle_all", counting)
+        for x in (0, 2741, 4095):
+            got = run_dense(circuit, x=x).state
+            want = as_vector(run_sparse(circuit, x=x).amplitudes, 12)
+            assert np.max(np.abs(got - want)) < 1e-12
+        assert counts == [1, 1, 1]
+
+    def test_entangling_gates_flips_and_collapses_merge_a_separable_wire(self):
+        b = CircuitBuilder(6)
+        b.h(0)
+        b.h(1)
+        b.h(5)
+        b.p(0, dyadic(3, 5))
+        b.cp(0, 2, dyadic(7, 6))  # against a definite wire: an own term on wire 0, or nothing
+        b.cp(0, 1, dyadic(5, 4))  # between two separable wires
+        b.h(3)
+        b.p(3, dyadic(5, 3))
+        b.h(3)  # a Hadamard on a separable wire that holds its own term
+        b.x(3)  # a separable flip target
+        b.h(4)
+        b.cnot(4, 2)  # a separable control
+        b.p(5, dyadic(1, 3))
+        b.measure(5, "z")  # a collapse on a separable wire that holds its own term
+        b.measure(1, "x")
+        b.toffoli(0, 5, 1)
+        b.measure(2, "y")
+        b.h(5)
+        b.cp(5, 4, dyadic(1, 2))
+        circuit = b.build()
+        for x in range(64):
+            for seed in range(3):
+                got = run_dense(circuit, x=x, rng=np.random.default_rng(seed))
+                want, classical = reference_run(circuit, x, np.random.default_rng(seed))
+                assert got.classical == classical
+                assert got.classical == run_sparse(circuit, x=x, rng=np.random.default_rng(seed)).classical
+                assert np.max(np.abs(got.state - want)) < 1e-12
+
+    def test_a_definite_one_with_a_varying_partner(self):
+        # wire 2 reads 1 and holds a CP with the varying wire 0; its Hadamard applies
+        # that table to the block, and the wire is separable until the CNOT merges it
+        b = CircuitBuilder(4)
+        b.h(0)
+        b.cnot(0, 1)
+        b.cp(0, 2, dyadic(3, 4))
+        b.p(2, dyadic(1, 3))
+        b.h(2)
+        b.p(2, dyadic(5, 4))
+        b.h(2)
+        b.cnot(2, 3)
+        circuit = b.build()
+        state = sim._DenseState(np.zeros([2] * 4, dtype=np.complex128), 4, {w: 0b0100 >> w & 1 for w in range(4)})
+        state.psi.flat[0b0100] = 1.0
+        state.h(0)
+        state.flip((0, 1))
+        state.phase((0, 2), dyadic(3, 4))
+        state.phase((2,), dyadic(1, 3))
+        assert state.pending[2] and 2 in state.bits
+        state.h(2)
+        assert 2 in state.sep and not state.pending[2]
+        for x in (0b0100, 0b0101, 0b1110):
+            want, _ = reference_run(circuit, x, np.random.default_rng(0))
+            assert np.max(np.abs(run_dense(circuit, x=x).state - want)) < 1e-12
+
+    def test_a_separable_ancilla_against_a_tied_wire(self):
+        # the ancilla is separable after its H, and the CP with the tied wire 0 merges it
+        b = CircuitBuilder(3)
+        (a,) = b.new_ancillas(1)
+        start = b.mark()
+        b.h(a)
+        b.cp(a, 0, dyadic(3, 4))
+        stop = b.mark()
+        b.h(1)
+        b.cp(1, 2, dyadic(1, 3))
+        b.uncompute(start, stop)
+        circuit = b.build()
+        want = np.stack([run_dense(circuit, x).state[:8] for x in range(8)], axis=1)
+        assert np.max(np.abs(extract_unitary(circuit) - want)) < 1e-12
+
+    def test_a_definite_zero_control_is_the_identity(self):
+        # wires 0 and 1 read 0, wires 2 and 3 read 1, and wire 4 is separable
+        psi = np.zeros([2] * 5, dtype=np.complex128)
+        psi.flat[0b01100] = 1.0
+        state = sim._DenseState(psi, 5, {w: 0b01100 >> w & 1 for w in range(5)})
+        state.h(4)
+        bits, before = dict(state.bits), state.psi.copy()
+        for wires in ((1, 3), (0, 2, 3), (4, 1, 2), (3, 0, 4)):
+            state.flip(wires)
+            assert state.bits == bits
+            assert 4 in state.sep
+        assert np.array_equal(state.psi, before)
 
 
 class TestBackendsAgree:
@@ -939,6 +1061,10 @@ class TestReferencesAndMetrics:
         f = dft_reference(4)
         assert f[1, 1] == pytest.approx(1j / 2)
         assert f[2, 3] == pytest.approx(-0.5)
+
+    def test_dft_reference_probe_residual_at_1024(self):
+        # the phase of each entry is formed from x*y mod m, not from the unreduced product
+        assert sim._probe_residual(dft_reference(1024)) <= 1e-13
 
     def test_dft_dimension_cap(self):
         with pytest.raises(CapacityError):
