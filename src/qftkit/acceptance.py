@@ -29,7 +29,7 @@ from .qft_pow2 import (
     standard_qft,
     viete_partial,
 )
-from .sim import dft_reference, extract_unitary, run_classical_batch, run_sparse
+from .sim import MAX_UNITARY_QUBITS, dft_reference, extract_unitary, run_classical_batch, run_sparse
 
 OPERATOR_TOL = 1e-9
 EXACTNESS_TOL = 1e-10
@@ -67,10 +67,21 @@ def _state_error(circ, initial: dict[int, complex], expected: dict[int, complex]
 # --- 1: exact transforms ------------------------------------------------------
 
 
+def _frobenius_distance(circ, n: int) -> float:
+    """||U - F||_F for ``circ``'s unitary U in natural output order and the 2^n-point DFT F.
+
+    The Frobenius norm bounds the spectral norm from above, so a pass under it is
+    a pass under the operator norm, with no SVD of a 4096 x 4096 matrix at n = 12.
+    """
+    u = extract_unitary(circ)[bit_reversed_indices(n), :]
+    u -= dft_reference(1 << n)
+    return float(np.linalg.norm(u))
+
+
 def criterion_exact_transforms(quick: bool = False) -> CriterionResult:
     name = "exact-transforms"
     worst = 0.0
-    max_std = 6 if quick else 8
+    max_std = 6 if quick else MAX_UNITARY_QUBITS
     for n in range(1, max_std + 1):
         circ = standard_qft(n)
         hist = circ.gate_histogram()
@@ -78,15 +89,13 @@ def criterion_exact_transforms(quick: bool = False) -> CriterionResult:
             return _failure(name, f"standard({n}) gate counts {hist}")
         if circ.depth > 2 * n - 1:
             return _failure(name, f"standard({n}) depth {circ.depth} > {2 * n - 1}")
-        u = extract_unitary(circ)[bit_reversed_indices(n), :]
-        worst = max(worst, float(np.linalg.norm(u - dft_reference(1 << n), 2)))
-    max_split = 4 if quick else 6
+        worst = max(worst, _frobenius_distance(circ, n))
+    max_split = 4 if quick else 10
     for n in range(1, max_split + 1):
-        u = extract_unitary(split_qft(n))[bit_reversed_indices(n), :]
-        worst = max(worst, float(np.linalg.norm(u - dft_reference(1 << n), 2)))
+        worst = max(worst, _frobenius_distance(split_qft(n), n))
     details = (
-        f"operator distance <= {worst:.2e} (tol {OPERATOR_TOL:.0e}) over standard n<={max_std}, "
-        f"split n<={max_split}; ladder counts n H + n(n-1)/2 CP and depth <= 2n-1 exact"
+        f"operator distance (Frobenius, bounds the spectral norm) <= {worst:.2e} (tol {OPERATOR_TOL:.0e}) "
+        f"over standard n<={max_std}, split n<={max_split}; ladder counts n H + n(n-1)/2 CP and depth <= 2n-1 exact"
     )
     return CriterionResult(name, worst <= OPERATOR_TOL, details)
 

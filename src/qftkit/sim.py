@@ -10,40 +10,9 @@ rotate back) and seeds the default generator.  It drives two state types
 through the same kernels (``h``, ``phase``, ``flip``, ``collapse``), and
 calls ``settle_all`` once after the last gate:
 
-* ``_DenseState`` is a tensor with one axis of length 2 per wire; axes in
-  front of the wires (``extract_unitary``'s input axes, one per data bit)
-  ride along.  It knows which wires are definite, holding one bit in every
-  column: a basis input makes every wire definite, and ``extract_unitary``
-  starts its ancillas definite at 0.  It also knows which data wires are
-  tied, still holding their column's input bit: a tied wire's input axis
-  is held at 0 and its own axis carries the bit.  Every kernel acts only
-  on the live block, the view that fixes each definite wire at its bit and
-  each tied wire's input axis at 0; the other slots hold zeros, and no
-  held phase term involves a definite 0.  A collapse leaves its wire
-  definite, so a wire that still holds its input costs no pass over the
-  state; a flip with a definite 0 control is the identity, and any other
-  flip makes its wires vary, which the zeros allow at no cost.
-  A Hadamard on a definite wire makes it separable: the wire keeps its
-  own two amplitudes beside the block, which stays fixed at the wire's old
-  slot, so the transforms' product states (every wire
-  (|0> + e^{2 pi i phi}|1>)/sqrt(2)) cost no write until the end.  A
-  Hadamard or a phase on a separable wire acts on its two amplitudes
-  alone, and a CP with a definite 1 adds an own term to it.  The wire is
-  multiplied into the block only when a CP with a partner that is not
-  definite, a flip or a collapse needs it, and ``settle_all`` merges the
-  rest in ascending wire order.
-  A Hadamard on a tied wire writes its input slot 1 straight from the live
-  block and copies the wire's 0 slice over its 1 slice, with no butterfly
-  over the empty slot; a flip target on a tied wire, or ``settle_all``,
-  unties it with one copy into its input slot 1.  Either way a batch of
-  columns grows its live block one input bit at a time.  ``phase`` only
-  adds the gate's exact angle to a per-wire table of held terms (or drops
-  it on a definite 0).  A Hadamard on a varying wire folds its terms into
-  a butterfly through a prefix of one preallocated half state; a flip on
-  the wire as target or a collapse applies the terms in one broadcast
-  multiply, and ``settle_all`` applies what is still held.  Every Hadamard
-  applies its 1/sqrt(2) in the writes it makes, so ``psi`` times the
-  separable wires' vectors is the true state after every gate.
+* ``_DenseState`` is a tensor with one axis of length 2 per wire, whose
+  kernels act on a live block beside the wires it keeps fixed or tied; its
+  docstring is the one description of the design.
 * ``_SparseState`` keeps the nonzero amplitudes in arrays: a boolean bit
   matrix with one row per wire and one column per amplitude, beside a
   complex amplitude vector.  A flip XORs one row with the AND of its control
@@ -153,66 +122,79 @@ class _DenseState:
     input axis there per data bit, the one for data wire ``i`` on the axis
     that a wire ``nq + i`` would have.
 
-    ``bits`` maps each definite wire, one that holds the same bit in every
-    column, to that bit.  The live block is the view of ``psi`` that fixes
-    each definite and each separable wire at its slot, and every kernel
-    acts on it alone.  The invariant: the other slot of a definite or
-    separable wire holds zeros in memory, and no held phase term involves a
-    definite 0.  A phase gate on a definite 0 is dropped, and a collapse
-    leaves its wire definite.  A flip with a definite 0 control is the
-    identity; any other flip makes every wire it touches vary and then
-    swaps on the live block as usual.
+    A wire is of one of three kinds.  Every kernel acts only on the live
+    block, the view of ``psi`` that holds each fixed wire at its slot and
+    each tied wire's input axis at 0; the other slots hold zeros in memory.
 
-    ``sep`` maps each separable wire to its slot and its two amplitudes
-    ``v``: the state is the live block times ``v`` on the wire.  A Hadamard
-    on a definite wire makes it separable: the block stays at the wire's
-    bit, and ``v`` is (1, 1)/sqrt(2) for a 0 and (1, -1)/sqrt(2) for a 1.
-    A definite 1's held table is applied to the block first, or folded into
-    ``v`` in O(1) when it is a scalar, that is when every held term on the
-    wire has a definite partner.  A separable wire holds only its own term,
-    ``pending[w][w]``: a ``P`` on it, and a ``CP`` with a definite 1, add to
-    it, and a Hadamard applies it to ``v`` and then mixes ``v``.  A ``CP``
-    with any other partner, a flip on the wire and a collapse on it first
-    merge it: ``v``, with the own term applied, is multiplied into the
-    block at both slots, one copy with weights, after which the wire
-    varies.  ``settle_all`` merges the wires still separable in ascending
-    order, so the block grows over contiguous inner axes.
+    * Fixed: ``sep`` maps the wire to its slot and its two amplitudes ``v``,
+      and the state is the live block times ``v`` on the wire.  A basis
+      input fixes every wire at the basis vector of its bit, and
+      ``extract_unitary`` fixes its ancillas at 0.  A fixed wire holds only
+      its own phase term, ``pending[w][w]``, the factor on ``v[1]``: a ``P``
+      adds to it, and a Hadamard applies it to ``v`` and then mixes ``v``,
+      so the transforms' product states (every wire
+      (|0> + e^{2 pi i phi}|1>)/sqrt(2)) cost no write until the end.  A
+      fixed wire whose ``v`` has an exact zero is definite, and its gates
+      resolve when they come: a ``P`` or ``CP`` on a definite 0 is dropped,
+      a ``CP`` with a definite 1 is a ``P`` on the other wire, a flip with a
+      definite 0 control is the identity, and a flip drops its definite 1
+      controls.  So no held term involves a fixed wire.  Any other ``CP``
+      or flip on the wire and a collapse on it first merge it: ``v``, with
+      its own term applied, is multiplied into the block at both slots, one
+      copy with weights, after which the wire varies.  The merge skips the
+      copy when the other slot's weight is exactly 0, as its zeros are
+      already in memory, and the scaling when the slot's own weight is
+      exactly 1, so a basis vector at its slot writes nothing.  A collapse
+      leaves its wire fixed at the observed basis vector, and
+      ``settle_all`` merges the wires still fixed in ascending order, so the
+      block grows over contiguous inner axes.
+    * Tied: ``ties`` holds the data wires that still hold their column's
+      input bit.  The wire's input axis is held at 0 and its own axis
+      carries that bit, and to phases and controls it is a varying wire.  A
+      Hadamard on it ends the tie in one pass: with ``A`` and ``B`` the live
+      block's wire-0 and wire-1 slices and ``T`` the held table, it writes
+      ``B T`` and ``-B T`` into input slot 1 and ``A`` into both of slot 0's
+      slices, each times 1/sqrt(2).  A flip target on it, or
+      ``settle_all``, unties it by moving the live block's wire-1 slice into
+      input slot 1.  ``collapse`` never meets a tie, since
+      ``extract_unitary`` refuses measuring circuits.
+    * Varying: every other wire.  A Hadamard on it is a butterfly through a
+      prefix of one preallocated half state.
 
-    A key ``nq + i`` in ``bits`` ties data wire ``i``: the wire still holds
-    its column's input bit, so its input axis is held at 0 like a definite
-    wire and the wire's own axis carries that bit.  To phases and controls a
-    tied wire is a varying one.  A Hadamard on it ends the tie in one pass:
-    with ``A`` and ``B`` the live block's wire-0 and wire-1 slices and ``T``
-    the held table, it writes ``B T`` and ``-B T`` into input slot 1 and
-    ``A`` into both of slot 0's slices, each times 1/sqrt(2).  A flip
-    target on it, or ``settle_all``, unties it by moving the live block's
-    wire-1 slice into input slot 1.
-    ``collapse`` never meets a tie, since ``extract_unitary`` refuses
-    measuring circuits.
-
-    Phase gates are held, not applied: ``pending[w]`` maps a wire to the
-    summed angle, as an integer mod 2**64, of the terms on ``w``.  ``P(w)``
-    sits under ``pending[w][w]`` and ``CP(a, b)`` under both
-    ``pending[a][b]`` and ``pending[b][a]``.  ``_table(w)`` pops every term
-    on ``w`` as one factor ``p_w * (x)_b [1, q_b]`` over its varying
-    partners ``b``, times ``q_b`` for each definite one (which holds 1), for
-    the live ``w = 1`` slice; a Hadamard on a tied or varying wire folds
-    it into its write, and a collapse or a flip with target ``w`` applies
-    it first.  A flip's controls need no settling: a term without the
-    target commutes with the flip.  Such a Hadamard scales the table by
-    1/sqrt(2) in place (or takes 1/sqrt(2) alone when nothing is held) and
-    applies it in the one multiply it makes on the old ``w = 1`` slice; its
-    other writes carry the 1/sqrt(2) too.  ``settle_all`` applies what is
-    still held after the last gate.
+    The phase terms of tied and varying wires are held, not applied:
+    ``pending[w]`` maps a wire to the summed angle, as an integer mod 2**64,
+    of the terms on ``w``.  ``P(w)`` sits under ``pending[w][w]`` and
+    ``CP(a, b)`` under both ``pending[a][b]`` and ``pending[b][a]``.
+    ``_table(w)`` pops every term on ``w`` as one factor
+    ``p_w * (x)_b [1, q_b]`` over its partners ``b``, for the live ``w = 1``
+    slice.  A Hadamard on ``w`` folds it into its write, and a collapse or a
+    flip with target ``w`` applies it first; a flip's controls need no
+    settling, as a term without the target commutes with the flip.  The
+    Hadamard scales the table by 1/sqrt(2) in place (or takes 1/sqrt(2)
+    alone when nothing is held) and applies it in the one multiply it makes
+    on the old ``w = 1`` slice; its other writes carry the 1/sqrt(2) too, so
+    ``psi`` times the fixed wires' vectors is the true state after every
+    gate.  ``settle_all`` applies what is still held after the last gate.
     """
 
-    def __init__(self, psi: np.ndarray, nq: int, bits: dict[int, int] | None = None):
+    def __init__(self, psi: np.ndarray, nq: int, fixed: dict[int, int] | None = None, ties: Iterable[int] = ()):
         self.psi = psi
         self.nq = nq
-        self.bits = dict(bits or {})
         self.sep: dict[int, tuple[int, list[complex]]] = {}
+        for w, bit in (fixed or {}).items():
+            self._fix(w, bit)
+        self.ties = set(ties)
         self.pending: list[dict[int, int]] = [{} for _ in range(nq)]
         self.scratch = np.empty(psi.size // 2, dtype=psi.dtype)  # one half state, for h and flip
+
+    def _fix(self, w: int, bit: int) -> None:
+        """Make ``w`` fixed at ``bit``, with the basis vector of ``bit``; the block must sit at that slot."""
+        self.sep[w] = (bit, [0.0, 1.0] if bit else [1.0, 0.0])
+
+    def _bit(self, w: int) -> int | None:
+        """The bit a definite wire holds, or ``None``: a definite wire is fixed, with an exact zero in ``v``."""
+        v = self.sep[w][1] if w in self.sep else (None, None)
+        return 0 if v[1] == 0 else 1 if v[0] == 0 else None
 
     def _at(self, *fixed: tuple[int, int]) -> tuple:
         """Basic index that holds wire ``w`` at ``bit`` for each ``(w, bit)``.
@@ -224,9 +206,13 @@ class _DenseState:
             idx[self.psi.ndim - 1 - w] = bit
         return (*idx, ...)
 
+    def _held(self) -> list[tuple[int, int]]:
+        """The ``(axis wire, slot)`` pairs that the live block holds: each tied input axis and each fixed wire."""
+        return [*((self.nq + i, 0) for i in self.ties), *((w, slot) for w, (slot, _) in self.sep.items())]
+
     def _live(self, *fixed: tuple[int, int]) -> np.ndarray:
         """The live block, with wire ``w`` also held at ``bit`` for each ``(w, bit)``."""
-        return self.psi[self._at(*self.bits.items(), *((w, slot) for w, (slot, _) in self.sep.items()), *fixed)]
+        return self.psi[self._at(*self._held(), *fixed)]
 
     def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
         """A prefix of the scratch half state, viewed with ``shape``."""
@@ -244,27 +230,23 @@ class _DenseState:
         """Pop every held term on ``w``; the factor for its live ``w = 1`` slice, or ``None``.
 
         The table is allocated at its final size and doubled in place, once
-        per varying partner.
+        per partner.
         """
         terms = self.pending[w]
         if not terms:
             return None
         self.pending[w] = {}
         own = _turn_phase(terms.pop(w, 0))
-        table = np.empty(1 << sum(b not in self.bits for b in terms), dtype=np.complex128)
+        table = np.empty(1 << len(terms), dtype=np.complex128)
         table[0] = own
         k = 1  # entries filled so far
         shape = [1] * self.psi.ndim
-        for b in sorted(terms):  # the fastest axis first, each varying partner a new slower one
-            q = _turn_phase(terms[b])
-            if b in self.bits:
-                table[:k] *= q
-            else:
-                np.multiply(table[:k], q, out=table[k : 2 * k])
-                k *= 2
-                shape[self.psi.ndim - 1 - b] = 2
+        for b in sorted(terms):  # the fastest axis first, each partner a new slower one
+            np.multiply(table[:k], _turn_phase(terms[b]), out=table[k : 2 * k])
+            k *= 2
+            shape[self.psi.ndim - 1 - b] = 2
             del self.pending[b][w]
-        fixed = {self.psi.ndim - 1 - v for v in (*self.bits, *self.sep, w)}
+        fixed = {self.psi.ndim - 1 - v for v, _ in (*self._held(), (w, 1))}
         return table.reshape([s for axis, s in enumerate(shape) if axis not in fixed])
 
     def settle(self, w: int) -> None:
@@ -276,23 +258,26 @@ class _DenseState:
 
     def _untie(self, w: int) -> None:
         """If ``w`` is tied, move its input-1 columns into input slot 1 and zero where they were."""
-        if self.bits.pop(self.nq + w, None) is not None:
+        if w in self.ties:
+            self.ties.remove(w)
             ones = self._live((self.nq + w, 0), (w, 1))
             np.copyto(self._live((self.nq + w, 1), (w, 1)), ones)
             ones.fill(0.0)
 
     def _own(self, w: int) -> complex:
-        """Pop the held own term of a separable wire: the factor on its ``1`` amplitude."""
+        """Pop the held own term of a fixed wire: the factor on its ``1`` amplitude."""
         return _turn_phase(self.pending[w].pop(w, 0))
 
     def _merge(self, w: int) -> None:
-        """If ``w`` is separable, multiply its amplitudes into the block, after which ``w`` varies."""
+        """If ``w`` is fixed, multiply its amplitudes into the block, after which ``w`` varies."""
         if w in self.sep:
             slot, v = self.sep.pop(w)
             v[1] *= self._own(w)
-            live, other = self._live((w, slot)), self._live((w, 1 - slot))
-            np.multiply(live, v[1 - slot], out=other)
-            live *= v[slot]
+            live = self._live((w, slot))
+            if v[1 - slot] != 0:  # else the other slot's zeros are already in memory
+                np.multiply(live, v[1 - slot], out=self._live((w, 1 - slot)))
+            if v[slot] != 1:
+                live *= v[slot]
 
     def settle_all(self) -> None:
         for w in range(self.nq):
@@ -309,28 +294,16 @@ class _DenseState:
             v[:] = (a + b) * _SQRT_HALF, (a - b) * _SQRT_HALF
             return
         table = self._table(w)
-        bit = self.bits.pop(w, None)
-        if bit is not None:  # (T B) |bit> becomes (T B)(|0> +- |1>)/sqrt(2); a definite 0 holds no term
-            f = _SQRT_HALF
-            if table is not None and table.size == 1:  # every held term has a definite partner
-                f *= complex(table.flat[0])
-            elif table is not None:
-                live = self._live((w, 1))
-                live *= table
-            self.sep[w] = (bit, [f, -f] if bit else [f, f])
-            return
         f = _SQRT_HALF if table is None else np.multiply(table, _SQRT_HALF, out=table)
-        tie = self.nq + w
-        if tie in self.bits:  # input slot 0 holds A at w = 0 and B at w = 1; slot 1 is empty
-            a, b = self._live((w, 0)), self._live((w, 1))
-            lo, hi = self._live((tie, 1), (w, 0)), self._live((tie, 1), (w, 1))
+        a, b = self._live((w, 0)), self._live((w, 1))
+        if w in self.ties:  # input slot 0 holds A at w = 0 and B at w = 1; slot 1 is empty
+            lo, hi = self._live((self.nq + w, 1), (w, 0)), self._live((self.nq + w, 1), (w, 1))
             np.multiply(b, f, out=lo)
             np.negative(lo, out=hi)
             np.multiply(a, _SQRT_HALF, out=b)
             a *= _SQRT_HALF
-            del self.bits[tie]
+            self.ties.remove(w)
         else:
-            a, b = self._live((w, 0)), self._live((w, 1))
             t = self._buffer(a.shape)
             np.multiply(b, f, out=t)
             a *= _SQRT_HALF
@@ -339,16 +312,16 @@ class _DenseState:
 
     def phase(self, wires, theta: DyadicAngle) -> None:
         a, b = wires[0], wires[-1]
-        if self.bits.get(a) == 0 or self.bits.get(b) == 0:
+        bit_a, bit_b = self._bit(a), self._bit(b)
+        if bit_a == 0 or bit_b == 0:
             return
-        if a != b:
-            if a in self.sep and b in self.bits:  # a definite 1 partner: an own term on a
-                b = a
-            elif b in self.sep and a in self.bits:
-                a = b
-            else:
-                self._merge(a)
-                self._merge(b)
+        if bit_b == 1:  # a CP with a definite 1 is a P on the other wire
+            b = a
+        elif bit_a == 1:
+            a = b
+        elif a != b:
+            self._merge(a)
+            self._merge(b)
         turns = theta.numerator << (_TURN_BITS - theta.log_denominator)
         self._hold(a, b, turns)
         if b != a:
@@ -356,11 +329,12 @@ class _DenseState:
 
     def flip(self, wires) -> None:
         *controls, t = wires
-        if any(self.bits.get(c) == 0 for c in controls):  # a definite 0 control: the identity
+        bits = [self._bit(c) for c in controls]
+        if 0 in bits:  # a definite 0 control: the identity
             return
-        for w in wires:  # the zeros in a definite wire's other slot let it vary as it is
+        controls = [c for c, bit in zip(controls, bits) if bit is None]  # a definite 1 control always fires
+        for w in (*controls, t):
             self._merge(w)
-            self.bits.pop(w, None)
         self._untie(t)
         self.settle(t)
         on = [(c, 1) for c in controls]
@@ -375,7 +349,7 @@ class _DenseState:
         self.settle(w)
         outcome, p = _draw(float(np.sum(np.abs(self._live((w, 1))) ** 2)), rng)
         self._live((w, 1 - outcome))[...] = 0.0
-        self.bits[w] = outcome
+        self._fix(w, outcome)
         live = self._live()
         live *= 1.0 / np.sqrt(p)
         return outcome
@@ -724,11 +698,11 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
     dim = 1 << n_data
     if nq <= MAX_UNITARY_QUBITS:
         # one input axis per data bit in front of the wires, so column x is input
-        # slot x; keys n_data..nq-1 hold the ancillas definite at 0 and keys nq..
-        # tie each data wire to its input, so column x starts at entry x of slot 0
+        # slot x; the ancillas start fixed at 0 and each data wire tied to its
+        # input, so column x starts at entry x of slot 0
         tensor = np.zeros([2] * (n_data + nq), dtype=np.complex128)
         tensor.reshape(dim, 1 << nq)[0, :dim] = 1.0
-        _evolve(_DenseState(tensor, nq, dict.fromkeys(range(n_data, nq + n_data), 0)), circuit, None)
+        _evolve(_DenseState(tensor, nq, dict.fromkeys(range(n_data, nq), 0), range(n_data)), circuit, None)
         matrix = tensor.reshape(dim, 1 << nq).T
         if nq == n_data:
             unitary, leak = matrix, 0.0

@@ -99,6 +99,11 @@ def phased_hadamard_circuit(rng, n_wires: int, n_h: int, measure_after: dict[int
     return b.build()
 
 
+def definite_bits(state: sim._DenseState) -> dict[int, int]:
+    """Each definite wire's bit, read from the zero in its fixed vector."""
+    return {w: int(v[0] == 0) for w, (_, v) in state.sep.items() if 0 in v}
+
+
 def reference_run(circuit: Circuit, x: int, rng: np.random.Generator) -> tuple[np.ndarray, list]:
     """Gate by gate with explicit 2^n x 2^n matrices; a measurement projects onto
     the basis's eigenvectors and reads 1 when ``rng.random()`` falls below its
@@ -211,20 +216,20 @@ class TestHeldPhases:
 
 class TestTrueAmplitudes:
     """The dense state holds the true state after every gate, held phases
-    aside: ``psi`` times the separable wires' vectors is the true state, and
+    aside: ``psi`` times the fixed wires' vectors is the true state, and
     each Hadamard applies its 1/sqrt(2) in the writes it makes."""
 
     @staticmethod
     def column_norms(state: sim._DenseState, n_data: int) -> list[float]:
         """Each column's squared norm; a tied data wire keeps its input-1
-        columns at input slot 0, on its own axis's 1 slice.  A separable
+        columns at input slot 0, on its own axis's 1 slice.  A fixed
         wire's vector has unit norm, so ``psi`` alone gives the norm."""
         norms = []
         for x in range(1 << n_data):
             fixed = []
             for i in range(n_data):
                 bit = x >> i & 1
-                if state.nq + i in state.bits:
+                if i in state.ties:
                     fixed += [(state.nq + i, 0), (i, bit)]
                 else:
                     fixed.append((state.nq + i, bit))
@@ -233,9 +238,10 @@ class TestTrueAmplitudes:
 
     def step(self, state: sim._DenseState, n_data: int, gates, kinds: set) -> None:
         """Apply ``gates`` one by one (a z measurement as the bare collapse),
-        recording each Hadamard's wire as separable, definite, tied or varying
-        and held or not, and checking every column's squared norm and every
-        separable wire's vector after each step."""
+        recording each Hadamard's wire as definite (fixed, with a zero in its
+        vector), separable (any other fixed wire), tied or varying and held or
+        not, and checking every column's squared norm and every fixed wire's
+        vector after each step."""
         rng = np.random.default_rng(38)
         for g in gates:
             if g.family == "measure":
@@ -243,9 +249,9 @@ class TestTrueAmplitudes:
             elif g.family == "h":
                 w = g.target
                 kind = (
-                    "separable" if w in state.sep
-                    else "definite" if w in state.bits
-                    else "tied" if state.nq + w in state.bits
+                    "definite" if w in definite_bits(state)
+                    else "separable" if w in state.sep
+                    else "tied" if w in state.ties
                     else "varying"
                 )
                 kinds.add((kind, bool(state.pending[w])))
@@ -264,21 +270,22 @@ class TestTrueAmplitudes:
     def test_every_gate_leaves_unit_columns(self):
         kinds: set = set()
         # one basis column, x = 0b0010: every wire starts definite, wire 1 at 1.  Wire 0
-        # turns separable and takes its own P and the CP with the definite 1; the CNOT
-        # merges it, and the CP between the varying wire 2 and wire 1 leaves wire 1 a
-        # table that its Hadamard applies to the block before the wire turns separable
+        # turns separable and takes its own P and the CP with the definite 1 as a P; the
+        # CNOT merges it, the CP between the varying wire 2 and wire 1 is a P on wire 2,
+        # and wire 1's own P is folded into its vector by its Hadamard
         psi = np.zeros([2] * 4, dtype=np.complex128)
         psi.flat[0b0010] = 1.0
         state = sim._DenseState(psi, 4, {w: 0b0010 >> w & 1 for w in range(4)})
         self.step(state, 0, [
             H(0), P(0, dyadic(1, 3)), CP(0, 1, dyadic(3, 4)), H(0), CNOT(0, 2), CP(2, 1, dyadic(5, 5)),
-            H(1), MeasureBasis(2, "z", 0), H(2), X(1), CP(1, 2, dyadic(5, 6)), H(1), Toffoli(0, 1, 3), H(3),
+            P(1, dyadic(1, 4)), H(1), MeasureBasis(2, "z", 0), H(2), X(1), CP(1, 2, dyadic(5, 6)), H(1),
+            Toffoli(0, 1, 3), H(3),
         ], kinds)
         # a batch of 8 columns as extract_unitary makes it: data wires 0-2 tied, ancilla 3
-        # definite at 0, separable after its H until the CP with the tied wire 1 merges it
+        # fixed at 0, separable after its H until the CP with the tied wire 1 merges it
         tensor = np.zeros([2] * 7, dtype=np.complex128)
         tensor.reshape(8, 16)[0, :8] = 1.0
-        state = sim._DenseState(tensor, 4, dict.fromkeys(range(3, 7), 0))
+        state = sim._DenseState(tensor, 4, {3: 0}, range(3))
         self.step(state, 3, [
             P(0, dyadic(1, 3)), CP(0, 1, dyadic(3, 4)), H(0), H(3), CP(3, 1, dyadic(1, 5)), H(1), H(0),
             CNOT(0, 2), P(2, dyadic(7, 8)), H(2), Toffoli(1, 2, 3), H(3),
@@ -325,6 +332,89 @@ class TestDefiniteWires:
         circuit = b.build()
         for x in (0b1000, 0b1100, 0b1001, 0b1101):
             self.check(circuit, x)
+
+    @staticmethod
+    def basis_state(nq: int, x: int, gates) -> sim._DenseState:
+        """The dense state of basis input ``x`` after ``gates``, with no settle at the end."""
+        psi = np.zeros([2] * nq, dtype=np.complex128)
+        psi.flat[x] = 1.0
+        state = sim._DenseState(psi, nq, {w: x >> w & 1 for w in range(nq)})
+        for g in gates:
+            if g.family == "h":
+                state.h(g.target)
+            elif g.family == "phase":
+                state.phase(g.qubits(), g.theta)
+            else:
+                state.flip(g.qubits())
+        return state
+
+    def test_a_definite_one_control_stays_fixed(self):
+        # from x = 0b10001, wire 4 reads 1: CNOT(4, 2) flips wire 2 as X(2) does and
+        # leaves the live block the size X(2) leaves it, with wire 4 still fixed at its
+        # basis vector; a Toffoli with the definite 1 as one control is the CNOT from
+        # the other
+        head = [H(0), CNOT(0, 1)]
+        states = {
+            name: self.basis_state(5, 0b10001, [*head, gate])
+            for name, gate in (("x", X(2)), ("cnot", CNOT(4, 2)), ("toffoli", Toffoli(4, 0, 2)), ("cnot02", CNOT(0, 2)))
+        }
+        assert states["cnot"].sep[4] == (1, [0.0, 1.0])
+        assert states["toffoli"].sep[4] == (1, [0.0, 1.0])
+        assert states["cnot"]._live().size == states["x"]._live().size == 8  # wires 0-2 vary
+        assert np.array_equal(states["cnot"].psi, states["x"].psi)
+        assert np.array_equal(states["toffoli"].psi, states["cnot02"].psi)
+        assert states["toffoli"]._live().size == states["cnot02"]._live().size
+        tail = [H(2), CP(4, 2, dyadic(3, 4)), CP(2, 1, dyadic(1, 3)), H(4), CNOT(4, 3), H(1)]
+        for gate in (CNOT(4, 2), Toffoli(4, 0, 2)):
+            circuit = Circuit.from_gates([*head, gate, *tail], 5)
+            for x in range(32):
+                self.check(circuit, x)
+
+    # wire 0 after H H is definite, its vector (c, 0) or (0, c) with c off 1 in the
+    # last bit; after H P(1/2) H it holds the other bit at the old slot, beside a
+    # rounding residue (sin(pi) != 0), so it is not definite; a P on a definite 1
+    # leaves its vector (0, 1) with an own term that a merge must apply
+    PREFIXES = {
+        "hh": [H(0), H(0)],
+        "hph": [H(0), P(0, dyadic(1, 1)), H(0)],
+        "own": [P(0, dyadic(3, 5))],
+    }
+
+    def test_the_prefixes_leave_the_vectors_they_name(self):
+        for x in (0, 1):
+            vectors = {}
+            for name, gates in self.PREFIXES.items():
+                state = self.basis_state(2, x, gates)
+                vectors[name] = state.sep[0]
+                assert definite_bits(state).get(0) == (None if name == "hph" else x)
+                assert bool(state.pending[0]) == (name == "own" and x == 1)
+            slot, v = vectors["hh"]
+            assert slot == x and v[1 - x] == 0 and 0.99 < abs(v[x]) != 1
+            slot, v = vectors["hph"]
+            assert slot == x and 0 < abs(v[x]) < 1e-15 and 0.99 < abs(v[1 - x]) != 1
+            assert vectors["own"] == (x, [1 - x, x])
+
+    @pytest.mark.parametrize("prefix", sorted(PREFIXES))
+    @pytest.mark.parametrize(
+        "use",
+        [
+            [H(1), CP(0, 1, dyadic(3, 4)), H(1)],  # a CP partner
+            [H(1), CP(1, 0, dyadic(5, 3)), P(0, dyadic(1, 3)), CP(0, 3, dyadic(1, 2))],
+            [H(1), CNOT(0, 2), Toffoli(0, 1, 3), H(2)],  # a flip control
+            [H(1), CNOT(1, 0), H(0), CP(0, 1, dyadic(1, 3))],  # a flip target
+            [X(0), H(0), H(1), CNOT(0, 1)],
+            [H(1), MeasureBasis(0, "z", 0), H(0), CP(0, 1, dyadic(3, 4))],  # a collapse
+            [H(1), MeasureBasis(0, "x", 0), CNOT(0, 1), MeasureBasis(1, "y", 1)],
+            [],  # merged only at the end
+        ],
+        ids=["cp", "cp-and-p", "control", "target", "x", "collapse", "x-y-measure", "end"],
+    )
+    def test_exact_zeros_and_held_phases_on_fixed_wires(self, prefix, use):
+        circuit = Circuit.from_gates([*self.PREFIXES[prefix], *use], 4, n_classical=2)
+        seeds = range(3) if circuit.has_measurement() else range(1)
+        for x in range(16):
+            for seed in seeds:
+                self.check(circuit, x, seed)
 
     def test_cp_between_definite_ones_then_h_on_both(self):
         b = CircuitBuilder(3)
@@ -373,7 +463,16 @@ class TestDefiniteWires:
             for seed in range(4):
                 self.check(circuit, x, seed)
 
-    def test_slots_off_the_live_block_hold_zeros(self):
+    def test_slots_off_the_live_block_hold_zeros(self, monkeypatch):
+        # the definite wires are read just before settle_all merges every fixed wire
+        definite = []
+        settle_all = sim._DenseState.settle_all
+
+        def capturing(state):
+            definite.append(definite_bits(state))
+            settle_all(state)
+
+        monkeypatch.setattr(sim._DenseState, "settle_all", capturing)
         rng = np.random.default_rng(3303)
         for trial in range(10):
             circuit = phase_heavy_circuit(rng, 5, 30)
@@ -384,8 +483,9 @@ class TestDefiniteWires:
             sim._evolve(state, circuit, np.random.default_rng(trial))
             want, _ = reference_run(circuit, x, np.random.default_rng(trial))
             assert np.max(np.abs(state.psi.reshape(-1) - want)) < 1e-12
-            for w, bit in state.bits.items():
+            for w, bit in definite[-1].items():
                 assert not state.psi[state._at((w, 1 - bit))].any()
+        assert len(definite) == 10 and any(definite)  # some trial ends with definite wires
 
 
 class TestSeparableWires:
@@ -440,8 +540,9 @@ class TestSeparableWires:
                 assert np.max(np.abs(got.state - want)) < 1e-12
 
     def test_a_definite_one_with_a_varying_partner(self):
-        # wire 2 reads 1 and holds a CP with the varying wire 0; its Hadamard applies
-        # that table to the block, and the wire is separable until the CNOT merges it
+        # wire 2 reads 1, so its CP with the varying wire 0 is a P on wire 0, and wire 2
+        # holds only its own P; its Hadamard folds that into its vector, and the wire
+        # stays fixed until the CNOT merges it
         b = CircuitBuilder(4)
         b.h(0)
         b.cnot(0, 1)
@@ -458,7 +559,8 @@ class TestSeparableWires:
         state.flip((0, 1))
         state.phase((0, 2), dyadic(3, 4))
         state.phase((2,), dyadic(1, 3))
-        assert state.pending[2] and 2 in state.bits
+        assert set(state.pending[2]) == {2} and set(state.pending[0]) == {0}
+        assert definite_bits(state)[2] == 1
         state.h(2)
         assert 2 in state.sep and not state.pending[2]
         for x in (0b0100, 0b0101, 0b1110):
@@ -486,10 +588,11 @@ class TestSeparableWires:
         psi.flat[0b01100] = 1.0
         state = sim._DenseState(psi, 5, {w: 0b01100 >> w & 1 for w in range(5)})
         state.h(4)
-        bits, before = dict(state.bits), state.psi.copy()
+        bits, before = definite_bits(state), state.psi.copy()
+        assert bits == {0: 0, 1: 0, 2: 1, 3: 1}
         for wires in ((1, 3), (0, 2, 3), (4, 1, 2), (3, 0, 4)):
             state.flip(wires)
-            assert state.bits == bits
+            assert definite_bits(state) == bits
             assert 4 in state.sep
         assert np.array_equal(state.psi, before)
 
@@ -639,12 +742,9 @@ class TestPhaseTable:
         table = np.array([sim._turn_phase(terms.pop(w, 0))])
         shape = [1] * state.psi.ndim
         for b in sorted(terms):
-            if b in state.bits:
-                table *= sim._turn_phase(terms[b])
-            else:
-                table = np.concatenate((table, table * sim._turn_phase(terms[b])))
-                shape[state.psi.ndim - 1 - b] = 2
-        fixed = {state.psi.ndim - 1 - v for v in (*state.bits, w)}
+            table = np.concatenate((table, table * sim._turn_phase(terms[b])))
+            shape[state.psi.ndim - 1 - b] = 2
+        fixed = {state.psi.ndim - 1 - v for v in (*state.sep, w)}
         return table.reshape([s for axis, s in enumerate(shape) if axis not in fixed])
 
     @staticmethod
@@ -652,6 +752,7 @@ class TestPhaseTable:
         return sim._DenseState(np.zeros([2] * nq, dtype=np.complex128), nq, dict.fromkeys(ones, 1))
 
     def assert_bitwise_equal(self, state: sim._DenseState, w: int) -> None:
+        assert not state.pending[w].keys() & state.sep.keys()  # a definite partner resolved at its gate
         want = self.concatenated(state, w)
         got = state._table(w)
         assert got.shape == want.shape
@@ -664,7 +765,7 @@ class TestPhaseTable:
         nq = 8
         ones = [int(v) for v in rng.choice(nq, size=int(rng.integers(0, 4)), replace=False)]
         state = self.state(nq, ones)
-        w = int(rng.integers(0, nq))
+        w = int(rng.choice([v for v in range(nq) if v not in ones]))  # a definite w holds no table
         for _ in range(int(rng.integers(1, 12))):
             theta = dyadic(int(rng.integers(1, 1 << 62)), int(rng.choice([3, 30, 64])))
             partner = int(rng.integers(0, nq))
