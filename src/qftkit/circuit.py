@@ -20,6 +20,7 @@ import numpy as np
 from .errors import CapacityError, NonInvertibleError, SimulationError, StructuralError
 
 MAX_LOG_DENOMINATOR = 64
+_QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +55,9 @@ class DyadicAngle:
         return self.numerator / (1 << self.log_denominator)
 
     def phase(self) -> complex:
-        """The unit complex number exp(2*pi*i * float(self))."""
+        """The unit complex number exp(2*pi*i * float(self)), exact at multiples of a quarter turn."""
+        if self.log_denominator <= 2:
+            return _QUARTER_TURNS[self.numerator << (2 - self.log_denominator)]
         return complex(math.cos(math.tau * float(self)), math.sin(math.tau * float(self)))
 
     def __str__(self) -> str:

@@ -20,7 +20,7 @@ import numpy as np
 from . import acceptance, netlist, shor
 from .circuit import Circuit
 from .errors import CapacityError, QftkitError
-from .qft_pow2 import PLAN_KINDS, QftPlan, build_from_plan, copy_fourier, prep_approx, prep_exact
+from .qft_pow2 import PLAN_KINDS, QftPlan, _permuted_index, build_from_plan, copy_fourier, prep_approx, prep_exact
 from .sim import DEFAULT_SEED, run_sparse, sparse_marginal
 
 STATS_KEYS = ("n", "size", "depth", "width", "gate_histogram", "error_bound")
@@ -110,15 +110,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 value = " ".join(f"{g}={c}" for g, c in value.items()) or "-"
             print(f"{key}: {value}")
     return 0
-
-
-def _permuted_index(idx: int, perm: Sequence[int] | None, n_data: int) -> int:
-    if perm is None:
-        return idx
-    out = idx & ~((1 << n_data) - 1)
-    for w in range(n_data):
-        out |= ((idx >> w) & 1) << perm[w]
-    return out
 
 
 def cmd_sim(args: argparse.Namespace) -> int:

@@ -104,6 +104,19 @@ def _output_permutation(n: int) -> list[int]:
     return [n - 1 - i for i in range(n)]
 
 
+def _permuted_index(idx: int | np.ndarray, perm: Sequence[int] | None, n_data: int) -> int | np.ndarray:
+    """``idx`` (an int or an int array) in natural output order under a recorded ``output_permutation``.
+
+    Data wire w's bit moves to bit perm[w]; the bits above the ``n_data`` data wires stay.
+    """
+    if perm is None:
+        return idx
+    out = idx & ~((1 << n_data) - 1)
+    for w in range(n_data):
+        out |= ((idx >> w) & 1) << perm[w]
+    return out
+
+
 def _ladder_layers(wires: Sequence[int], band: int | None = None) -> list[list[Gate]]:
     """The fixed ladder schedule on ``wires``, n = len(wires).
 

@@ -1,10 +1,10 @@
 """Reversible arithmetic built from X/CNOT/Toffoli gates.
 
-Everything here works over *bit references*: a reference is either a wire
-index, a constant (``ZERO``/``ONE``), or a virtual negation ``("not", w)``.
-Constant folding on references is what keeps the emitted circuits small;
-an AND with a known-zero bit emits nothing, an XOR with a single live input
-is just an alias.
+Everything here works over *bit references*: a reference is a wire index
+``w >= 0``, its virtual negation ``~w`` (the negative int ``-w - 1``), or a
+constant ``ZERO``/``ONE``.  Constant folding on references is what keeps the
+emitted circuits small; an AND with a known-zero bit emits nothing, an XOR
+with a single live input is just an alias.
 
 Carry computation uses the generate/propagate pair (g, p) per position with
 the combine ``G = g_hi XOR (p_hi AND g_lo)``, ``P = p_hi AND p_lo``; the XOR
@@ -18,14 +18,14 @@ end at |0> on all inputs (compute / copy out / uncompute).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
 from .circuit import Circuit, CircuitBuilder
 from .errors import StructuralError
 
 ZERO = "zero"
 ONE = "one"
-BitRef = Union[int, str, tuple]
+BitRef = int | str
 
 
 def bnot(r: BitRef) -> BitRef:
@@ -33,31 +33,17 @@ def bnot(r: BitRef) -> BitRef:
         return ONE
     if r == ONE:
         return ZERO
-    if isinstance(r, int):
-        return ("not", r)
-    return r[1]
-
-
-def _is_const(r: BitRef) -> bool:
-    return r == ZERO or r == ONE
-
-
-def _wire_of(r: BitRef) -> int:
-    return r if isinstance(r, int) else r[1]
+    return ~r
 
 
 def xor_into(b: CircuitBuilder, target: int, r: BitRef) -> None:
-    """target ^= r."""
+    """target ^= r: a CNOT from r's wire if it has one, then an X if r is negated (ONE negates no wire)."""
     if r == ZERO:
         return
-    if r == ONE:
+    if r != ONE:
+        b.cnot(r if r >= 0 else ~r, target)
+    if r == ONE or r < 0:
         b.x(target)
-        return
-    if isinstance(r, int):
-        b.cnot(r, target)
-        return
-    b.cnot(r[1], target)
-    b.x(target)
 
 
 def _and_fold(x: BitRef, y: BitRef) -> BitRef | None:
@@ -69,8 +55,8 @@ def _and_fold(x: BitRef, y: BitRef) -> BitRef | None:
         return x
     if x == y:
         return x
-    if _wire_of(x) == _wire_of(y):
-        return ZERO  # w AND (not w)
+    if x == ~y:
+        return ZERO  # w AND ~w
     return None
 
 
@@ -80,21 +66,15 @@ def and_into(b: CircuitBuilder, target: int, x: BitRef, y: BitRef) -> None:
     if folded is not None:
         xor_into(b, target, folded)
         return
-    xneg, yneg = not isinstance(x, int), not isinstance(y, int)
-    wx, wy = _wire_of(x), _wire_of(y)
-    if not xneg and not yneg:
-        b.toffoli(wx, wy, target)
-    elif xneg and yneg:
-        # (not u)(not v) = 1 ^ u ^ v ^ uv
+    # wires u, v negated by m, n: (u ^ m)(v ^ n) = m·n ^ n·u ^ m·v ^ uv
+    u, v = (x if x >= 0 else ~x), (y if y >= 0 else ~y)
+    if x < 0 and y < 0:
         b.x(target)
-        b.cnot(wx, target)
-        b.cnot(wy, target)
-        b.toffoli(wx, wy, target)
-    else:
-        # w AND (not u) = w ^ wu
-        w, u = (wx, wy) if yneg else (wy, wx)
-        b.cnot(w, target)
-        b.toffoli(w, u, target)
+    if y < 0:
+        b.cnot(u, target)
+    if x < 0:
+        b.cnot(v, target)
+    b.toffoli(u, v, target)
 
 
 def emit_and(b: CircuitBuilder, x: BitRef, y: BitRef) -> BitRef:
@@ -114,17 +94,16 @@ def emit_xor(b: CircuitBuilder, refs: Sequence[BitRef]) -> BitRef:
     for r in refs:
         if r == ONE:
             parity ^= 1
-        elif r == ZERO:
-            continue
-        else:
-            live[_wire_of(r)] = live.get(_wire_of(r), 0) ^ 1
-            if not isinstance(r, int):
+        elif r != ZERO:
+            if r < 0:
+                r = ~r
                 parity ^= 1
+            live[r] = live.get(r, 0) ^ 1
     wires = [w for w, alive in live.items() if alive]
     if not wires:
         return ONE if parity else ZERO
     if len(wires) == 1:
-        return ("not", wires[0]) if parity else wires[0]
+        return ~wires[0] if parity else wires[0]
     t = b.new_ancilla()
     if parity:
         b.x(t)
@@ -219,10 +198,9 @@ def _emit_addsub_core(
     carry_in: bool = False,
 ) -> None:
     """outs ^= the low sum bits of a+b(+carry_in); the carry network uncomputes itself."""
-    out_set = set(outs)
-    for r in list(a_bits) + list(b_bits):
-        if not _is_const(r) and _wire_of(r) in out_set:
-            raise StructuralError("sum outputs overlap the addend wires")
+    out_refs = {*outs, *(~w for w in outs)}
+    if any(r in out_refs for r in [*a_bits, *b_bits]):
+        raise StructuralError("sum outputs overlap the addend wires")
     start = b.mark()
     p, carries = _emit_carries(b, a_bits, b_bits, carry_in)
     stop = b.mark()
@@ -330,7 +308,7 @@ def _emit_prefix_add(b: CircuitBuilder, regs: Sequence[Sequence[int]]) -> None:
     for i in range(n):
         b.cnot(qs[0][i], regs[0][i])
     for j in range(1, k):
-        _emit_addsub_core(b, qs[j], [bnot(w) for w in cps[j - 1]], outs=regs[j], carry_in=True)
+        _emit_addsub_core(b, qs[j], [~w for w in cps[j - 1]], outs=regs[j], carry_in=True)
     for j in range(k - 1):
         for i in range(n):
             b.cnot(qs[j][i], cps[j][i])
@@ -460,7 +438,7 @@ def _emit_iterated_product(
     one = const_bits(1, nb)
     start = b.mark()
     vals: list[list[BitRef]] = [
-        [f if f == o else xs[j] if f == ONE else bnot(xs[j]) for f, o in zip(const_bits(fac, nb), one)]
+        [f if f == o else xs[j] if f == ONE else ~xs[j] for f, o in zip(const_bits(fac, nb), one)]
         for j, fac in enumerate(factors)
         if fac != 1
     ]

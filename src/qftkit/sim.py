@@ -748,5 +748,10 @@ def dft_reference(m: int) -> np.ndarray:
     if m > MAX_DFT_DIM:
         raise CapacityError(f"DFT dimension {m} exceeds cap {MAX_DFT_DIM}")
     idx = np.arange(m)
-    roots = np.exp(2j * np.pi * idx / m) / np.sqrt(m)
-    return roots[np.outer(idx, idx) % m]
+    return _dft_block(m, idx, idx)
+
+
+def _dft_block(m: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The entries (ys, xs) of ``dft_reference(m)``, gathered the same way."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m) / np.sqrt(m)
+    return roots[np.outer(ys, xs) % m]

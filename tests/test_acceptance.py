@@ -70,6 +70,31 @@ def test_component_unitarity_names_a_broken_block(monkeypatch, builder, extra, d
     assert result.details == details
 
 
+@pytest.mark.parametrize(
+    "criterion, builder, n, details",
+    [
+        (acceptance.criterion_exact_transforms, "split_qft", 3, "operator distance"),
+        (acceptance.criterion_banded_approximation, "banded_qft", 8, "banded(8,3) distance"),
+        (acceptance.criterion_banded_approximation, "banded_qft", 10, "basis probes"),
+    ],
+    ids=["exact-split", "banded-distances", "banded-probes"],
+)
+def test_transform_criteria_read_the_recorded_output_order(monkeypatch, criterion, builder, n, details):
+    # the same gates at size n, recorded as leaving the output in natural order
+    build = getattr(acceptance, builder)
+
+    def planted(*args):
+        circ = build(*args)
+        if args[0] == n:
+            circ.metadata["output_permutation"] = list(range(n))
+        return circ
+
+    monkeypatch.setattr(acceptance, builder, planted)
+    result = criterion(quick=True)
+    assert not result.passed
+    assert details in result.details
+
+
 def _no_draws(*args, **kwargs):
     raise AssertionError("the exact criteria draw no random numbers")
 

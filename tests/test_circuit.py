@@ -59,6 +59,13 @@ class TestDyadicAngle:
         expected = complex(math.cos(math.tau * float(a)), math.sin(math.tau * float(a)))
         assert a.phase() == pytest.approx(expected)
 
+    def test_quarter_turn_phases_are_exact(self):
+        # at any denominator, so a Z, S or S† leaves a basis vector with an exact zero
+        for ld in (2, 10, MAX_LOG_DENOMINATOR):
+            for k, want in enumerate((1, 1j, -1, -1j)):
+                got = DyadicAngle(k << (ld - 2), ld).phase()
+                assert type(got) is complex and got == want
+
     @staticmethod
     def halved(num: int, ld: int) -> tuple[int, int]:
         """The reduction by repeated halving: the reference for the one bit operation."""

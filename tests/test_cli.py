@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qftkit import cli
+from qftkit import acceptance, cli
 from qftkit.netlist import decode as decode_netlist
 from qftkit.netlist import encode as encode_netlist
 from qftkit.qft_pow2 import copy_fourier, prep_approx, prep_exact, standard_qft
@@ -41,6 +41,11 @@ class TestBuild:
             code, out, err = run_cli(capsys, "build", *argv)
             assert (code, out) == (2, "")
             assert message in err
+
+    def test_prep_approx_without_a_window_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "build", "--kind", "prep-approx", "--n", "4")
+        assert (code, out) == (2, "")
+        assert "--kind prep-approx requires --k" in err
 
     @pytest.mark.parametrize("band", ["0", "-1"])
     def test_band_below_one_is_refused(self, capsys, band):
@@ -280,8 +285,14 @@ class TestVerify:
         assert [stage for stage, _ in errors] == ["prep", "copy"]
         assert all(float(err) <= 1e-10 for _, err in errors)
 
-    def test_unitary_suite_small_cap(self, capsys):
-        assert run_cli(capsys, "verify", "--suite", "unitary")[0] == 0
+    def test_unitary_suite_small_cap(self, capsys, monkeypatch):
+        # the full n <= 12 sweep runs in test_criterion[exact_transforms]; this checks the wiring
+        monkeypatch.setattr(acceptance, "MAX_UNITARY_QUBITS", 6)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "unitary")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["PASS criterion 1", "PASS criterion 2"]
+        assert "over standard n<=6," in lines[0]
 
     def test_unknown_suite_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -313,6 +324,11 @@ class TestFactor:
         assert out == ""
         assert "max_retries must be >= 1" in err
 
+    def test_an_exhausted_retry_budget_exits_one(self, capsys):
+        code, out, _ = run_cli(capsys, "factor", "21", "--backend", "analytic", "--max-retries", "1", "--seed", "2")
+        assert code == 1
+        payload = json.loads(out)
+        assert (payload["divisor"], payload["attempts"]) == (None, 1)
 
     def test_gate_backend_over_its_cap_is_a_usage_error(self, capsys):
         # seed 0 draws a lucky gcd first, so the cap must be checked before any draw

@@ -28,15 +28,15 @@ def fields(value: int, widths):
 
 
 # every reference kind over three wires: live, negated, constant
-REFS = [0, 1, 2, ("not", 0), ("not", 1), revarith.ZERO, revarith.ONE]
+REFS = [0, 1, 2, ~0, ~1, revarith.ZERO, revarith.ONE]
 
 
 def ref_value(r, bits: int) -> int:
     if r == revarith.ZERO or r == revarith.ONE:
         return int(r == revarith.ONE)
-    if isinstance(r, int):
+    if r >= 0:
         return bits >> r & 1
-    return 1 - (bits >> r[1] & 1)
+    return 1 - (bits >> ~r & 1)
 
 
 class TestReferenceAlgebra:

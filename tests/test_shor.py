@@ -209,6 +209,20 @@ class TestOrderCircuit:
 
 
 class TestOrderFindingRun:
+    @pytest.mark.parametrize(
+        "modulus, a, message",
+        [
+            (16, 3, "odd and at least 3"),
+            (1, 2, "odd and at least 3"),
+            (13, 2, "composite"),
+            (15, 1, r"base 1 not in \[2, 14\]"),
+            (15, 15, r"base 15 not in \[2, 14\]"),
+        ],
+    )
+    def test_a_task_outside_order_finding_is_refused(self, modulus, a, message):
+        with pytest.raises(ValueError, match=message):
+            FactorTask(modulus, a)
+
     def test_seeded_runs_reproduce(self):
         task = FactorTask(15, 7)
         runs = [order_finding_run(task, rng=np.random.default_rng(3)) for _ in range(2)]
@@ -337,6 +351,13 @@ class TestFactor:
             out = factor(15, seed=s)
             assert out["divisor"] in (3, 5)
             assert out["attempts"] <= len(out["trace"])
+
+    def test_an_exhausted_retry_budget_returns_no_divisor(self):
+        # seed 2 draws a = 17 first, whose order 6 gives 17^3 = -1 mod 21, a dead end
+        out = factor(21, seed=2, backend="analytic", max_retries=1)
+        assert out["divisor"] is None
+        assert out["attempts"] == 1
+        assert [a["outcome"] for a in out["trace"]] == ["trivial_gcd"]
 
     def test_trivial_gcd_retries(self):
         # seed 7 draws a = 14 first: order 2 gives 14^1 = -1 mod 15, a dead end

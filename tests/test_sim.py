@@ -371,9 +371,9 @@ class TestDefiniteWires:
                 self.check(circuit, x)
 
     # wire 0 after H H is definite, its vector (c, 0) or (0, c) with c off 1 in the
-    # last bit; after H P(1/2) H it holds the other bit at the old slot, beside a
-    # rounding residue (sin(pi) != 0), so it is not definite; a P on a definite 1
-    # leaves its vector (0, 1) with an own term that a merge must apply
+    # last bit; after H P(1/2) H it is definite at the other bit, at the old slot,
+    # since the half turn's phase is exactly -1; a P on a definite 1 leaves its
+    # vector (0, 1) with an own term that a merge must apply
     PREFIXES = {
         "hh": [H(0), H(0)],
         "hph": [H(0), P(0, dyadic(1, 1)), H(0)],
@@ -386,12 +386,12 @@ class TestDefiniteWires:
             for name, gates in self.PREFIXES.items():
                 state = self.basis_state(2, x, gates)
                 vectors[name] = state.sep[0]
-                assert definite_bits(state).get(0) == (None if name == "hph" else x)
+                assert definite_bits(state).get(0) == (1 - x if name == "hph" else x)
                 assert bool(state.pending[0]) == (name == "own" and x == 1)
             slot, v = vectors["hh"]
             assert slot == x and v[1 - x] == 0 and 0.99 < abs(v[x]) != 1
             slot, v = vectors["hph"]
-            assert slot == x and 0 < abs(v[x]) < 1e-15 and 0.99 < abs(v[1 - x]) != 1
+            assert slot == x and v[x] == 0 and 0.99 < abs(v[1 - x]) != 1
             assert vectors["own"] == (x, [1 - x, x])
 
     @pytest.mark.parametrize("prefix", sorted(PREFIXES))
@@ -925,6 +925,11 @@ class TestExtractUnitary:
         ancillas = b.new_ancillas(2)
         return b, ancillas
 
+    def test_a_measuring_circuit_is_refused(self):
+        circuit = Circuit.from_gates([H(0), MeasureBasis(0, "z", 0)], 1, n_classical=1)
+        with pytest.raises(SimulationError, match="cannot extract a unitary from a measuring circuit"):
+            extract_unitary(circuit)
+
     def test_dense_path_refuses_an_entangled_ancilla(self):
         b, ancillas = self.with_two_ancillas()
         b.h(0)
@@ -1244,6 +1249,15 @@ class TestMeasurement:
 
 
 class TestCapacity:
+    def test_dense_cap_is_checked_before_any_allocation(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the dense cap must refuse before the state is allocated")
+
+        circuit = Circuit.from_gates([H(sim.MAX_DENSE_QUBITS)], sim.MAX_DENSE_QUBITS + 1)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(CapacityError, match="27 qubits exceeds dense cap 26"):
+            run_dense(circuit)
+
     def test_sparse_support_cap(self, monkeypatch):
         b = CircuitBuilder(8)
         for w in range(8):
