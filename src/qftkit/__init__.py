@@ -42,7 +42,6 @@ from .qft_pow2 import (
     LogdepthQft,
     QftPlan,
     banded_qft,
-    bit_reversed_indices,
     build_from_plan,
     copy_fourier,
     cos_tail,

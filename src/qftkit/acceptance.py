@@ -18,7 +18,7 @@ from . import phasest, qft_moduli, revarith, shor
 from .circuit import MAX_LOG_DENOMINATOR
 from .qft_pow2 import (
     QftPlan,
-    _permuted_index,
+    _output_wires,
     banded_qft,
     copy_fourier,
     cos_tail,
@@ -29,7 +29,16 @@ from .qft_pow2 import (
     standard_qft,
     viete_partial,
 )
-from .sim import MAX_UNITARY_QUBITS, _dft_block, dft_reference, extract_unitary, run_classical_batch, run_sparse
+from .sim import (
+    MAX_UNITARY_QUBITS,
+    _dft_block,
+    _pack,
+    _read_bits,
+    dft_reference,
+    extract_unitary,
+    run_classical_batch,
+    run_sparse,
+)
 
 OPERATOR_TOL = 1e-9
 EXACTNESS_TOL = 1e-10
@@ -68,8 +77,8 @@ def _state_error(circ, initial: dict[int, complex], expected: dict[int, complex]
 
 
 def _output_rows(circ) -> np.ndarray:
-    """r with r[i] = the natural output index of data basis state i, by the circuit's recorded output permutation."""
-    return _permuted_index(np.arange(1 << circ.n_qubits), circ.metadata["output_permutation"], circ.n_qubits)
+    """r with r[i] = the natural output index of data basis state i, read through ``_output_wires``."""
+    return _pack(_read_bits(range(1 << circ.n_qubits), _output_wires(circ)[: circ.n_qubits]))[0].astype(np.intp)
 
 
 def _frobenius_distance(circ) -> float:

@@ -96,7 +96,8 @@ class Gate:
     family = ""
 
     def qubits(self) -> tuple[int, ...]:
-        raise NotImplementedError
+        """The one target wire; CP, CNOT and Toffoli override this."""
+        return (self.target,)
 
     def clbits(self) -> tuple[int, ...]:
         return ()
@@ -117,9 +118,6 @@ class H(Gate):
     wires = ("target",)
     family = "h"
 
-    def qubits(self):
-        return (self.target,)
-
 
 @dataclass(frozen=True, slots=True)
 class P(Gate):
@@ -131,9 +129,6 @@ class P(Gate):
     wires = ("target",)
     angled = True
     family = "phase"
-
-    def qubits(self):
-        return (self.target,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,9 +159,6 @@ class X(Gate):
     name = "x"
     wires = ("target",)
     family = "flip"
-
-    def qubits(self):
-        return (self.target,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,9 +214,6 @@ class MeasureBasis(Gate):
     def __post_init__(self):
         if self.basis not in MEASURE_BASES:
             raise StructuralError(f"unknown measurement basis {self.basis!r}")
-
-    def qubits(self):
-        return (self.target,)
 
     def clbits(self):
         return (self.out,)

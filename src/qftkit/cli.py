@@ -20,8 +20,8 @@ import numpy as np
 from . import acceptance, netlist, shor
 from .circuit import Circuit
 from .errors import CapacityError, QftkitError
-from .qft_pow2 import PLAN_KINDS, QftPlan, _permuted_index, build_from_plan, copy_fourier, prep_approx, prep_exact
-from .sim import DEFAULT_SEED, run_sparse, sparse_marginal
+from .qft_pow2 import PLAN_KINDS, QftPlan, _output_wires, build_from_plan, copy_fourier, prep_approx, prep_exact
+from .sim import DEFAULT_SEED, _keys, _read_bits, run_sparse, sparse_marginal
 
 STATS_KEYS = ("n", "size", "depth", "width", "gate_histogram", "error_bound")
 # suite -> the acceptance criteria it runs (numbered as in ``qftkit accept``)
@@ -122,20 +122,15 @@ def cmd_sim(args: argparse.Namespace) -> int:
     x = int(bits, 2)
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
-    perm = circ.metadata.get("output_permutation")
-    if perm is not None and not (
-        isinstance(perm, list) and all(type(w) is int for w in perm) and sorted(perm) == list(range(circ.n_qubits))
-    ):
-        raise UsageError(f"output_permutation {perm!r} is not a permutation of 0..{circ.n_qubits - 1}")
+    wires = _output_wires(circ)
     if args.shots is None:
         if circ.has_measurement():
             raise UsageError("circuit contains measurement; amplitudes need --shots")
         amps = run_sparse(circ, x=x).amplitudes
-        width = circ.width
-        table = {_permuted_index(i, perm, circ.n_qubits): complex(a) for i, a in amps.items()}
+        table = dict(zip(_keys(_read_bits(amps, wires)), amps.values()))
         for idx in sorted(table):
             amp = table[idx]
-            print(f"{idx:0{width}b} {amp.real:+.12f} {amp.imag:+.12f}")
+            print(f"{idx:0{circ.width}b} {amp.real:+.12f} {amp.imag:+.12f}")
         return 0
     if args.shots <= 0:
         raise UsageError("--shots must be positive")
@@ -147,7 +142,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         probs = sparse_marginal(run_sparse(circ, x=x, rng=rng).amplitudes, range(n))
         for y in rng.choice(probs.size, size=per_run, p=probs).tolist():
             counts[y] = counts.get(y, 0) + 1
-    table = {f"{_permuted_index(y, perm, n):0{n}b}": c for y, c in counts.items()}
+    table = {f"{y:0{n}b}": c for y, c in zip(_keys(_read_bits(counts, wires[:n])), counts.values())}
     print(json.dumps({"shots": args.shots, "seed": seed, "counts": dict(sorted(table.items()))}))
     return 0
 
@@ -191,7 +186,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=("standard", "banded", "split", "logdepth", "prep", "prep-approx", "copy"),
+        choices=(*PLAN_KINDS, "prep", "prep-approx", "copy"),
     )
     p.add_argument("--n", type=int, required=True, help="register width in qubits")
     p.add_argument("--band", type=int, help="kept controlled-phase distance (banded only)")
@@ -218,7 +213,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="factor an odd composite via order finding")
     p.add_argument("n", type=int)
     p.add_argument("--backend", choices=("gate", "analytic"))
-    p.add_argument("--qft", choices=("standard", "logdepth"), default="standard")
+    p.add_argument("--qft", choices=shor.QFT_VARIANTS, default="standard")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-retries", type=int, default=shor.DEFAULT_MAX_RETRIES)
     p.set_defaults(func=cmd_factor)

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "basis_probs",
     "reconstruct_batch",
     "erase_failure",
     "failure_bound",

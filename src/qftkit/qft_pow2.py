@@ -10,8 +10,8 @@ statistics decide the erasure of the input register.
 
 All builders leave the output in carry order: circuit wire i holds the factor
 with denominator 2^{i+1}, which is the bit-reversal of the index order used by
-``sim.dft_reference``.  The permutation is recorded in circuit metadata and
-exposed via ``bit_reversed_indices``.
+``sim.dft_reference``.  The permutation is recorded in circuit metadata as
+``output_permutation`` and read back through ``_output_wires``.
 
 ``overlap_witness`` and the cosine-tail helpers quantify how close two Fourier
 states with phase parameters differing in a single high bit can be, which is
@@ -44,7 +44,6 @@ __all__ = [
     "LogdepthQft",
     "logdepth_qft",
     "build_from_plan",
-    "bit_reversed_indices",
     "viete_partial",
     "cos_tail",
     "overlap_witness",
@@ -86,17 +85,6 @@ class QftPlan:
                 raise ValueError(f"copy count must be even and >= 2, got {self.k}")
 
 
-def bit_reversed_indices(n: int) -> np.ndarray:
-    """Permutation r with r[y] = the n-bit reversal of y."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    idx = np.arange(1 << n)
-    rev = np.zeros_like(idx)
-    for b in range(n):
-        rev |= ((idx >> b) & 1) << (n - 1 - b)
-    return rev
-
-
 # --- standard and banded ladders ----------------------------------------------
 
 
@@ -104,17 +92,24 @@ def _output_permutation(n: int) -> list[int]:
     return [n - 1 - i for i in range(n)]
 
 
-def _permuted_index(idx: int | np.ndarray, perm: Sequence[int] | None, n_data: int) -> int | np.ndarray:
-    """``idx`` (an int or an int array) in natural output order under a recorded ``output_permutation``.
+def _output_wires(circuit: Circuit) -> list[int]:
+    """Wire ``j`` of the result holds bit ``j`` of the natural output index.
 
-    Data wire w's bit moves to bit perm[w]; the bits above the ``n_data`` data wires stay.
+    The inverse of the recorded ``output_permutation`` (which sends wire w's bit
+    to bit perm[w]), the identity when none is recorded, then the wires past it.
+    A record that is not a permutation of the data wires is refused: a netlist
+    can carry any metadata, and a repeated wire would merge amplitudes.
     """
+    perm = circuit.metadata.get("output_permutation")
     if perm is None:
-        return idx
-    out = idx & ~((1 << n_data) - 1)
-    for w in range(n_data):
-        out |= ((idx >> w) & 1) << perm[w]
-    return out
+        return list(range(circuit.width))
+    n = circuit.n_qubits
+    if not (isinstance(perm, list) and all(type(w) is int for w in perm) and sorted(perm) == list(range(n))):
+        raise ValueError(f"output_permutation {perm!r} is not a permutation of 0..{n - 1}")
+    wires = [0] * n
+    for w, j in enumerate(perm):
+        wires[j] = w
+    return wires + list(range(n, circuit.width))
 
 
 def _ladder_layers(wires: Sequence[int], band: int | None = None) -> list[list[Gate]]:

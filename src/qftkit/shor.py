@@ -23,7 +23,7 @@ from . import revarith
 from .circuit import Circuit, CircuitBuilder, _check_angle_grid
 from .errors import CapacityError, QftkitError
 from .phasest import failure_bound
-from .qft_pow2 import _ladder_layers, _output_permutation
+from .qft_pow2 import _ladder_layers, _output_permutation, _output_wires
 from .sim import DEFAULT_SEED, run_sparse, sparse_marginal
 
 MAX_GATE_MODULUS = 15
@@ -189,9 +189,7 @@ def gate_distribution(modulus: int, a: int) -> np.ndarray:
     key = (modulus, a)
     if key not in _GATE_CACHE:
         circuit = build_order_circuit(modulus, a)
-        # bit j of y sits on the wire that the output permutation sends to j
-        perm = circuit.metadata["output_permutation"]
-        wires = [perm.index(j) for j in range(circuit.metadata["n_x"])]
+        wires = _output_wires(circuit)[: circuit.metadata["n_x"]]
         probs = sparse_marginal(run_sparse(circuit, x=0).amplitudes, wires)
         probs.setflags(write=False)
         _GATE_CACHE[key] = probs

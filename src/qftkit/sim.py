@@ -30,14 +30,15 @@ which holds the same bit matrix with one column per input, plus a row held
 at 1, and applies each layer of ``Circuit.flip_layers`` as one
 gather-AND-XOR over all inputs at once; ``run_classical_bits`` is its
 one-input call.  Both build the matrix from integers with ``_bit_rows`` and
-read its columns back as integers with ``_keys``.
+read its columns back as integers with ``_keys``; ``_read_bits`` is the one
+reading of chosen wires' bits from basis indices.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -382,6 +383,18 @@ def _bit_rows(keys: list[int], num_rows: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(len(keys), nbytes), axis=1, count=num_rows, bitorder="little").T
 
 
+def _read_bits(keys: Iterable[int], wires: Iterable[int]) -> np.ndarray:
+    """The ``_bit_rows`` matrix of ``keys`` restricted to ``wires``: row ``j`` holds bit ``wires[j]`` of every key.
+
+    Keys may be of any width; a wire past a key's top bit reads 0.
+    """
+    keys, wires = list(keys), np.asarray(wires, dtype=np.intp)
+    if wires.size and wires.min() < 0:
+        raise ValueError(f"wires must be >= 0, got {wires.min()}")
+    num_rows = max(int(wires.max(initial=-1)) + 1, max(keys, default=0).bit_length())
+    return _bit_rows(keys, num_rows)[wires]
+
+
 class _SparseState:
     """Nonzero amplitudes as arrays: column ``j`` is the basis state whose wire ``w``
     reads ``bits[w, j]``, with amplitude ``amps[j]``.  No two columns are equal.
@@ -556,16 +569,12 @@ def run_sparse(
     return RunResult(classical=classical, amplitudes=amplitudes, pruned_mass=state.pruned_mass)
 
 
-def sparse_marginal(amps: dict[int, complex], wires: list[int]) -> np.ndarray:
+def sparse_marginal(amps: dict[int, complex], wires: Sequence[int]) -> np.ndarray:
     """Measurement distribution over ``wires`` (wires[0] is the LSB)."""
-    probs = np.zeros(1 << len(wires))
-    for idx, amp in amps.items():
-        y = 0
-        for j, w in enumerate(wires):
-            if idx & (1 << w):
-                y |= 1 << j
-        probs[y] += abs(amp) ** 2
-    return probs
+    ys = _pack(_read_bits(amps, wires))[0].astype(np.intp)
+    vals = np.fromiter(amps.values(), dtype=np.complex128, count=len(amps))
+    # hypot(re, im) ** 2 is abs(amp) ** 2 bit for bit; np.abs can differ in the last place
+    return np.bincount(ys, np.hypot(vals.real, vals.imag) ** 2, minlength=1 << len(wires))
 
 
 # --- classical bit evolution ------------------------------------------------
@@ -748,7 +757,10 @@ def dft_reference(m: int) -> np.ndarray:
     if m > MAX_DFT_DIM:
         raise CapacityError(f"DFT dimension {m} exceeds cap {MAX_DFT_DIM}")
     idx = np.arange(m)
-    return _dft_block(m, idx, idx)
+    out = np.empty((m, m), dtype=np.complex128)
+    for y in range(0, m, 512):  # row blocks, so no m x m index array is formed
+        out[y : y + 512] = _dft_block(m, idx[y : y + 512], idx)
+    return out
 
 
 def _dft_block(m: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -10,6 +10,16 @@ def rng():
 
 
 @pytest.fixture
+def bit_reversed():
+    """r with r[y] = the n-bit reversal of y: the row order every transform builder records."""
+
+    def rev(n: int) -> np.ndarray:
+        return np.array([int(f"{y:0{n}b}"[::-1], 2) for y in range(1 << n)])
+
+    return rev
+
+
+@pytest.fixture
 def random_circuit():
     """Factory for small random circuits of H, CNOT, Toffoli, X and CP gates.
 

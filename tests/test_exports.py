@@ -11,14 +11,25 @@ from qftkit import acceptance, circuit, phasest, qft_moduli, qft_pow2, revarith,
 from qftkit.circuit import CircuitBuilder
 
 
-@pytest.mark.parametrize("module", [phasest, qft_pow2], ids=lambda m: m.__name__)
+PACKAGE_IMPORTS = [
+    node for node in ast.parse(Path(qftkit.__file__).read_text()).body if isinstance(node, ast.ImportFrom)
+]
+MODULES = [importlib.import_module(f"qftkit.{p.stem}") for p in sorted(Path(qftkit.__file__).parent.glob("[!_]*.py"))]
+MODULES_WITH_ALL = [module for module in MODULES if hasattr(module, "__all__")]
+
+
+@pytest.mark.parametrize("module", MODULES_WITH_ALL, ids=lambda m: m.__name__)
 def test_every_name_in_all_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    # and the package exports from the module only what its __all__ lists
+    short = module.__name__.rpartition(".")[2]
+    exported = [a.name for node in PACKAGE_IMPORTS if node.module == short for a in node.names]
+    assert exported
+    assert [name for name in exported if name not in module.__all__] == []
 
 
 def test_every_package_export_resolves():
-    tree = ast.parse(Path(qftkit.__file__).read_text())
-    names = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    names = [a.asname or a.name for node in PACKAGE_IMPORTS for a in node.names]
     assert names
     assert [name for name in names if not hasattr(qftkit, name)] == []
 
@@ -88,6 +99,9 @@ REMOVED_NAMES = [
     (qft_pow2, "fourier_state"),
     (qftkit, "fourier_state"),
     (sim, "_RESCALE_HALVINGS"),
+    (qft_pow2, "bit_reversed_indices"),
+    (qftkit, "bit_reversed_indices"),
+    (qft_pow2, "_permuted_index"),
 ]
 
 
@@ -110,7 +124,9 @@ def test_unused_names_stay_removed(owner, name):
     # its product states factor by factor, a Fourier state is a column of
     # dft_reference, and the mixed-radix matrix falls under sim's DFT cap;
     # nothing lowered a circuit onto {H, P, CP}; the dense Hadamard applies
-    # its 1/sqrt(2) in its own writes, so no held halvings are rescaled
+    # its 1/sqrt(2) in its own writes, so no held halvings are rescaled;
+    # qft_pow2._output_wires is the one reading of a recorded output order,
+    # read through sim._read_bits, and the tests hold their own bit reversal
     assert not hasattr(owner, name)
 
 

@@ -1,18 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qftkit import acceptance, cli, netlist, sim
 from qftkit.acceptance import C_DEPTH, C_SIZE
-from qftkit.circuit import Circuit
+from qftkit.circuit import Circuit, CircuitBuilder
 from qftkit.errors import CapacityError
-from qftkit import sim
 from qftkit.phasest import basis_probs, erase_failure, failure_bound, reconstruct_batch
 from qftkit.qft_pow2 import (
     LogdepthQft,
     QftPlan,
     banded_qft,
-    bit_reversed_indices,
+    _output_wires,
     build_from_plan,
     copy_fourier,
     cos_tail,
@@ -46,14 +47,9 @@ class TestStandardLadder:
         assert c.metadata["output_permutation"] == [2, 1, 0]
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_reference(self, n):
-        u = extract_unitary(standard_qft(n))[bit_reversed_indices(n), :]
+    def test_matches_reference(self, n, bit_reversed):
+        u = extract_unitary(standard_qft(n))[bit_reversed(n), :]
         assert np.linalg.norm(u - dft_reference(1 << n), 2) < 1e-10
-
-    def test_bit_reversal_is_involution(self):
-        for n in (1, 3, 5):
-            rev = bit_reversed_indices(n)
-            assert np.array_equal(rev[rev], np.arange(1 << n))
 
     def test_gate_count_closed_form(self):
         for n in range(1, 9):
@@ -70,18 +66,61 @@ class TestStandardLadder:
             standard_qft(65)
 
 
+class TestOutputOrder:
+    """A recorded 3-cycle, which unlike bit reversal is not its own inverse.
+
+    perm = [1, 2, 0] sends wire 0's bit to output bit 1, wire 1's to bit 2 and
+    wire 2's to bit 0, so output bit j is read from wire [2, 0, 1][j].  A
+    reader that applied perm where its inverse belongs reads [1, 2, 0].
+    """
+
+    @pytest.fixture
+    def cycled(self):
+        b = CircuitBuilder(3)
+        b.new_ancilla()  # past the permutation, so it keeps its place
+        b.x(0)
+        b.h(1)
+        return b.build(metadata={"output_permutation": [1, 2, 0]})
+
+    def test_output_wires_invert_the_record(self, cycled):
+        assert _output_wires(cycled) == [2, 0, 1, 3]
+        assert _output_wires(CircuitBuilder(2).build()) == [0, 1]
+
+    def test_output_rows(self, cycled):
+        # data state i: wire 0 -> bit 1 (2), wire 1 -> bit 2 (4), wire 2 -> bit 0 (1)
+        assert acceptance._output_rows(cycled).tolist() == [0, 2, 4, 6, 1, 3, 5, 7]
+
+    def test_marginal_over_the_output_wires(self, cycled):
+        # input 4 sets wire 2; X sets wire 0 and H spreads wire 1: outputs 1 + 2 and 1 + 2 + 4
+        amps = run_sparse(cycled, x=4).amplitudes
+        probs = sparse_marginal(amps, _output_wires(cycled)[:3])
+        assert np.flatnonzero(probs).tolist() == [3, 7]
+        assert probs[[3, 7]] == pytest.approx([0.5, 0.5])
+
+    def test_cli_sim_reads_the_record(self, cycled, tmp_path, capsys):
+        path = tmp_path / "cycled.qc"
+        path.write_text(netlist.encode(cycled))
+        assert cli.main(["sim", str(path), "--input", "100"]) == 0
+        half = f"{2 ** -0.5:+.12f}"
+        assert capsys.readouterr().out.splitlines() == [f"0011 {half} +0.000000000000", f"0111 {half} +0.000000000000"]
+        assert cli.main(["sim", str(path), "--input", "100", "--shots", "64", "--seed", "5"]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert set(counts) == {"011", "111"}
+        assert sum(counts.values()) == 64
+
+
 class TestSplit:
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_matches_reference(self, n):
-        u = extract_unitary(split_qft(n))[bit_reversed_indices(n), :]
+    def test_matches_reference(self, n, bit_reversed):
+        u = extract_unitary(split_qft(n))[bit_reversed(n), :]
         assert np.linalg.norm(u - dft_reference(1 << n), 2) < 1e-10
 
     @pytest.mark.parametrize("n", [12, 16])
-    def test_sparse_columns_match_past_the_unitary_sizes(self, n, rng):
+    def test_sparse_columns_match_past_the_unitary_sizes(self, n, rng, bit_reversed):
         # inputs 0, 1, 2^n - 1 and one drawn; every amplitude within 1e-10 of
         # the bit-reversed DFT column, and no amplitude on a set ancilla
         dim = 1 << n
-        rev = bit_reversed_indices(n)
+        rev = bit_reversed(n)
         y = np.arange(dim)
         c = split_qft(n)
         for x in (0, 1, dim - 1, int(rng.integers(dim))):
@@ -157,10 +196,10 @@ class TestBanded:
         for b in range(1, 9):
             assert banded_qft(8, b).size <= 8 * b + 8
 
-    def test_error_bound_sound_and_monotone(self):
+    def test_error_bound_sound_and_monotone(self, bit_reversed):
         n = 6
         dft = dft_reference(1 << n)
-        rev = bit_reversed_indices(n)
+        rev = bit_reversed(n)
         bounds = []
         for b in range(1, n + 1):
             c = banded_qft(n, b)

@@ -4,7 +4,7 @@ import pytest
 from qftkit import netlist, sim
 from qftkit.circuit import CNOT, CP, Circuit, CircuitBuilder, H, MeasureBasis, P, Toffoli, X, dyadic
 from qftkit.errors import CapacityError, SimulationError
-from qftkit.qft_pow2 import QftPlan, banded_qft, bit_reversed_indices, logdepth_qft, standard_qft
+from qftkit.qft_pow2 import QftPlan, banded_qft, logdepth_qft, standard_qft
 from qftkit.sim import (
     DEFAULT_SEED,
     MAX_DFT_DIM,
@@ -709,6 +709,27 @@ class TestStateConventions:
         # index bit 0 <- wire 1 (set), bit 1 <- wire 2 (uniform)
         assert probs == pytest.approx([0.0, 0.5, 0.0, 0.5])
 
+    def test_sparse_marginal_equals_the_loop_over_entries(self, rng):
+        # keys past 64 bits, wires out of order and one past every key; the sums
+        # run in the dict's order, so they equal the per-entry loop bit for bit
+        keys = {int(hi) << 40 | int(lo) for hi, lo in rng.integers(0, 1 << 40, size=(300, 2))}
+        amps = {k: complex(*rng.normal(size=2)) for k in keys}
+        wires = [75, 3, 40, 0, 90, 17]
+        want = np.zeros(1 << len(wires))
+        for idx, amp in amps.items():
+            want[sum(((idx >> w) & 1) << j for j, w in enumerate(wires))] += abs(amp) ** 2
+        assert sparse_marginal(amps, wires).tolist() == want.tolist()
+
+    def test_sparse_marginal_refuses_a_negative_wire(self):
+        # numpy would shift by a negative count to 0 and read the wire as unset
+        with pytest.raises(ValueError, match="wires"):
+            sparse_marginal({1: 1.0}, [0, -1])
+
+    def test_sparse_marginal_of_no_amplitudes_is_zero(self):
+        probs = sparse_marginal({}, [0, 3])
+        assert probs.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert sparse_marginal({}, []).tolist() == [0.0]
+
 
     def test_sparse_keys_past_sixty_four_wires(self):
         b = CircuitBuilder(70)
@@ -899,9 +920,9 @@ class TestClassicalBatch:
 
 
 class TestExtractUnitary:
-    def test_qft_matches_reference_after_bit_reversal(self):
+    def test_qft_matches_reference_after_bit_reversal(self, bit_reversed):
         for n in (1, 2, 3, 4):
-            u = extract_unitary(standard_qft(n))[bit_reversed_indices(n), :]
+            u = extract_unitary(standard_qft(n))[bit_reversed(n), :]
             assert np.linalg.norm(u - dft_reference(1 << n), 2) < 1e-10
 
     def test_result_is_unitary(self, rng, random_circuit):
@@ -1014,14 +1035,16 @@ class TestExtractUnitary:
         want = np.stack([run_dense(circuit, x).state[:16] for x in range(16)], axis=1)
         assert np.max(np.abs(extract_unitary(circuit) - want)) < 1e-12
 
-    def test_qft_at_the_cap_matches_the_reference(self):
-        # 12 data wires, MAX_UNITARY_QUBITS; 512 rows at a time, so no third 4096^2 array is made
+    def test_qft_at_the_cap_matches_the_reference(self, bit_reversed):
+        # 12 data wires, MAX_UNITARY_QUBITS; the reference 512 rows at a time, so
+        # the unitary is the one 4096^2 array held
         n = MAX_UNITARY_QUBITS
-        want = dft_reference(1 << n)
+        dim = 1 << n
         u = extract_unitary(standard_qft(n))
-        rows = bit_reversed_indices(n)
-        for i in range(0, 1 << n, 512):
-            assert np.max(np.abs(u[rows[i : i + 512]] - want[i : i + 512])) < 1e-9
+        rows, idx = bit_reversed(n), np.arange(dim)
+        for i in range(0, dim, 512):
+            want = sim._dft_block(dim, idx[i : i + 512], idx)
+            assert np.max(np.abs(u[rows[i : i + 512]] - want)) < 1e-9
 
     def test_wide_path_refuses_a_dirty_ancilla(self):
         b = CircuitBuilder(4)
