@@ -413,10 +413,12 @@ def build_modmul(modulus: int) -> Circuit:
 def build_iterated_product(modulus: int, factors: Sequence[int]) -> Circuit:
     """out ^= prod_j factors[j]^{x_j} mod modulus, controls x on the data wires.
 
-    Leaf j is bit references, not a register: factors[j] if x_j else 1, so
-    each bit is a constant, x_j or NOT x_j, and a factor of 1 gives no leaf.
-    Leaves are multiplied pairwise up a binary tree of modular multipliers;
-    the root (1 if no leaf is left) is copied out and the tree uncomputed.
+    A factor of 1 gives no leaf.  The other leaves, in order, are cut into
+    windows of ``_window_bits`` consecutive control bits; a window's product
+    is a function of its bits alone, written by one table lookup
+    (``_emit_lookup``).  Window values are multiplied pairwise up a binary
+    tree of modular multipliers; the root (1 if no leaf is left) is copied
+    out and the tree uncomputed.
     """
     if modulus < 2:
         raise StructuralError("modulus must be at least 2")
@@ -430,23 +432,80 @@ def build_iterated_product(modulus: int, factors: Sequence[int]) -> Circuit:
     return b.build(metadata={"kind": "iterated_product", "modulus": modulus, "m": m})
 
 
+# Largest window.  Of windows capped at 5, 6 or 7 bits (cut by _window_bits)
+# and of fixed widths 1 to 7, a cap of 6 gave build_order_circuit(N, 2) the
+# least geometric-mean depth over N = 21 ... 2491 (ROADMAP item 19's table).
+LARGEST_WINDOW = 6
+
+
+def _window_bits(leaves: int) -> int:
+    """Bits per window, for the fewest multiplier levels that windows of at most ``LARGEST_WINDOW`` bits allow.
+
+    A level of modular multipliers is far deeper than a lookup.  So the
+    window count is the least power of two 2^k with leaves <= 2^k times
+    ``LARGEST_WINDOW``, and the windows are as narrow as that count allows.
+    """
+    windows = 1
+    while -(-leaves // windows) > LARGEST_WINDOW:
+        windows *= 2
+    return max(1, -(-leaves // windows))
+
+
+def _emit_lookup(b: CircuitBuilder, bits: Sequence[BitRef], table: Sequence[int], nb: int) -> list[BitRef]:
+    """References to the nb bits of table[k], k the number whose bit i is ``bits[i]``.
+
+    Each output bit is the XOR of its algebraic normal form's monomials (the
+    Moebius transform of the table over GF(2), done on whole entries at
+    once, since it is bitwise).  A monomial is built at most once, as the AND
+    of the monomial without its top bit and that bit, and shared by every
+    output bit that reads it, so a window of w bits costs at most
+    2^w - w - 1 ANDs; constant folding makes a one-literal output an alias.
+    """
+    anf = list(table)
+    for i in range(len(bits)):
+        for k in range(len(anf)):
+            if k >> i & 1:
+                anf[k] ^= anf[k ^ 1 << i]
+    monomials: dict[int, BitRef] = {0: ONE}
+
+    def monomial(s: int) -> BitRef:
+        if s not in monomials:
+            top = s.bit_length() - 1
+            monomials[s] = emit_and(b, monomial(s ^ 1 << top), bits[top])
+        return monomials[s]
+
+    return [emit_xor(b, [monomial(s) for s, c in enumerate(anf) if c >> o & 1]) for o in range(nb)]
+
+
 def _emit_iterated_product(
     b: CircuitBuilder, xs: Sequence[int], outs: Sequence[int], modulus: int, factors: Sequence[int]
 ) -> None:
-    """outs ^= prod_j factors[j]^{x_j} mod modulus, with one control wire per factor in ``xs``."""
+    """outs ^= prod_j factors[j]^{x_j} mod modulus, with one control wire per factor in ``xs``.
+
+    The leaves (factors other than 1) are cut into windows of
+    ``_window_bits`` consecutive control bits.  A window's table holds the
+    product of its factors for every setting of its bits, and one lookup
+    writes it; a window of one leaf reads factors[j] if x_j else 1, so each
+    bit is a constant, x_j or NOT x_j and costs no gate.  The window values
+    are multiplied pairwise up a tree of ``_emit_modmul_garbage``, and the
+    root is copied out before the whole tree is uncomputed.
+    """
     nb = len(outs)
-    one = const_bits(1, nb)
+    leaves = [(x, f) for x, f in zip(xs, factors, strict=True) if f != 1]
+    w = _window_bits(len(leaves))
     start = b.mark()
-    vals: list[list[BitRef]] = [
-        [f if f == o else xs[j] if f == ONE else ~xs[j] for f, o in zip(const_bits(fac, nb), one)]
-        for j, fac in enumerate(factors)
-        if fac != 1
-    ]
+    vals: list[list[BitRef]] = []
+    for i in range(0, len(leaves), w):
+        window = leaves[i : i + w]
+        table = [1]
+        for _, f in window:
+            table += [t * f % modulus for t in table]
+        vals.append(_emit_lookup(b, [x for x, _ in window], table, nb))
     while len(vals) > 1:
         pairs = [_emit_modmul_garbage(b, u, v, modulus) for u, v in zip(vals[0::2], vals[1::2])]
         vals = pairs + vals[len(vals) - len(vals) % 2 :]
     stop = b.mark()
-    for out, r in zip(outs, vals[0] if vals else one):
+    for out, r in zip(outs, vals[0] if vals else const_bits(1, nb)):
         xor_into(b, out, r)
     b.uncompute(start, stop)
 

@@ -2,14 +2,15 @@
 
 The quantum step comes in two interchangeable backends.  The gate backend
 assembles the full register pipeline (Hadamards, the known-power product
-tree, the exact transform) and reads the measurement distribution off a
-sparse statevector run; it is exact but only fits moduli up to
-``MAX_GATE_MODULUS``.  The analytic backend evaluates the same distribution
-in closed form from the true multiplicative order, up to
-``MAX_ANALYTIC_MODULUS``.  Both feed continued-fraction post-processing and
-the classical retry loop.  ``_check_cap`` is the one home of both caps: each
-distribution calls it, and so does every entry point once it has resolved
-its backend, so an oversized modulus is refused before any draw or table.
+tree of windowed table lookups and modular multipliers, the exact
+transform) and reads the measurement distribution off a sparse statevector
+run; it is exact but only fits moduli up to ``MAX_GATE_MODULUS``.  The
+analytic backend evaluates the same distribution in closed form from the
+true multiplicative order, up to ``MAX_ANALYTIC_MODULUS``.  Both feed
+continued-fraction post-processing and the classical retry loop.
+``_check_cap`` is the one home of both caps: each distribution calls it,
+and so does every entry point once it has resolved its backend, so an
+oversized modulus is refused before any draw or table.
 """
 
 from __future__ import annotations
@@ -150,7 +151,12 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
     Data wires: x register on [0, 2n), product register on [2n, 2n + nb).
     The transform leaves the x register in bit-reversed wire order, recorded
     in metadata the same way the bare transform builders do; the product
-    register keeps its order.
+    register keeps its order.  The product tree writes each window of at
+    most ``revarith.LARGEST_WINDOW`` exponent bits by one table lookup and
+    multiplies the window values up a tree of modular multipliers; at N = 15
+    at most two powers differ from 1, so it is one lookup and no multiplier.
+    ``metadata["stage_sizes"]`` gives the gates of each stage (hadamards,
+    product_tree, transform); they sum to the size.
     """
     _screen_base(a, modulus)
     nb = modulus.bit_length()
@@ -161,6 +167,7 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
     for w in range(n_x):
         b.h(w)
     revarith._emit_iterated_product(b, list(range(n_x)), list(range(n_x, n_x + nb)), modulus, powers)
+    tree_stop = b.mark()
     # the exact ladder on the x register, in standard_qft's gate order
     for layer in _ladder_layers(range(n_x)):
         for g in layer:
@@ -172,6 +179,11 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
             "a": a,
             "n_x": n_x,
             "output_permutation": _output_permutation(n_x) + list(range(n_x, n_x + nb)),
+            "stage_sizes": {
+                "hadamards": n_x,
+                "product_tree": tree_stop - n_x,
+                "transform": b.mark() - tree_stop,
+            },
         }
     )
 

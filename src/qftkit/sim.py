@@ -377,10 +377,19 @@ def _keys(bits: np.ndarray) -> list[int]:
 
 
 def _bit_rows(keys: list[int], num_rows: int) -> np.ndarray:
-    """A uint8 bit matrix whose column ``j`` holds bits ``0..num_rows-1`` of ``keys[j]``, row ``i`` bit ``i``."""
-    nbytes = max(1, -(-num_rows // 8))
-    raw = np.frombuffer(b"".join(int(k).to_bytes(nbytes, "little") for k in keys), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(keys), nbytes), axis=1, count=num_rows, bitorder="little").T
+    """A uint8 bit matrix whose column ``j`` holds bits ``0..num_rows-1`` of ``keys[j]``, row ``i`` bit ``i``.
+
+    Each key becomes ``limbs`` little-endian 64-bit words.  Keys of at most
+    64 bits take one ``np.fromiter``; wider keys are cut by ``int.to_bytes``,
+    which costs less per key than one pass over the keys per limb.
+    """
+    limbs = max(1, -(-num_rows // 64))
+    if limbs == 1:
+        words = np.fromiter(keys, "<u8", count=len(keys))
+    else:
+        words = np.frombuffer(b"".join(int(k).to_bytes(8 * limbs, "little") for k in keys), "<u8")
+    raw = words.view(np.uint8).reshape(len(keys), 8 * limbs)
+    return np.unpackbits(raw, axis=1, count=num_rows, bitorder="little").T
 
 
 def _read_bits(keys: Iterable[int], wires: Iterable[int]) -> np.ndarray:

@@ -16,7 +16,7 @@ PINNED_NETLISTS = [
     pytest.param(lambda: split_qft(6), "6fd7621daea85ced", id="split_qft(6)"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "5b16c836411b1621", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "e141bdd58a820f34", id="telescoping_subtract(3,4)"),
-    pytest.param(lambda: build_order_circuit(15, 7), "b01fdf8503cf7111", id="order_circuit(15,7)"),
+    pytest.param(lambda: build_order_circuit(15, 7), "7074d4637fa7df02", id="order_circuit(15,7)"),
     # the benchmark's build plans
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 12, k=4)).circuit, "a82e7c688fea0300", id="logdepth(12,4)"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 32, k=8)).circuit, "1c77e8690e6b8b04", id="logdepth(32,8)"),
@@ -33,7 +33,7 @@ PINNED_INVERSES = [
     pytest.param(lambda: banded_qft(6, 2), "b16d905a93632a01", id="banded_qft(6,2)"),
     pytest.param(lambda: split_qft(6), "39efe1d5d8f862fe", id="split_qft(6)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "636ebfe1109ec8e4", id="telescoping_subtract(3,4)"),
-    pytest.param(lambda: build_order_circuit(15, 7), "1de5030c4ceef566", id="order_circuit(15,7)"),
+    pytest.param(lambda: build_order_circuit(15, 7), "e2a4489396b3815a", id="order_circuit(15,7)"),
     pytest.param(lambda: copy_fourier(3, 3), "d651c51364283533", id="copy_fourier(3,3)"),
     pytest.param(lambda: build_prefix_add(8, 16), "dd60f4d9d4ca1662", id="prefix_add(8,16)"),
     pytest.param(lambda: build_multiplier(3, 4, 7), "cdb5ef98e2efaee8", id="multiplier(3,4,7)"),
@@ -48,7 +48,7 @@ PINNED_LAYER_SETS = [
     pytest.param(lambda: split_qft(6), "70b9d974bc75bcf0", id="split_qft(6)"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "bf0cd67d3182ad20", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "7a09d057c2da75dd", id="telescoping_subtract(3,4)"),
-    pytest.param(lambda: build_order_circuit(15, 7), "5d69758891fd7c04", id="order_circuit(15,7)"),
+    pytest.param(lambda: build_order_circuit(15, 7), "473e6ca7ca35369e", id="order_circuit(15,7)"),
     pytest.param(lambda: copy_fourier(3, 3), "6a63aad38d4fa451", id="copy_fourier(3,3)"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 12, k=4)).circuit, "eb5cc5e65bf50a44", id="logdepth(12,4)"),
 ]

@@ -288,6 +288,80 @@ class TestMultipliers:
 UNITS = [(n, a) for n in (9, 15, 21) for a in range(2, n) if math.gcd(a, n) == 1]
 
 
+def never_fired(circuit, xs) -> int:
+    """How many flip gates of ``circuit`` find their controls all set on none of the inputs ``xs``.
+
+    The same layer walk as ``run_classical_batch`` (an X is padded with the
+    row held at 1, so it always fires), recording each gate's firing.
+    """
+    xs = list(xs)
+    state = np.zeros((circuit.width + 1, len(xs)), dtype=bool)
+    state[: circuit.n_qubits] = [[x >> w & 1 for x in xs] for w in range(circuit.n_qubits)]
+    state[circuit.width] = True
+    idle = 0
+    for a, b, t in circuit.flip_layers:
+        fire = state[a] & state[b]
+        idle += int(np.count_nonzero(~fire.any(axis=1)))
+        state[t] ^= fire
+    return idle
+
+
+class TestLookup:
+    """``_emit_lookup`` on seeded random tables, every input of the window."""
+
+    @staticmethod
+    def monomials_built(table, w):
+        """The monomials of two or more bits the lookup must build: each one the
+        ANF of some output bit reads, and the prefixes it is built from."""
+        anf = [0] * (1 << w)
+        for s in range(1 << w):
+            for t in range(1 << w):
+                if t & s == t:  # the Moebius transform, subset by subset
+                    anf[s] ^= table[t]
+        built = set()
+        for s in (s for s in range(1 << w) if anf[s]):
+            while s.bit_count() >= 2 and s not in built:
+                built.add(s)
+                s ^= 1 << (s.bit_length() - 1)
+        return built
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+    def test_random_tables_on_every_input(self, rng, w):
+        for nb in range(1, 9):
+            table = [int(v) for v in rng.integers(0, 1 << nb, size=1 << w)]
+            b = CircuitBuilder(w + nb)
+            start = b.mark()
+            refs = revarith._emit_lookup(b, list(range(w)), table, nb)
+            stop = b.mark()
+            for out, r in zip(range(w, w + nb), refs, strict=True):
+                revarith.xor_into(b, out, r)
+            b.uncompute(start, stop)
+            c = b.build()
+            for x, out in enumerate(run_classical_batch(c, range(1 << w))):
+                assert out == x | table[x] << w, f"w={w} nb={nb} x={x:0{w}b}"
+            # one AND per monomial, computed once and uncomputed once
+            toffolis = c.gate_histogram().get("ccx", 0)
+            assert toffolis == 2 * len(self.monomials_built(table, w))
+            assert toffolis <= 2 * ((1 << w) - w - 1)
+
+    def test_windows_give_the_fewest_multiplier_levels(self):
+        for leaves in range(1, 65):
+            w = revarith._window_bits(leaves)
+            levels = (-(-leaves // w) - 1).bit_length()  # of the pairwise tree over the windows
+            fewest = next(k for k in range(7) if leaves <= revarith.LARGEST_WINDOW << k)
+            assert w <= revarith.LARGEST_WINDOW and levels == fewest, leaves
+            # as even as one width allows: a bit less per window would need another level
+            assert w == 1 or -(-leaves // (w - 1)) > 1 << fewest, leaves
+        assert revarith._window_bits(0) == 1
+
+    def test_a_one_leaf_window_costs_no_gate(self):
+        # factors[j] if x_j else 1: each bit is a constant, x_j or NOT x_j
+        b = CircuitBuilder(1)
+        refs = revarith._emit_lookup(b, [0], [1, 0b0110], 4)
+        assert refs == [~0, 0, 0, revarith.ZERO]
+        assert b.mark() == 0
+
+
 class TestIteratedProduct:
     @pytest.mark.parametrize("modulus, a", UNITS, ids=[f"{n}-{a}" for n, a in UNITS])
     def test_matches_modular_exponentiation(self, modulus, a):
@@ -308,6 +382,38 @@ class TestIteratedProduct:
         for x, out in enumerate(outs):
             (ctrl, prod), junk = fields(out, [2 * nb, nb])
             assert (ctrl, prod, junk) == (x, pow(2, x, modulus), 0)
+
+    @pytest.mark.parametrize("a", [a for a in range(2, 21) if math.gcd(a, 21) == 1])
+    def test_every_unit_of_21_on_every_input(self, a):
+        c = build_iterated_product(21, precompute_powers(a, 21, 10))
+        for x, out in enumerate(run_classical_batch(c, range(1 << 10))):
+            (ctrl, prod), junk = fields(out, [10, 5])
+            assert (ctrl, prod, junk) == (x, pow(a, x, 21), 0)
+
+    def test_odd_window_count_carries_the_last_window_up(self, rng):
+        # 25 leaves (no power of 2 mod 21 is 1) make seven windows of 4, 4, 4, 4, 4, 4 and 1
+        # bits: the first level pairs six and carries the seventh up unpaired
+        m = 25
+        assert -(-m // revarith._window_bits(m)) == 7
+        c = build_iterated_product(21, precompute_powers(2, 21, m))
+        xs = [0, (1 << m) - 1, 1 << (m - 1)] + [int(x) for x in rng.integers(0, 1 << m, size=61)]
+        for x, out in zip(xs, run_classical_batch(c, xs)):
+            (ctrl, prod), junk = fields(out, [m, 5])
+            assert (ctrl, prod, junk) == (x, pow(2, x, 21), 0)
+
+    @pytest.mark.parametrize("a", [a for a in range(2, 15) if math.gcd(a, 15) == 1])
+    def test_every_gate_of_the_n15_trees_fires(self, a):
+        # the order circuit's tree at N = 15: at most two powers differ from 1,
+        # so it is one lookup, in which every gate flips its target on some input
+        c = build_iterated_product(15, precompute_powers(a, 15, 8))
+        assert never_fired(c, range(1 << 8)) == 0
+
+    def test_the_census_sees_a_gate_that_never_fires(self):
+        b = CircuitBuilder(3)
+        b.toffoli(0, 1, 2)
+        b.x(2)
+        assert never_fired(b.build(), [0b001, 0b010]) == 1
+        assert never_fired(b.build(), [0b011]) == 0
 
     @pytest.mark.parametrize("factors", [[], [1, 1, 1]], ids=["empty", "ones"])
     def test_empty_product_is_one(self, factors):

@@ -9,7 +9,7 @@ import pytest
 from qftkit import shor
 from qftkit.errors import CapacityError
 from qftkit.phasest import failure_bound
-from qftkit.revarith import precompute_powers
+from qftkit.revarith import build_iterated_product, precompute_powers
 from qftkit.shor import (
     FactorTask,
     LuckyFactor,
@@ -194,13 +194,25 @@ class TestOrderCircuit:
     def test_builds_past_the_gate_backend_cap(self):
         # the gate cap guards the sparse run in gate_distribution, not the build
         c = build_order_circuit(21, 2)
-        assert (c.size, c.depth, c.width) == (3_286, 656, 883)
+        assert (c.size, c.depth, c.width) == (972, 268, 216)
 
     def test_identity_leaves_drop_out(self):
         # summed over every unit of 15: once a^(2^j) = 1 its leaf adds no gate and no wire
         cs = [build_order_circuit(15, a) for a in range(2, 15) if math.gcd(a, 15) == 1]
         assert len(cs) == 7
-        assert tuple(sum(getattr(c, k) for c in cs) for k in ("size", "depth", "width")) == (763, 340, 225)
+        assert tuple(sum(getattr(c, k) for c in cs) for k in ("size", "depth", "width")) == (407, 136, 100)
+
+    @pytest.mark.parametrize("modulus, a", [(15, 7), (15, 4), (21, 2), (65, 2)])
+    def test_stage_sizes_sum_to_the_size(self, modulus, a):
+        c = build_order_circuit(modulus, a)
+        n_x = c.metadata["n_x"]
+        sizes = c.metadata["stage_sizes"]
+        assert list(sizes) == ["hadamards", "product_tree", "transform"]
+        assert sizes["hadamards"] == n_x
+        assert sizes["transform"] == n_x * (n_x + 1) // 2  # the ladder: n_x H and every CP pair
+        tree = build_iterated_product(modulus, precompute_powers(a, modulus, n_x))
+        assert sizes["product_tree"] == tree.size
+        assert sum(sizes.values()) == c.size
 
     def test_angle_limit(self):
         # 2^32 + 1 has 33 bits, so its 66-wire transform needs a 2^-66 turn angle

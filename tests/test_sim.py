@@ -730,6 +730,18 @@ class TestStateConventions:
         assert probs.tolist() == [0.0, 0.0, 0.0, 0.0]
         assert sparse_marginal({}, []).tolist() == [0.0]
 
+    @pytest.mark.parametrize("num_rows", [0, 1, 8, 63, 64, 65, 128, 129, 200])
+    def test_bit_rows_equals_the_loop_over_keys(self, rng, num_rows):
+        # one 64-bit limb per key up to 64 rows, several past it; the all-ones key fills every limb
+        drawn = [int.from_bytes(rng.bytes(26), "little") >> (208 - num_rows) for _ in range(37)]
+        keys = [(1 << num_rows) - 1, 0] + drawn
+        want = np.array([[k >> i & 1 for k in keys] for i in range(num_rows)], dtype=np.uint8)
+        want = want.reshape(num_rows, len(keys))
+        got = sim._bit_rows(keys, num_rows)
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert sim._bit_rows([], num_rows).shape == (num_rows, 0)
+
 
     def test_sparse_keys_past_sixty_four_wires(self):
         b = CircuitBuilder(70)
