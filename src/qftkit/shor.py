@@ -145,6 +145,11 @@ def _check_cap(backend: str, modulus: int) -> None:
         raise CapacityError(f"modulus {modulus} exceeds {backend}-backend cap {cap}")
 
 
+def _x_width(modulus: int) -> int:
+    """Wires of the x register: 2n for an n-bit modulus, so M = 2^(2n) > N^2."""
+    return 2 * modulus.bit_length()
+
+
 def build_order_circuit(modulus: int, a: int) -> Circuit:
     """Hadamards, the known-power product tree, then the exact transform.
 
@@ -160,7 +165,7 @@ def build_order_circuit(modulus: int, a: int) -> Circuit:
     """
     _screen_base(a, modulus)
     nb = modulus.bit_length()
-    n_x = 2 * nb
+    n_x = _x_width(modulus)
     _check_angle_grid("build_order_circuit", n_x)
     powers = revarith.precompute_powers(a, modulus, n_x)
     b = CircuitBuilder(n_x + nb)
@@ -235,7 +240,7 @@ def analytic_distribution(modulus: int, a: int) -> np.ndarray:
     _screen_base(a, modulus)
     key = (modulus, a)
     if key not in _ANALYTIC_CACHE:
-        big_m = 1 << (2 * modulus.bit_length())
+        big_m = 1 << _x_width(modulus)
         r = multiplicative_order(a, modulus)
         full, rem = divmod(big_m, r)
         g = r & -r
@@ -336,7 +341,7 @@ def _y_distribution(modulus: int, a: int, backend: str, qft: str) -> np.ndarray:
     """The y law an attempt samples on a resolved backend, with the logdepth floor mixed in."""
     probs = gate_distribution(modulus, a) if backend == "gate" else analytic_distribution(modulus, a)
     if qft == "logdepth":
-        miss = failure_bound(2 * modulus.bit_length(), LOGDEPTH_CHANNEL_K)
+        miss = failure_bound(_x_width(modulus), LOGDEPTH_CHANNEL_K)
         probs = (1.0 - miss) * probs + miss / probs.size
     return probs
 
@@ -390,7 +395,7 @@ def _attempt_success(modulus: int, backend: str, qft: str) -> float:
     convergent is computed once and shared across the bases.
     """
     backend = _resolve_knobs(backend, qft, modulus)
-    m = 1 << (2 * modulus.bit_length())
+    m = 1 << _x_width(modulus)
     convergents = [continued_fraction_post(y, m, modulus) for y in range(m)]
     slots = {c: i for i, c in enumerate(dict.fromkeys(convergents))}
     slot = np.fromiter((slots[c] for c in convergents), dtype=np.int64, count=m)

@@ -17,13 +17,13 @@ calls ``settle_all`` once after the last gate:
   matrix with one row per wire and one column per amplitude, beside a
   complex amplitude vector.  A flip XORs one row with the AND of its control
   rows, a phase is a masked multiply, a measurement filters columns, and a
-  Hadamard emits each column twice and merges equal columns.  It skips the
-  merge when no column can have a partner: its wire is constant, or it
-  still equals its twin, the row of ``extract_unitary``'s Choi state that
-  holds the wire's input.  The support can only double at a Hadamard, so
-  circuits that are wide but classically-branching-poor (reversible
-  arithmetic with a few H wires) run in time proportional to their true
-  branching.
+  Hadamard emits each column twice and sums partners (the rule is in
+  ``_SparseState.h``'s docstring), skipping the sums when no column can
+  have a partner: its wire is constant, or it still equals its twin, the
+  row of ``extract_unitary``'s Choi state that holds the wire's input.  The
+  support can only double at a Hadamard, so circuits that are wide but
+  classically-branching-poor (reversible arithmetic with a few H wires) run
+  in time proportional to their true branching.
 
 Flip-only circuits (X, CNOT, Toffoli) also run on ``run_classical_batch``,
 which holds the same bit matrix with one column per input, plus a row held
@@ -430,32 +430,30 @@ class _SparseState:
     def h(self, w: int) -> None:
         """Pair each column with its partner across wire ``w`` and emit both sums.
 
-        No column has a partner when wire ``w`` reads the same in every
-        column or still equals its twin row; each column is then emitted
-        twice as it stands, with no sort and no sums.
+        The pairing rule, stated here only: a column's partner has the same
+        ``_pack`` key once bit ``w`` is cleared, and ``np.add.reduceat`` sums
+        each run of equal keys in ``np.lexsort`` order, lower column first.
+        No column has a partner when wire ``w`` is constant or still equals
+        its twin row; each column is then emitted twice as it stands.
         """
         bits, amps = self.bits, self.amps
         half = amps * _SQRT_HALF
+        out = np.concatenate((half, np.where(bits[w], -half, half)))  # the w = 0 half, then the w = 1 half
         if self.twins.pop(w, None) is None and bits[w].any() and not bits[w].all():
-            rows = np.flatnonzero(bits.any(axis=1) & ~bits.all(axis=1))
-            keys = _pack(bits[rows[rows != w]])
+            keys = _pack(bits)
+            keys[w >> 6] &= ~np.uint64(1 << (w & 63))
             order = np.lexsort(keys)
             sorted_keys = keys[:, order]
             first = np.ones(order.size, dtype=bool)
             first[1:] = np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0)
-            group = np.empty(order.size, dtype=np.intp)
-            group[order] = np.cumsum(first) - 1
-            rep = order[first]
-            n_groups = rep.size
-            out = np.empty(2 * n_groups, dtype=np.complex128)
-            for lo, contrib in ((0, half), (n_groups, np.where(bits[w], -half, half))):
-                out.real[lo : lo + n_groups] = np.bincount(group, contrib.real, n_groups)
-                out.imag[lo : lo + n_groups] = np.bincount(group, contrib.imag, n_groups)
+            starts = np.flatnonzero(first)
+            rep = order[starts]
+            out = np.add.reduceat(np.take(out.reshape(2, -1), order, axis=1), starts, axis=1).reshape(-1)
+            out += 0.0  # reduceat keeps a -0.0 sum; a sum that starts from 0.0 reads +0.0
             bits = np.take(bits, np.concatenate((rep, rep)), axis=1)
         else:  # wire w is constant or equals its twin, so no column has a partner
-            n_groups = amps.size
-            out = np.concatenate((half, np.where(bits[w], -half, half)))
             bits = np.concatenate((bits, bits), axis=1)
+        n_groups = out.size // 2
         bits[w, :n_groups] = False
         bits[w, n_groups:] = True
         magnitude = np.abs(out)
@@ -579,7 +577,9 @@ def run_sparse(
 
 
 def sparse_marginal(amps: dict[int, complex], wires: Sequence[int]) -> np.ndarray:
-    """Measurement distribution over ``wires`` (wires[0] is the LSB)."""
+    """Measurement distribution over ``wires`` (wires[0] is the LSB), a dense array of 2**len(wires)."""
+    if len(wires) > MAX_DENSE_QUBITS:
+        raise CapacityError(f"marginal over {len(wires)} wires exceeds dense cap {MAX_DENSE_QUBITS}")
     ys = _pack(_read_bits(amps, wires))[0].astype(np.intp)
     vals = np.fromiter(amps.values(), dtype=np.complex128, count=len(amps))
     # hypot(re, im) ** 2 is abs(amp) ** 2 bit for bit; np.abs can differ in the last place

@@ -208,6 +208,14 @@ class TestSim:
             assert out == ""
             assert "output_permutation" in err
 
+    def test_shots_past_the_dense_cap_exit_two(self, tmp_path, capsys):
+        # 32 data wires: the marginal would be a 32 GiB array
+        path = str(tmp_path / "prep16.qc")
+        assert run_cli(capsys, "build", "--kind", "prep", "--n", "16", "--out", path)[0] == 0
+        code, out, err = run_cli(capsys, "sim", path, "--input", "0" * 32, "--shots", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("qftkit: error:") and "exceeds dense cap" in err
+
     def test_order_circuit_netlist_samples(self, tmp_path, capsys):
         # the permutation covers all 12 data wires: x register reversed, product register kept
         path = tmp_path / "order.qc"

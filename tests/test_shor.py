@@ -24,6 +24,7 @@ from qftkit.shor import (
     order_finding_run,
     perfect_power_root,
 )
+from qftkit.sim import run_sparse
 
 
 def trial_division_prime(n: int) -> bool:
@@ -161,6 +162,31 @@ class TestDistributions:
         got = analytic_distribution(modulus, a)
         assert got.shape == (1 << 20,)
         assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == self.ANALYTIC_BYTE_PINS[modulus, a]
+
+    # sha256 prefixes of gate_distribution(15, a).tobytes() for every unit a of 15,
+    # taken before the sparse Hadamard paired columns on the whole packed matrix,
+    # which must not move a bit
+    GATE_BYTE_PINS = {
+        2: "438d52a0732bbc0e",
+        4: "17436687a42ed7de",
+        7: "438d52a0732bbc0e",
+        8: "438d52a0732bbc0e",
+        11: "17436687a42ed7de",
+        13: "438d52a0732bbc0e",
+        14: "17436687a42ed7de",
+    }
+
+    @pytest.mark.parametrize("a", list(GATE_BYTE_PINS))
+    def test_gate_bytes_are_pinned(self, a):
+        got = gate_distribution(15, a)
+        assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == self.GATE_BYTE_PINS[a]
+
+    def test_order_circuit_amplitudes_past_the_cap_are_pinned(self):
+        # the 216-wire run at N = 21 merges at Hadamards whose keys span four words;
+        # repr keeps every bit of each amplitude, the sign of a zero part included
+        items = sorted(run_sparse(build_order_circuit(21, 2), x=0).amplitudes.items())
+        assert len(items) == 6140
+        assert hashlib.sha256(repr(items).encode()).hexdigest()[:16] == "ed74e373e316d4d5"
 
     def test_cached_distributions_are_read_only(self):
         try:

@@ -725,6 +725,15 @@ class TestStateConventions:
         with pytest.raises(ValueError, match="wires"):
             sparse_marginal({1: 1.0}, [0, -1])
 
+    def test_sparse_marginal_refuses_past_the_dense_cap_before_reading(self, monkeypatch):
+        # the marginal is a dense array of 2**len(wires) entries: 27 wires would be 1 GiB
+        def no_read(*args, **kwargs):
+            raise AssertionError("the cap must refuse before any key is read")
+
+        monkeypatch.setattr(sim, "_read_bits", no_read)
+        with pytest.raises(CapacityError, match="27 wires exceeds dense cap 26"):
+            sparse_marginal({0: 1.0}, range(sim.MAX_DENSE_QUBITS + 1))
+
     def test_sparse_marginal_of_no_amplitudes_is_zero(self):
         probs = sparse_marginal({}, [0, 3])
         assert probs.tolist() == [0.0, 0.0, 0.0, 0.0]
@@ -752,6 +761,32 @@ class TestStateConventions:
         assert set(amps) == {1 + 2**66, 1 + 2**65 + 2**66 + 2**69}
         for amp in amps.values():
             assert abs(amp - 2**-0.5) < 1e-12
+
+    def test_merging_hadamards_past_bit_sixty_three(self, rng, random_circuit, monkeypatch):
+        # five wires on both sides of the first word boundary: the merge clears bit w in either word
+        wires = [0, 63, 64, 65, 70]
+        small = CircuitBuilder(5)
+        for w in [*range(5), *rng.permutation(5).tolist()]:
+            small.h(w)
+        small.inline(random_circuit(rng, n_qubits=5, n_gates=24), range(5))
+        for w in rng.permutation(5).tolist():
+            small.h(w)
+        small = small.build()
+        wide = CircuitBuilder(71)
+        wide.inline(small, wires)
+        packed = []
+        pack = sim._pack
+
+        def counting_pack(bits):
+            packed.append(bits.shape)
+            return pack(bits)
+
+        monkeypatch.setattr(sim, "_pack", counting_pack)
+        amps = run_sparse(wide.build()).amplitudes
+        assert len(packed) > 10  # the readback packs once; every other call is a merge
+        assert all(k & ~sum(1 << w for w in wires) == 0 for k in amps)
+        relabelled = {sum((k >> w & 1) << j for j, w in enumerate(wires)): a for k, a in amps.items()}
+        assert np.abs(as_vector(relabelled, 5) - run_dense(small).state).max() < 1e-12
 
 
 class TestKeys:
