@@ -21,7 +21,7 @@ from . import acceptance, netlist, shor
 from .circuit import Circuit
 from .errors import CapacityError, QftkitError
 from .qft_pow2 import PLAN_KINDS, QftPlan, _output_wires, build_from_plan, copy_fourier, prep_approx, prep_exact
-from .sim import DEFAULT_SEED, _keys, _read_bits, run_sparse, sparse_marginal
+from .sim import DEFAULT_SEED, _check_marginal, _keys, _read_bits, run_sparse, sparse_marginal
 
 STATS_KEYS = ("n", "size", "depth", "width", "gate_histogram", "error_bound")
 # suite -> the acceptance criteria it runs (numbered as in ``qftkit accept``)
@@ -135,6 +135,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if args.shots <= 0:
         raise UsageError("--shots must be positive")
     n = circ.n_qubits
+    _check_marginal(n)  # before any run: a refused marginal would throw the run away
     counts: dict[int, int] = {}
     # measurement collapses differently per run, so a measured circuit draws one outcome per run
     runs, per_run = (args.shots, 1) if circ.has_measurement() else (1, args.shots)

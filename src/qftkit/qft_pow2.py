@@ -2,11 +2,11 @@
 
 Four builders for the transform mod 2^n: the textbook H/CP ladder
 (``standard_qft``), its banded approximation with an analytic error bound
-(``banded_qft``), an exact divide-and-conquer form whose cross term is
-phased straight off the two carry-save rows of a product (``split_qft``),
-and a three-stage shallow pipeline (``logdepth_qft``) that prepares Fourier
-factor qubits directly, copies them, and measures the copies, whose
-statistics decide the erasure of the input register.
+(``banded_qft``), an exact divide-and-conquer form whose cross term is a
+Karatsuba-split phase product (``split_qft``), and a three-stage shallow
+pipeline (``logdepth_qft``) that prepares Fourier factor qubits directly,
+copies them, and measures the copies, whose statistics decide the erasure of
+the input register.
 
 All builders leave the output in carry order: circuit wire i holds the factor
 with denominator 2^{i+1}, which is the bit-reversal of the index order used by
@@ -27,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import CP, Circuit, CircuitBuilder, Gate, H, _check_angle_grid, dyadic
+from .circuit import CP, Circuit, CircuitBuilder, DyadicAngle, Gate, H, _check_angle_grid, dyadic
 from .phasest import erase_failure, failure_bound
-from .revarith import ONE, ZERO, _emit_addsub_core, _emit_wallace, _partial_products, bnot
+from .revarith import ONE, ZERO, BitRef, _emit_addsub_core, _emit_wallace, bnot
 from .sim import DEFAULT_SEED
 
 __all__ = [
@@ -165,18 +165,60 @@ def banded_qft(n: int, b: int) -> Circuit:
     return Circuit.from_layers(_ladder_layers(range(n), band=b_eff), n, metadata=meta)
 
 
-# --- split (carry-save product) exact transform ---------------------------------
+# --- split (phase product) exact transform ---------------------------------------
+
+
+# Operand width at or below which a phase product is one CP per bit pair.  Of
+# the bases below 32 (a base of 32 or more never splits at a buildable n), 17
+# to 31 tie for the fewest gates in split_qft(64), and 17 is the smallest
+# (ROADMAP item 9's table).
+_PHASE_BASE = 17
+
+
+def _emit_phase_product(b: CircuitBuilder, u: Sequence[BitRef], v: Sequence[BitRef], theta: DyadicAngle) -> None:
+    """Apply e^{2 pi i theta u v} to two registers of wires and ZERO bits, lowest bit first.
+
+    Bit pair (i, j) contributes theta 2^{i+j} turns, a whole number once
+    i + j reaches theta's log denominator, so those bits drop, as do ZERO top
+    bits.  An operand of at most ``_PHASE_BASE`` bits gets one CP per pair.
+    Otherwise both split at h = ceil(max width / 2), u = u1 2^h + u0, and
+    Karatsuba's identity uv = 2^h st + (2^{2h} - 2^h) u1 v1 + (1 - 2^h) u0 v0,
+    with s = u0 + u1 and t = v0 + v1, makes the phase three half-size phase
+    products, since the phase of a sum is the product of the phases.  s and
+    t are summed out of place into h + 1 fresh wires and uncomputed after.
+    """
+    num, k = theta.numerator, theta.log_denominator
+    u, v = list(u[:k]), list(v[:k])
+    while u and u[-1] == ZERO:
+        u.pop()
+    while v and v[-1] == ZERO:
+        v.pop()
+    if min(len(u), len(v)) <= _PHASE_BASE:
+        for i, x in enumerate(u):
+            for j, y in enumerate(v[: k - i]):
+                if x != ZERO and y != ZERO:
+                    b.cp(x, y, dyadic(num << (i + j), k))
+        return
+    h = -(-max(len(u), len(v)) // 2)
+    # each half padded with ZERO to h + 1 bits, the top one for the sum's carry out
+    u0, u1, v0, v1 = ((half + [ZERO] * (h + 1))[: h + 1] for half in (u[:h], u[h:], v[:h], v[h:]))
+    start = b.mark()
+    s, t = b.new_ancillas(h + 1), b.new_ancillas(h + 1)
+    _emit_addsub_core(b, u0, u1, outs=s)
+    _emit_addsub_core(b, v0, v1, outs=t)
+    stop = b.mark()
+    _emit_phase_product(b, s, t, dyadic(num << h, k))
+    _emit_phase_product(b, u1, v1, dyadic((num << 2 * h) - (num << h), k))
+    _emit_phase_product(b, u0, v0, dyadic(num - (num << h), k))
+    b.uncompute(start, stop)
 
 
 def _emit_split(b: CircuitBuilder, wires: list[int]) -> int:
     """Split transform on ``wires``; returns this level's cross-term gate count.
 
     After the top half is transformed, the cross phase between the halves is
-    e^{2 pi i u v / 2^n} where u reads the top half in reversed wire order and
-    v reads the untouched bottom half.  The phase needs only uv mod 2^n, and
-    the phase of a sum is the product of the phases, so the Wallace tree's
-    rows s + c = uv mod 2^n carry it: bit t of either row gets a phase of
-    1/2^{n-t} turns, and the tree is uncomputed.  No adder sums the rows.
+    e^{2 pi i u v / 2^n}, where u reads the top half in reversed wire order
+    and v reads the untouched bottom half: one phase product.
     """
     n = len(wires)
     if n <= 3:
@@ -187,18 +229,9 @@ def _emit_split(b: CircuitBuilder, wires: list[int]) -> int:
     m = n // 2
     lo, hi = wires[:m], wires[m:]
     _emit_split(b, hi)
-
     start = b.mark()
-    rows = _emit_wallace(b, _partial_products(b, hi[::-1], lo, n), n)
-    stop = b.mark()
-    # each row bit is a wire or ZERO: a tree over ANDs of plain wires makes no ONE or negation
-    for row in rows:
-        for t, r in enumerate(row):
-            if r != ZERO:
-                b.p(r, dyadic(1, n - t))
-    b.uncompute(start, stop)
+    _emit_phase_product(b, hi[::-1], lo, dyadic(1, n))
     step2 = b.mark() - start
-
     _emit_split(b, lo)
     return step2
 
@@ -206,8 +239,11 @@ def _emit_split(b: CircuitBuilder, wires: list[int]) -> int:
 def split_qft(n: int) -> Circuit:
     """Exact transform mod 2^n built by halving; recursion stops at 3 wires.
 
-    metadata["step2_size"] counts the top level's reduce, phase and unreduce
-    gates, so size(n) = size(ceil) + size(floor) + step2_size holds exactly.
+    metadata["step2_size"] counts the top level's cross-term gates, the phase
+    product with its adders and their uncompute, so size(n) = size(ceil) +
+    size(floor) + step2_size holds exactly.  Operands of at most
+    ``_PHASE_BASE`` bits make the cross term plain CPs, so up to n = 35 the
+    circuit is the ladder's gates in another order, on no ancilla.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -244,9 +244,9 @@ def build_carry_save(rows: int, n: int) -> Circuit:
     """Carry-save sum on [rows x n | s(w) | c(w)], w = n + (rows - 1).bit_length().
 
     s ^= sum row, c ^= carry row of the Wallace tree over the ``rows``
-    registers, the tree the multiplier, the split transform, the prefix adder
-    and the Fourier copy run: compute, copy out, uncompute.  w bits hold the
-    whole sum, so s + c equals it exactly.
+    registers, the tree the multiplier, the prefix adder and the Fourier copy
+    run: compute, copy out, uncompute.  w bits hold the whole sum, so s + c
+    equals it exactly.
     """
     if rows < 1 or n < 1:
         raise ValueError(f"need rows >= 1 and n >= 1, got ({rows}, {n})")

@@ -117,7 +117,7 @@ class TestStats:
         code, out, _ = run_cli(capsys, "stats", str(path), "--json")
         assert code == 0
         payload = json.loads(out)
-        assert (payload["size"], payload["depth"]) == (24_626, 734)
+        assert (payload["size"], payload["depth"]) == (2_873, 304)
 
     def test_json_payload_is_frozen(self, qft3_path, capsys):
         code, out, _ = run_cli(capsys, "stats", qft3_path, "--json")
@@ -215,6 +215,18 @@ class TestSim:
         code, out, err = run_cli(capsys, "sim", path, "--input", "0" * 32, "--shots", "3")
         assert (code, out) == (2, "")
         assert err.startswith("qftkit: error:") and "exceeds dense cap" in err
+
+    def test_shots_past_the_dense_cap_refuse_before_any_run(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "prep16.qc")
+        assert run_cli(capsys, "build", "--kind", "prep", "--n", "16", "--out", path)[0] == 0
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the refusal came after a sparse run started")
+
+        monkeypatch.setattr(cli, "run_sparse", no_run)
+        code, out, err = run_cli(capsys, "sim", path, "--input", "0" * 32, "--shots", "3")
+        assert (code, out) == (2, "")
+        assert err == "qftkit: error: marginal over 32 wires exceeds dense cap 26\n"
 
     def test_order_circuit_netlist_samples(self, tmp_path, capsys):
         # the permutation covers all 12 data wires: x register reversed, product register kept

@@ -13,7 +13,7 @@ from qftkit.shor import build_order_circuit
 PINNED_NETLISTS = [
     pytest.param(lambda: standard_qft(5), "270ac160f4e615ef", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "b6767a9134503abd", id="banded_qft(6,2)"),
-    pytest.param(lambda: split_qft(6), "6fd7621daea85ced", id="split_qft(6)"),
+    pytest.param(lambda: split_qft(6), "3ad7fe5c257233a4", id="split_qft(6)"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "5b16c836411b1621", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "e141bdd58a820f34", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "7074d4637fa7df02", id="order_circuit(15,7)"),
@@ -31,7 +31,7 @@ PINNED_NETLISTS = [
 PINNED_INVERSES = [
     pytest.param(lambda: standard_qft(5), "758eed6a11874469", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "b16d905a93632a01", id="banded_qft(6,2)"),
-    pytest.param(lambda: split_qft(6), "39efe1d5d8f862fe", id="split_qft(6)"),
+    pytest.param(lambda: split_qft(6), "537f76558a6919d3", id="split_qft(6)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "636ebfe1109ec8e4", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "e2a4489396b3815a", id="order_circuit(15,7)"),
     pytest.param(lambda: copy_fourier(3, 3), "d651c51364283533", id="copy_fourier(3,3)"),
@@ -45,7 +45,7 @@ PINNED_INVERSES = [
 PINNED_LAYER_SETS = [
     pytest.param(lambda: standard_qft(5), "981475492fbf47fe", id="standard_qft(5)"),
     pytest.param(lambda: banded_qft(6, 2), "eec0806346172c2e", id="banded_qft(6,2)"),
-    pytest.param(lambda: split_qft(6), "70b9d974bc75bcf0", id="split_qft(6)"),
+    pytest.param(lambda: split_qft(6), "e8e66307ff88ff93", id="split_qft(6)"),
     pytest.param(lambda: logdepth_qft(QftPlan("logdepth", 3, k=4)).circuit, "bf0cd67d3182ad20", id="logdepth(3,4)"),
     pytest.param(lambda: build_telescoping_subtract(3, 4), "7a09d057c2da75dd", id="telescoping_subtract(3,4)"),
     pytest.param(lambda: build_order_circuit(15, 7), "473e6ca7ca35369e", id="order_circuit(15,7)"),

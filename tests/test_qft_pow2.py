@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from qftkit import acceptance, cli, netlist, sim
+from qftkit import acceptance, cli, netlist, qft_pow2, sim
 from qftkit.acceptance import C_DEPTH, C_SIZE
-from qftkit.circuit import Circuit, CircuitBuilder
+from qftkit.circuit import Circuit, CircuitBuilder, dyadic
 from qftkit.errors import CapacityError
 from qftkit.phasest import basis_probs, erase_failure, failure_bound, reconstruct_batch
 from qftkit.qft_pow2 import (
     LogdepthQft,
     QftPlan,
     banded_qft,
+    _emit_phase_product,
     _output_wires,
     build_from_plan,
     copy_fourier,
@@ -137,20 +138,64 @@ class TestSplit:
         assert split_qft(n) == standard_qft(n)
 
     def test_uses_fanout_arithmetic(self):
-        # the cross phase sits on Toffoli outputs: the only CPs are the two
-        # 2-wire base ladders' at n = 4
-        hist = split_qft(4).gate_histogram()
-        assert "ccx" in hist
-        assert hist["cp"] == 2
+        # a cross term of at most 17-bit operands is one CP per bit pair, so
+        # the adders' Toffolis first appear at n = 36, whose halves are 18 bits
+        for n in range(1, 36):
+            assert set(split_qft(n).gate_histogram()) <= {"h", "cp"}, n
+        assert "ccx" in split_qft(36).gate_histogram()
+        # split_qft(64)'s halves are H and CP only, so its cross term holds the adders' Toffolis
+        assert set(split_qft(64).gate_histogram()) - set(split_qft(32).gate_histogram()) == {"ccx", "cnot"}
 
     def test_width_cap(self):
         # the top level's last phase is 2^-n turns, as in the ladder
         c = split_qft(64)
-        assert c.size == 24_626
-        assert c.metadata["step2_size"] == 13_998
+        assert c.size == 2_873
+        assert c.metadata["step2_size"] == 1_817
         assert c.size == 2 * split_qft(32).size + c.metadata["step2_size"]
         with pytest.raises(CapacityError, match=r"2\^-64 angle limit"):
             split_qft(65)
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_karatsuba_at_every_level_matches_reference(self, base, monkeypatch, bit_reversed):
+        # with the base case at 1 or 2 bits, the cross terms from n = 6 up run
+        # the Karatsuba step at every level down to 1- or 2-bit operands
+        monkeypatch.setattr(qft_pow2, "_PHASE_BASE", base)
+        assert "ccx" in split_qft(6).gate_histogram()
+        for n in range(1, 10):
+            u = extract_unitary(split_qft(n))[bit_reversed(n), :]
+            assert np.linalg.norm(u - dft_reference(1 << n), 2) < 1e-10, n
+
+    @pytest.mark.parametrize("theta", [dyadic(1, 8), dyadic(3, 7)], ids=["1/2^8", "3/2^7"])
+    def test_phase_product_on_every_input(self, theta, monkeypatch):
+        # two 4-bit registers split down to 1-bit operands: each basis input
+        # keeps its one amplitude, phased by theta u v, and the ancillas end clear
+        monkeypatch.setattr(qft_pow2, "_PHASE_BASE", 1)
+        b = CircuitBuilder(8)
+        _emit_phase_product(b, range(4), range(4, 8), theta)
+        c = b.build()
+        assert c.width > 8
+        turns = theta.numerator / (1 << theta.log_denominator)
+        for x in range(256):
+            amps = run_sparse(c, x=x).amplitudes
+            assert list(amps) == [x]
+            u, v = x & 15, x >> 4
+            assert abs(amps[x] - np.exp(2j * np.pi * turns * u * v)) < 1e-12
+
+    @pytest.mark.parametrize("n", [36, 64])
+    def test_cross_term_at_the_built_base(self, n, rng):
+        # split_qft(n)'s top cross term, where the Karatsuba step runs at the
+        # built base, on drawn inputs: one amplitude, phased by uv / 2^n turns
+        m = n // 2
+        b = CircuitBuilder(n)
+        _emit_phase_product(b, range(m), range(m, n), dyadic(1, n))
+        c = b.build()
+        assert "ccx" in c.gate_histogram()
+        for _ in range(8):
+            u, v = int(rng.integers(1 << m)), int(rng.integers(1 << m))
+            x = u | v << m
+            amps = run_sparse(c, x=x).amplitudes
+            assert list(amps) == [x]
+            assert abs(amps[x] - np.exp(2j * np.pi * (u * v % (1 << n)) / (1 << n))) < 1e-10
 
 
 @pytest.mark.parametrize(
