@@ -4,7 +4,10 @@ Everything here works over *bit references*: a reference is a wire index
 ``w >= 0``, its virtual negation ``~w`` (the negative int ``-w - 1``), or a
 constant ``ZERO``/``ONE``.  Constant folding on references is what keeps the
 emitted circuits small; an AND with a known-zero bit emits nothing, an XOR
-with a single live input is just an alias.
+with a single live input is just an alias.  The carry-save reducer's one 3-2
+cell, stated in ``_emit_wallace``, builds a full adder's carry from the sum's
+x XOR y in two Toffolis and folds repeated, complementary, negated and
+constant inputs.
 
 Carry computation uses the generate/propagate pair (g, p) per position with
 the combine ``G = g_hi XOR (p_hi AND g_lo)``, ``P = p_hi AND p_lo``; the XOR
@@ -112,23 +115,6 @@ def emit_xor(b: CircuitBuilder, refs: Sequence[BitRef]) -> BitRef:
     return t
 
 
-def emit_maj(b: CircuitBuilder, x: BitRef, y: BitRef, z: BitRef) -> BitRef:
-    """Majority of three references (the carry of a 1-bit 3-2 step)."""
-    if x == y or x == z:
-        return x
-    if y == z:
-        return y
-    if ZERO in (x, y, z):
-        u, v = (r for r in (x, y, z) if r != ZERO)
-        return emit_and(b, u, v)
-    # constants and (w, not w) pairs fold inside and_into
-    t = b.new_ancilla()
-    and_into(b, t, x, y)
-    and_into(b, t, x, z)
-    and_into(b, t, y, z)
-    return t
-
-
 # --- generate/propagate carries ---------------------------------------------
 
 
@@ -171,11 +157,13 @@ def _emit_carries(
     """Carry-lookahead network of a+b(+carry_in), left for the caller's uncompute.
 
     Returns the half sums p_i = a_i XOR b_i and the carries c_0..c_{w-1}
-    into the w positions, so sum bit i is p_i XOR c_i.  Two folds keep out
+    into the w positions, so sum bit i is p_i XOR c_i.  Three folds keep out
     what no gate reads: the top position's generate is not built, since only
-    a carry out reads it (a caller that wants one pads a ZERO position), and
-    with no carry-in every leaf below the first generate that does not fold
-    to ZERO enters the network as GP(ZERO, ZERO), since every carry there is 0.
+    a carry out reads it (a caller that wants one pads a ZERO position); with
+    no carry-in every leaf below the first generate that does not fold to
+    ZERO enters the network as GP(ZERO, ZERO), since every carry there is 0;
+    and that first live leaf enters with propagate ZERO, since a combine
+    reads it only against the all-ZERO prefix below it.
     """
     if len(a_bits) != len(b_bits):
         raise StructuralError("addend widths differ")
@@ -185,6 +173,8 @@ def _emit_carries(
     if not carry_in:
         live = next((i for i, leaf in enumerate(leaves) if leaf.g != ZERO), len(leaves))
         leaves[:live] = [GP(ZERO, ZERO)] * live
+        if live < len(leaves):
+            leaves[live] = GP(leaves[live].g, ZERO)
     seed = GP(ONE if carry_in else ZERO, ZERO)
     prefixes = _brent_kung([seed] + leaves, lambda hi, lo: _gp_combine(b, hi, lo))
     return half_sums, [pre.g for pre in prefixes]
@@ -217,24 +207,82 @@ def const_bits(value: int, width: int) -> list[BitRef]:
 # --- carry-save reduction ------------------------------------------------------
 
 
+def _negated(r: BitRef) -> bool:
+    return r == ONE or (r != ZERO and r < 0)
+
+
+def _emit_cell(b: CircuitBuilder, x: BitRef, y: BitRef, z: BitRef, carry: bool) -> tuple[BitRef, BitRef]:
+    """(sum, carry) references of x + y + z: the 3-2 cell that ``_emit_wallace`` states.
+
+    With ``carry`` false no carry gate is emitted, and the carry reference is
+    not to be read.
+    """
+    refs = [x, y, z]
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        if refs[i] == refs[j]:  # w + w + r = r + 2w
+            return refs[k], refs[i]
+        if refs[i] == bnot(refs[j]):  # w + ~w + r = ~r + 2r
+            return bnot(refs[k]), refs[k]
+    flip = sum(map(_negated, refs)) >= 2
+    if flip:
+        refs = [bnot(r) for r in refs]
+    x, y, z = sorted(refs, key=lambda r: (r == ZERO, _negated(r)))
+    t = b.new_ancilla()
+    for r in (x, y):
+        b.cnot(r if r >= 0 else ~r, t)
+    c: BitRef = ZERO
+    if carry:
+        c = b.new_ancilla()
+        and_into(b, c, t, z)
+        and_into(b, c, x, y)
+    if z not in (ZERO, ONE):
+        b.cnot(z if z >= 0 else ~z, t)
+    s = ~t if any(map(_negated, (x, y, z))) else t
+    return (bnot(s), bnot(c)) if flip else (s, c)
+
+
 def _emit_wallace(
     b: CircuitBuilder, rows: Sequence[Sequence[BitRef]], width: int
 ) -> tuple[list[BitRef], list[BitRef]]:
     """Wallace tree of 3-2 steps: two rows whose sum is that of ``rows`` mod 2^width.
 
     Every row is padded with ZERO or cut to ``width`` on entry.  Each level
-    groups the rows in threes and keeps the leftover one or two; a 3-2 step
-    emits the sum bits, then the majorities below the top position, so no
-    carry at or above ``width`` is computed.  The tree is left behind for the
-    caller's uncompute.
+    drops the rows that are all ZERO, orders the rest by their lowest
+    non-ZERO position (a stable sort, so rows that skipped a level stay
+    ahead of the new ones, being ready sooner), groups them in threes and
+    keeps the leftover one or two.  Every position of a group is one cell,
+    ``_emit_cell``, on its references (x, y, z); the carry of the top
+    position is not built, so no carry at or above ``width`` is computed.
+    The cell:
+
+    * a repeated reference w + w + r gives (r, w), and a complementary pair
+      w + ~w + r gives (~r, r), with no gate (ZERO and ONE are a pair);
+    * with two or three negated references (ONE counts as a negated ZERO) it
+      runs on their complements and negates both results;
+    * otherwise it takes z to be the constant or the negated reference, if
+      there is one, and x, y to be wires.  It sets a fresh t = x ^ y (two
+      CNOTs), then, below the top position, c ^= t·z and c ^= x·y on a fresh
+      c (two Toffolis, ``and_into``), and last t ^= z.  The carry is
+      maj(x, y, z) = x·y ^ z·(x ^ y); with z = ~w the t·z term is a CNOT and a
+      Toffoli, with z = ONE a CNOT, and with z = ZERO it vanishes (there x or
+      y may be negated, and t = x ^ y up to that negation).  The sum is t, or
+      ~t when a reference was negated.
+
+    A cell on three plain wires is three CNOTs and two Toffolis; the t·z
+    Toffoli comes first so that the x·y one shares a layer with the closing
+    CNOT.  The tree is left behind for the caller's uncompute.
     """
     rows = [(list(row) + [ZERO] * width)[:width] for row in rows]
-    while len(rows) > 2:
-        nxt = []
+    while True:
+        live = [row for row in rows if any(r != ZERO for r in row)]
+        rows = sorted(live, key=lambda row: next(j for j, r in enumerate(row) if r != ZERO))
+        if len(rows) <= 2:
+            break
+        nxt = rows[len(rows) - len(rows) % 3 :]
         for xs, ys, zs in zip(rows[0::3], rows[1::3], rows[2::3]):
-            nxt.append([emit_xor(b, [xs[j], ys[j], zs[j]]) for j in range(width)])
-            nxt.append([ZERO] + [emit_maj(b, xs[j], ys[j], zs[j]) for j in range(width - 1)])
-        nxt.extend(rows[len(rows) - len(rows) % 3 :])
+            cells = [_emit_cell(b, xs[j], ys[j], zs[j], j < width - 1) for j in range(width)]
+            nxt.append([s for s, _ in cells])
+            nxt.append([ZERO] + [c for _, c in cells[:-1]])
         rows = nxt
     rows += [[ZERO] * width] * (2 - len(rows))
     return rows[0], rows[1]

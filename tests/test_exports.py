@@ -102,6 +102,7 @@ REMOVED_NAMES = [
     (qft_pow2, "bit_reversed_indices"),
     (qftkit, "bit_reversed_indices"),
     (qft_pow2, "_permuted_index"),
+    (revarith, "emit_maj"),
 ]
 
 
@@ -110,7 +111,8 @@ REMOVED_NAMES = [
 )
 def test_unused_names_stay_removed(owner, name):
     # none ran outside the tests: reconstruct_batch is the one decoder,
-    # emit_maj's general path covers the OR that emit_or gave it, and
+    # the Wallace tree's 3-2 cell holds the one majority rule (the OR that
+    # emit_or gave is its carry with a ONE, and emit_maj is gone), and
     # build_prefix_add / build_telescoping_subtract at k = 2 are the adder
     # and subtractor; build_carry_save certifies the one Wallace tree that
     # the 3-2 and 4-2 counters wrapped; crt_maps' two index maps replace

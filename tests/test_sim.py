@@ -1273,7 +1273,7 @@ class TestMeasurement:
     LOGDEPTH_RECORDS = {
         (1, 2): ["00 00", "10 10"],
         (2, 2): ["0010 0010", "1100 0100", "1010 1010", "1110 0110"],
-        (2, 4): ["00000101 00001100", "01010101 11010100", "10100101 10101100", "01011111 11011110"],
+        (2, 4): ["00001101 00000100", "01010101 01110100", "10101101 10100100", "01011111 01111110"],
     }
     RANDOM_RECORDS = [
         "01111000010 00000111000", "011110010 001011100", "000101000 000011001", "000010 000111",
